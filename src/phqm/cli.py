@@ -261,13 +261,9 @@ def _run_model(config, tol, record, res):
             mspec["kind_detail"], mspec["zeta"], mspec.get("length", 1.0),
             mspec.get("kappa", 1.0), mspec.get("mass", 1.0), mspec.get("hbar", 1.0),
         )
-        grid = None
-        if "n" in mspec or "x_min" in mspec:
-            style = "node" if spec.kind == "delta" else "midpoint"
-            grid = models.KernelGrid(
-                mspec.get("n", 400), mspec.get("x_min", -2.0),
-                mspec.get("x_max", 2.0), style,
-            )
+        grid = models.kernel_grid(
+            spec, **{key: mspec[key] for key in ("n", "x_min", "x_max") if key in mspec}
+        )
         out = models.kernel_metric(spec, grid)
         record["scalars"].update(out.residual_report)
         record["matrices"]["eta"] = encode_matrix(out.eta_matrix)

@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import CFLViolationError, OutOfDomainError, OutOfRangeError
-
-QUAD_EPSABS = 1e-12
+from .errors import CFLViolationError, OutOfDomainError
 
 
 @dataclass(frozen=True)
@@ -92,48 +88,6 @@ def gaussian_pulse(center: float, width: float, amplitude: float = 1.0) -> Initi
         return amplitude * np.exp(-((np.asarray(z) - center) ** 2) / (2.0 * width**2))
 
     return InitialFields(e0, lambda z: np.zeros_like(np.asarray(z, dtype=float)))
-
-
-def optical_path(profile: MediumProfile, z: float) -> float:
-    """u(z) = int_0^z sqrt(eps mu) by adaptive quadrature.
-
-    full_output silences the roundoff chatter quad emits on piecewise
-    (sampled) profiles; the achieved error estimate is checked instead.
-    """
-    if z < profile.z_min or z > profile.z_max:
-        raise OutOfDomainError(f"z = {z} outside [{profile.z_min}, {profile.z_max}]")
-    out = quad(lambda t: float(profile.index(t)), 0.0, z,
-               epsabs=QUAD_EPSABS, epsrel=1e-12, limit=200, full_output=1)
-    val, abserr = out[0], out[1]
-    # sampled profiles have a kink per panel; the conservative estimate
-    # then sits well above the smooth-profile roundoff floor
-    if abserr > 1e-6 * max(1.0, abs(val)):
-        raise ValueError(f"optical path quadrature error {abserr:.2e} too large")
-    return float(val)
-
-
-def invert_u(profile: MediumProfile, s: float) -> float:
-    """Monotone inversion of u; raises OutOfRangeError beyond the domain image."""
-    lo, hi = optical_path(profile, profile.z_min), optical_path(profile, profile.z_max)
-    if s < lo or s > hi:
-        raise OutOfRangeError(f"s = {s} outside [{lo:.6g}, {hi:.6g}]")
-    if s == lo:
-        return profile.z_min
-    if s == hi:
-        return profile.z_max
-    return float(brentq(lambda z: optical_path(profile, z) - s, profile.z_min,
-                        profile.z_max, xtol=1e-12, rtol=1e-14))
-
-
-def _invert_u_extended(profile: MediumProfile, s: float) -> float:
-    """Inversion with the constant extension beyond the domain."""
-    lo = optical_path(profile, profile.z_min)
-    hi = optical_path(profile, profile.z_max)
-    if s < lo:
-        return profile.z_min + (s - lo) / float(profile.index(profile.z_min))
-    if s > hi:
-        return profile.z_max + (s - hi) / float(profile.index(profile.z_max))
-    return invert_u(profile, s)
 
 
 class _PathTable:

@@ -16,10 +16,9 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm, sqrtm
 
 from .biortho import from_right_vectors
 from .errors import (
@@ -229,6 +228,35 @@ def swanson_operator(params: SwansonParams, n_max: int) -> np.ndarray:
     )
 
 
+def _exp_k_plus(z: complex, n_max: int) -> np.ndarray:
+    """exp(z K+) with K+ = (a^dag)^2/2 in the n_max-dim number basis.
+
+    K+ raises n by two, so the series terminates:
+    exp(z K+)[m+2k, m] = (z/2)^k/k! sqrt((m+2k)!/m!).  Each band k
+    follows from band k-1 by one ratio, which keeps the entries within a
+    few ulp; log-gamma differences lose about a digit at n_max = 120.
+    """
+    out = np.eye(n_max, dtype=complex)
+    m = np.arange(n_max)
+    band = np.ones(n_max, dtype=complex)
+    for k in range(1, (n_max + 1) // 2):
+        mm = m[: n_max - 2 * k]
+        band = band[: n_max - 2 * k] * (0.5 * z / k) * np.sqrt((mm + 2 * k) * (mm + 2 * k - 1.0))
+        out[mm + 2 * k, mm] = band
+    return out
+
+
+def _sqrtm_2x2(m: np.ndarray) -> np.ndarray:
+    """Principal square root (M + sI)/sqrt(tr M + 2s), s = sqrt(det M).
+
+    This is the principal root when s = sqrt(l1) sqrt(l2) for the
+    eigenvalues l1, l2 of M; the Swanson avatar has det M = 1 and the
+    caller keeps its eigenvalues off the negative real axis.
+    """
+    s = np.sqrt(complex(np.linalg.det(m)))
+    return (m + s * np.eye(2)) / np.sqrt(np.trace(m) + 2.0 * s)
+
+
 def swanson_truncated(params: SwansonParams, r: float, n_max: int,
                       branch: int = +1) -> QuasiHermitianSystem:
     """Truncated-basis realization of the Lie-algebraic metric.
@@ -257,7 +285,10 @@ def swanson_truncated(params: SwansonParams, r: float, n_max: int,
     k_minus = 0.5 * (a @ a)
     k3 = 0.5 * (ad @ a + 0.5 * np.eye(n_max))
 
-    eta = expm(sm.z * k_plus) @ expm(2.0 * r * k3) @ expm(np.conj(sm.z) * k_minus)
+    # exp(z* K-) = exp(z K+)^dag and K3 is diagonal, (n + 1/2)/2
+    e_plus = _exp_k_plus(sm.z, n_max)
+    scale = np.exp(r * (np.arange(n_max) + 0.5))
+    eta = (e_plus * scale) @ dagger(e_plus)
     eta = 0.5 * (eta + dagger(eta))
     H = swanson_operator(params, n_max)
 
@@ -266,7 +297,7 @@ def swanson_truncated(params: SwansonParams, r: float, n_max: int,
     # not a Hermitian matrix; the principal square root is the avatar of
     # the positive operator root (its eigenvalues are the positive pair
     # lambda, 1/lambda).
-    rho2 = sqrtm(sm.eta_2x2)
+    rho2 = _sqrtm_2x2(sm.eta_2x2)
     hw = params.hbar * params.omega
     H2 = hw * np.array(
         [[1.0, 2j * params.alpha_tilde], [2j * params.beta_tilde, -1.0]], dtype=complex
@@ -444,6 +475,23 @@ class KernelGrid:
         return (self.x_max - self.x_min) / self.n
 
 
+def kernel_grid(spec: KernelPotentialSpec, **overrides) -> KernelGrid:
+    """Default grid of a kernel potential, with ``overrides`` applied.
+
+    The square well gets its Dirichlet box [-L/2, L/2], the barrier
+    [-2L, 2L], both midpoint; the delta a node grid over [-h, h] with
+    h = max(2, 2/kappa).  ``overrides`` sets any KernelGrid field.
+    """
+    if spec.kind == "square_well":
+        grid = KernelGrid(x_min=-spec.length / 2.0, x_max=spec.length / 2.0)
+    elif spec.kind == "barrier":
+        grid = KernelGrid(x_min=-2.0 * spec.length, x_max=2.0 * spec.length)
+    else:
+        half = max(2.0, 2.0 / spec.kappa)
+        grid = KernelGrid(x_min=-half, x_max=half, style="node")
+    return replace(grid, **overrides)
+
+
 def kernel_first_order(spec: KernelPotentialSpec, x: np.ndarray) -> np.ndarray:
     """Pointwise first-order kernel k(x, y) with eta = delta(x-y) + k.
 
@@ -544,14 +592,7 @@ def kernel_metric(
     first-order kernel), plus a first-order-regime ratio diagnostic.
     """
     if grid is None:
-        if spec.kind == "square_well":
-            half = spec.length / 2.0
-            grid = KernelGrid(400, -half, half, "midpoint")
-        elif spec.kind == "barrier":
-            grid = KernelGrid(400, -2.0 * spec.length, 2.0 * spec.length, "midpoint")
-        else:
-            half = max(2.0, 2.0 / spec.kappa)
-            grid = KernelGrid(400, -half, half, "node")
+        grid = kernel_grid(spec)
     x = grid.points()
     dx = grid.dx
 

@@ -140,7 +140,8 @@ def _rhs_general(j: int, h0: np.ndarray, h1: np.ndarray, qs: dict) -> np.ndarray
             continue
         z = np.zeros((dim, dim), dtype=complex)
         for comp in _compositions(j, k):
-            if any(qs[s] is None for s in comp):
+            # Q_even = 0, so any composition through one nests to zero
+            if any(s % 2 == 0 for s in comp):
                 continue
             z += _nested(h0, qs, comp)
         rhs += float(coeff) * z

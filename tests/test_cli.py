@@ -208,3 +208,50 @@ def test_degenerate_inputs_exit_as_input_errors(config, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind_detail": "square_well", "zeta": 0.08, "length": 1.0},
+        {"kind_detail": "barrier", "zeta": 0.08, "length": 0.5},
+        {"kind_detail": "delta", "zeta": 0.05, "kappa": 0.5},
+    ],
+)
+def test_kernel_default_grid_size_is_the_default(model):
+    # stating the default n must not move the kind-dependent grid
+    base = {"command": "model", "model": {"kind": "kernel", **model}}
+    explicit = {"command": "model", "model": {"kind": "kernel", "n": 400, **model}}
+    implicit_record = cli.run(base)
+    explicit_record = cli.run(explicit)
+    for key in ("scalars", "matrices", "residuals", "all_pass"):
+        assert explicit_record[key] == implicit_record[key], key
+
+
+_RUN_WITHOUT_SCIPY = """
+import json, os, sys
+import phqm.cli
+scenario_dir, out_dir = sys.argv[1], sys.argv[2]
+codes = {}
+for name in sorted(os.listdir(scenario_dir)):
+    if name in ("kernel_barrier.json", "quartic.json"):
+        continue
+    codes[name] = phqm.cli.main(["--scenario", os.path.join(scenario_dir, name),
+                                 "--out", os.path.join(out_dir, name)])
+scipy_modules = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy_modules}))
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # kernel_barrier and quartic are the two slow scenarios; their code
+    # sits in phqm.models, which every launch imports anyway
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, SCENARIO_DIR, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert len(result["codes"]) == 12
+    assert set(result["codes"].values()) == {cli.EXIT_OK}
+    assert result["scipy"] == []

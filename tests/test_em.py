@@ -1,11 +1,51 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from phqm import em
 from phqm.errors import CFLViolationError, OutOfDomainError, OutOfRangeError
 from phqm.linalg import opnorm
 
 RNG = np.random.default_rng(2718)
+
+QUAD_EPSABS = 1e-12
+
+
+# ----------------------------------------------------------------------
+# reference optical path: adaptive quadrature and root bracketing, the
+# oracle for the tabulated u(z) that em.propagate uses
+# ----------------------------------------------------------------------
+
+def optical_path(profile: em.MediumProfile, z: float) -> float:
+    """u(z) = int_0^z sqrt(eps mu) by adaptive quadrature.
+
+    full_output silences the roundoff chatter quad emits on piecewise
+    (sampled) profiles; the achieved error estimate is checked instead.
+    """
+    if z < profile.z_min or z > profile.z_max:
+        raise OutOfDomainError(f"z = {z} outside [{profile.z_min}, {profile.z_max}]")
+    out = quad(lambda t: float(profile.index(t)), 0.0, z,
+               epsabs=QUAD_EPSABS, epsrel=1e-12, limit=200, full_output=1)
+    val, abserr = out[0], out[1]
+    # sampled profiles have a kink per panel; the conservative estimate
+    # then sits well above the smooth-profile roundoff floor
+    if abserr > 1e-6 * max(1.0, abs(val)):
+        raise ValueError(f"optical path quadrature error {abserr:.2e} too large")
+    return float(val)
+
+
+def invert_u(profile: em.MediumProfile, s: float) -> float:
+    """Monotone inversion of u; raises OutOfRangeError beyond the domain image."""
+    lo, hi = optical_path(profile, profile.z_min), optical_path(profile, profile.z_max)
+    if s < lo or s > hi:
+        raise OutOfRangeError(f"s = {s} outside [{lo:.6g}, {hi:.6g}]")
+    if s == lo:
+        return profile.z_min
+    if s == hi:
+        return profile.z_max
+    return float(brentq(lambda z: optical_path(profile, z) - s, profile.z_min,
+                        profile.z_max, xtol=1e-12, rtol=1e-14))
 
 
 def tanh_profile(amp=0.1, z_min=-10.0, z_max=10.0):
@@ -19,12 +59,12 @@ def tanh_profile(amp=0.1, z_min=-10.0, z_max=10.0):
 def test_optical_path_vacuum():
     prof = em.vacuum()
     for z in (-3.0, 0.0, 2.5):
-        assert em.optical_path(prof, z) == pytest.approx(z, abs=1e-12)
+        assert optical_path(prof, z) == pytest.approx(z, abs=1e-12)
 
 
 def test_optical_path_constant_medium():
     prof = em.constant_medium(4.0, 1.0)
-    assert em.optical_path(prof, 1.5) == pytest.approx(3.0, abs=1e-12)
+    assert optical_path(prof, 1.5) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_optical_path_quadratic_profile():
@@ -35,29 +75,52 @@ def test_optical_path_quadratic_profile():
         0.0, 1.0,
     )
     exact = 0.5 * (np.sqrt(2.0) + np.arcsinh(1.0))
-    assert em.optical_path(prof, 1.0) == pytest.approx(exact, abs=1e-11)
+    assert optical_path(prof, 1.0) == pytest.approx(exact, abs=1e-11)
 
 
 def test_optical_path_domain_guard():
     with pytest.raises(OutOfDomainError):
-        em.optical_path(em.vacuum(-1.0, 1.0), 2.0)
+        optical_path(em.vacuum(-1.0, 1.0), 2.0)
 
 
 def test_invert_u_round_trip():
     prof = tanh_profile()
     for s in (-4.0, 0.3, 5.5):
-        z = em.invert_u(prof, s)
-        assert em.optical_path(prof, z) == pytest.approx(s, abs=1e-10)
+        z = invert_u(prof, s)
+        assert optical_path(prof, z) == pytest.approx(s, abs=1e-10)
 
 
 def test_invert_u_constant_medium():
     prof = em.constant_medium(4.0)
-    assert em.invert_u(prof, 3.0) == pytest.approx(1.5, abs=1e-10)
+    assert invert_u(prof, 3.0) == pytest.approx(1.5, abs=1e-10)
 
 
 def test_invert_u_range_guard():
     with pytest.raises(OutOfRangeError):
-        em.invert_u(em.vacuum(-1.0, 1.0), 5.0)
+        invert_u(em.vacuum(-1.0, 1.0), 5.0)
+
+
+@pytest.mark.parametrize("name, tol", [
+    ("constant", 1e-8), ("tanh", 1e-8), ("tanh_steep", 1e-8), ("sampled", 1e-6),
+])
+def test_path_table_matches_quadrature_oracle(name, tol):
+    # the table interpolates linearly between 1e-3-spaced nodes (and the
+    # sampled profile has a kink per panel); both stay far below the 1e-2
+    # WKB error budget of propagate
+    z_s = np.linspace(-5.0, 5.0, 200)
+    prof = {
+        "constant": em.constant_medium(4.0, 1.0),
+        "tanh": tanh_profile(0.1),
+        "tanh_steep": tanh_profile(0.3),
+        "sampled": em.sampled_profile(z_s, 1.0 + 0.1 * np.tanh(z_s), np.ones_like(z_s)),
+    }[name]
+    table = em._PathTable(prof)
+    zs = np.linspace(prof.z_min, prof.z_max, 23)
+    u = np.array([optical_path(prof, z) for z in zs])
+    np.testing.assert_allclose(table.forward(zs), u, rtol=0, atol=tol)
+    ss = np.linspace(u[1], u[-2], 7)
+    z_ref = np.array([invert_u(prof, s) for s in ss])
+    np.testing.assert_allclose(table.inverse(ss, strict=True), z_ref, rtol=0, atol=tol)
 
 
 def test_vacuum_closed_form_is_dalembert():
@@ -186,8 +249,8 @@ def test_sampled_profile_interpolation():
     analytic = tanh_profile(0.1, -5, 5)
     zz = np.linspace(-4, 4, 50)
     np.testing.assert_allclose(prof.eps_at(zz), analytic.eps_at(zz), atol=1e-4)
-    assert em.optical_path(prof, 3.0) == pytest.approx(
-        em.optical_path(analytic, 3.0), abs=1e-4
+    assert optical_path(prof, 3.0) == pytest.approx(
+        optical_path(analytic, 3.0), abs=1e-4
     )
 
 

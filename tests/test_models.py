@@ -10,6 +10,7 @@ from phqm.errors import (
     UnsupportedKindError,
 )
 from phqm.linalg import dagger, opnorm
+from phqm.perturbation import ladder_operators
 
 RNG = np.random.default_rng(112358)
 
@@ -143,6 +144,49 @@ def test_swanson_truncated_metric_is_positive():
     params = models.SwansonParams(1.0, 1.0, 0.1, 0.05)
     sys_ = models.swanson_truncated(params, 0.2, 40)
     assert np.linalg.eigvalsh(sys_.eta_plus.eta).min() > 0
+
+
+@pytest.mark.parametrize("n_max", [16, 40, 80, 120])
+def test_exp_k_plus_matches_expm(n_max):
+    from scipy.linalg import expm
+
+    a, ad = ladder_operators(n_max)
+    k_plus = 0.5 * (ad @ ad)
+    for z in (0.0, 0.05 - 0.02j, 0.3 + 0.4j, -0.7 + 0.1j, 1.2j):
+        ref = expm(z * k_plus)
+        assert opnorm(models._exp_k_plus(z, n_max) - ref) <= 1e-12 * opnorm(ref)
+
+
+def test_sqrtm_2x2_matches_sqrtm():
+    from scipy.linalg import sqrtm
+
+    avatars = [
+        models.swanson_metric(models.SwansonParams(1.0, 1.0, al, be), r).eta_2x2
+        for al, be, r in [(0.1, 0.05, 0.2), (0.3, -0.2, -0.1), (0.0, 0.2, 0.15), (-0.4, 0.1, 0.3)]
+    ]
+    generic = [
+        3.0 * np.eye(2) + RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+        for _ in range(4)
+    ]
+    for m in avatars + generic:
+        ref = sqrtm(m)
+        root = models._sqrtm_2x2(m)
+        assert opnorm(root - ref) <= 1e-12 * opnorm(ref)
+        assert opnorm(root @ root - m) <= 1e-12 * opnorm(m)
+
+
+@pytest.mark.parametrize("n_max", [16, 60, 120])
+def test_swanson_truncated_metric_matches_expm_product(n_max):
+    from scipy.linalg import expm
+
+    params = models.SwansonParams(1.0, 1.0, 0.1, 0.05)
+    r = 0.15
+    z = models.swanson_metric(params, r).z
+    a, ad = ladder_operators(n_max)
+    k3 = 0.5 * (ad @ a + 0.5 * np.eye(n_max))
+    ref = expm(0.5 * z * (ad @ ad)) @ expm(2.0 * r * k3) @ expm(0.5 * np.conj(z) * (a @ a))
+    eta = models.swanson_truncated(params, r, n_max).eta_plus.eta
+    assert opnorm(eta - ref) <= 1e-12 * opnorm(ref)
 
 
 # ----------------------------------------------------------------------

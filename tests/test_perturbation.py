@@ -238,3 +238,34 @@ def test_recursion_beyond_literal_orders():
     assert slope5 >= 6.5
     assert slope7 >= 8.3
     assert r7[1] < r5[1]
+
+
+def _rhs_general_every_composition(j, h0, h1, qs):
+    """R_j summed over every composition, the even-Q_s ones included."""
+    from phqm.perturbation import _compositions, _nested, _q_coefficient
+
+    rhs = np.zeros_like(h0, dtype=complex)
+    for k in range(2, j + 1):
+        z = np.zeros_like(h0, dtype=complex)
+        for comp in _compositions(j, k):
+            z += _nested(h0, qs, comp)
+        rhs += float(_q_coefficient(k)) * z
+    return rhs
+
+
+def test_even_order_skip_leaves_q_series_bit_identical(monkeypatch):
+    # Q_even = 0 exactly, so dropping the compositions through an even
+    # index removes only exact zeros from each sum
+    dim = 12
+    x, _ = perturbation.oscillator_basis(dim)
+    h0 = np.diag(np.arange(dim) + 0.5).astype(complex)
+    h1 = 1j * (x @ x @ x)
+    prob = perturbation.PerturbationProblem(h0, h1, 0.01, 13)
+    fast = perturbation.q_series(prob)
+    monkeypatch.setattr(perturbation, "_rhs_general", _rhs_general_every_composition)
+    ref = perturbation.q_series(prob)
+    assert fast.terms.keys() == ref.terms.keys()
+    for j in range(7, 14, 2):
+        assert opnorm(ref.q(j)) > 0.0
+    for j in ref.terms:
+        assert np.array_equal(fast.q(j), ref.q(j)), j

@@ -120,12 +120,7 @@ def biorthonormal_extension(
         raise DefectiveOperatorError("cannot extend a defective eigendecomposition")
     values = eig.values.copy()
     psis = _orthonormalize_degenerate_blocks(values, eig.right_vectors, degeneracy_tol)
-    phis = dagger(np.linalg.inv(psis))
-
-    scale = max(1.0, float(np.max(np.abs(values))))
-    real_mask = np.abs(values.imag) <= real_tol * scale
-    partner = _match_conjugate_pairs(values, real_mask, real_tol)
-    return BiorthonormalSystem(values, psis, phis, real_mask, partner)
+    return from_right_vectors(values, psis, real_tol)
 
 
 def from_right_vectors(values, psis, real_tol: float = PAIR_TOL) -> BiorthonormalSystem:

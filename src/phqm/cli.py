@@ -84,13 +84,24 @@ _TYPE_CHECKS = {
 }
 
 
+def _check_fields(fields: dict, required: dict, allowed: dict, owner: str) -> None:
+    for key in required:
+        if key not in fields:
+            raise SchemaError(f"{owner} requires field {key!r}")
+    for key, value in fields.items():
+        if key not in allowed:
+            raise SchemaError(f"unexpected field {key!r} for {owner}")
+        if not _TYPE_CHECKS[allowed[key]](value):
+            raise SchemaError(f"field {key!r} must have type {allowed[key]}")
+
+
 def validate_scenario(config: dict, schema: dict | None = None) -> None:
     """Validate a scenario dict against the shipped schema."""
     schema = schema or _load_schema()
     if not isinstance(config, dict):
         raise SchemaError("scenario must be a JSON object")
     command = config.get("command")
-    if command not in schema["commands"]:
+    if not isinstance(command, str) or command not in schema["commands"]:
         raise SchemaError(
             f"unknown or missing command {command!r}; "
             f"expected one of {sorted(schema['commands'])}"
@@ -98,22 +109,15 @@ def validate_scenario(config: dict, schema: dict | None = None) -> None:
     spec = schema["commands"][command]
     allowed = dict(spec["required"]) | dict(spec["optional"])
     allowed |= dict(schema["common"]["required"]) | dict(schema["common"]["optional"])
-    for key in spec["required"]:
-        if key not in config:
-            raise SchemaError(f"command {command!r} requires field {key!r}")
-    for key, value in config.items():
-        if key not in allowed:
-            raise SchemaError(f"unexpected field {key!r} for command {command!r}")
-        if not _TYPE_CHECKS[allowed[key]](value):
-            raise SchemaError(f"field {key!r} must have type {allowed[key]}")
+    _check_fields(config, spec["required"], allowed, f"command {command!r}")
     if command == "model":
-        mspec = config["model"]
-        kind = mspec.get("kind")
-        if kind not in schema["models"]:
+        params = dict(config["model"])
+        kind = params.pop("kind", None)
+        if not isinstance(kind, str) or kind not in schema["models"]:
             raise SchemaError(f"unknown model kind {kind!r}")
-        for key in schema["models"][kind]["required"]:
-            if key not in mspec:
-                raise SchemaError(f"model {kind!r} requires parameter {key!r}")
+        spec = schema["models"][kind]
+        allowed = dict(spec["required"]) | dict(spec["optional"])
+        _check_fields(params, spec["required"], allowed, f"model {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -452,8 +456,6 @@ def run(config: dict, tol: float | None = None) -> dict:
     }
     res = Residuals()
     effective_tol = float(tol if tol is not None else config.get("tol", 1e-10))
-    if "seed" in config:
-        record["scalars"]["seed"] = int(config["seed"])
     _HANDLERS[config["command"]](config, effective_tol, record, res)
     record["residuals"] = res.entries
     record["all_pass"] = res.all_pass
@@ -487,7 +489,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--tol", type=float, default=None, help="override residual tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
     parser.add_argument("--strict", action="store_true", help="domain errors are fatal")
     args = parser.parse_args(argv)
 
@@ -499,11 +500,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     scenarios = payload if isinstance(payload, list) else [payload]
-    for sc in scenarios:
-        if isinstance(sc, dict):
-            if args.seed is not None:
-                sc["seed"] = args.seed
-            if args.strict:
+    if args.strict:
+        for sc in scenarios:
+            if isinstance(sc, dict):
                 sc["strict"] = True
 
     max_workers = max(1, int(os.environ.get("PHQM_THREADS", "4")))

@@ -1,7 +1,8 @@
 """Perturbative metric eta_+ = exp(-Q) for H = H0 + eps*H1.
 
 The exponent solves the commutator hierarchy [H0, Q_j] = R_j with
-R_1 = -2 H1 and higher R_j assembled from nested commutators; even-order
+R_1 = -2 H1 and higher R_j assembled from nested commutators of H0 with
+the lower Q_s, built by one memoised recursion at every order; even-order
 Q_j are set to zero, which the hierarchy permits.  Everything acts on
 finite matrix truncations.
 """
@@ -113,81 +114,39 @@ def _q_coefficient(k: int) -> Fraction:
     return total
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of positive integers of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _nested(h0: np.ndarray, qs: dict, indices) -> np.ndarray:
-    out = h0
-    for s in indices:
-        out = commutator(out, qs[s])
-    return out
-
-
-def _rhs_general(j: int, h0: np.ndarray, h1: np.ndarray, qs: dict) -> np.ndarray:
-    """R_j = sum_{k=2}^{j} q_k Z_kj for j >= 2."""
-    dim = h0.shape[0]
-    rhs = np.zeros((dim, dim), dtype=complex)
-    for k in range(2, j + 1):
-        coeff = _q_coefficient(k)
-        if coeff == 0:
-            continue
-        z = np.zeros((dim, dim), dtype=complex)
-        for comp in _compositions(j, k):
-            # Q_even = 0, so any composition through one nests to zero
-            if any(s % 2 == 0 for s in comp):
-                continue
-            z += _nested(h0, qs, comp)
-        rhs += float(coeff) * z
-    return rhs
-
-
-def _rhs_literal(j: int, h1: np.ndarray, qs: dict) -> np.ndarray:
-    """Explicit low-order right-hand sides with Q_even = 0."""
-    if j == 1:
-        return -2.0 * h1
-    if j == 3:
-        return -commutator(commutator(h1, qs[1]), qs[1]) / 6.0
-    if j == 5:
-        c4 = h1
-        for _ in range(4):
-            c4 = commutator(c4, qs[1])
-        mixed = commutator(commutator(h1, qs[1]), qs[3]) + commutator(
-            commutator(h1, qs[3]), qs[1]
-        )
-        return c4 / 360.0 - mixed / 6.0
-    raise ValueError(f"no literal form for order {j}")
-
-
 def q_series(prob: PerturbationProblem) -> QSeries:
     """Solve the hierarchy up to prob.order, odd orders only.
 
-    Orders 1, 3, 5 use the explicit commutator forms; beyond that the
-    general nested-commutator recursion takes over.
+    R_1 = -2 H1 and R_j = sum_k q_k Z[k, j] for odd j >= 3, where Z[k, m]
+    is the sum of the k-fold nested commutators [[H0, Q_s1], ..., Q_sk]
+    over odd s_1 + ... + s_k = m (Q_even = 0 removes every other
+    composition).  Every order reads Z from one table built by the
+    recursion Z[k, m] = sum_s [Z[k-1, m-s], Q_s] from Z[0, 0] = H0, so
+    each nested commutator is formed once and shared by all the orders
+    above it.
     """
     dim = prob.H0.shape[0]
-    zero = np.zeros((dim, dim), dtype=complex)
     terms: dict[int, np.ndarray] = {}
-    qs: dict[int, np.ndarray] = {}
+    z: dict[tuple[int, int], np.ndarray] = {}
     for j in range(1, prob.order + 1):
         if j % 2 == 0:
-            terms[j] = zero.copy()
-            qs[j] = zero
+            terms[j] = np.zeros((dim, dim), dtype=complex)
             continue
-        if j <= 5:
-            rhs = _rhs_literal(j, prob.H1, qs)
+        if j == 1:
+            rhs = -2.0 * prob.H1
         else:
-            rhs = _rhs_general(j, prob.H0, prob.H1, qs)
+            # columns m = j - 1 (even k) and m = j (odd k >= 3) of the
+            # table need Q_s for s <= j - 2 only
+            for k in range(2, j + 1):
+                m = j if k % 2 else j - 1
+                z[k, m] = sum(
+                    commutator(z[k - 1, m - s], terms[s]) for s in range(1, m - k + 2, 2)
+                )
+            rhs = sum(float(_q_coefficient(k)) * z[k, j] for k in range(3, j + 1, 2))
         qj = solve_commutator(prob.H0, rhs)
         qj = 0.5 * (qj + np.conj(qj.T))
         terms[j] = qj
-        qs[j] = qj
+        z[1, j] = commutator(prob.H0, qj)
     return QSeries(terms)
 
 
@@ -211,10 +170,7 @@ def oscillator_basis(n_max: int, mass: float = 1.0, hbar: float = 1.0, omega: fl
     """Position and momentum matrices in the n_max-dim oscillator basis."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    n = np.arange(1, n_max)
-    lower = np.zeros((n_max, n_max), dtype=complex)
-    lower[n - 1, n] = np.sqrt(n)
-    raise_ = lower.T.conj()
+    lower, raise_ = ladder_operators(n_max)
     x = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
     p = 1j * np.sqrt(mass * hbar * omega / 2.0) * (raise_ - lower)
     return x, p

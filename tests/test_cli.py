@@ -211,6 +211,26 @@ def test_degenerate_inputs_exit_as_input_errors(config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config",
+    [
+        # a misspelt key would silently skip the truncated-model gates
+        {"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
+                                       "truncatd": True}},
+        {"command": "model", "model": {"kind": "quartic", "lam": "1"}},
+        {"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
+                                       "n_max": 60.5, "truncated": True}},
+        {"command": "model", "model": {"kind": ["swanson"], "alpha": 0.1, "beta": 0.05}},
+        {"command": ["model"], "model": {"kind": "two_level", "D": 4.0}},
+    ],
+)
+def test_invalid_model_parameters_exit_as_input_errors(config, tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert "error: invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "model",
     [
         {"kind_detail": "square_well", "zeta": 0.08, "length": 1.0},

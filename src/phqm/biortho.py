@@ -94,6 +94,11 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
     psis = psis.copy()
     n = len(values)
     scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
+    # no cluster at all (the usual case): skip the O(n^2) Python scan
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if not np.any(gaps <= tol * scale):
+        return psis
     used = np.zeros(n, dtype=bool)
     for i in range(n):
         if used[i]:

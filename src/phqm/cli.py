@@ -13,8 +13,11 @@ import io
 import json
 import os
 import sys
+import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -110,14 +113,20 @@ def validate_scenario(config: dict, schema: dict | None = None) -> None:
     allowed = dict(spec["required"]) | dict(spec["optional"])
     allowed |= dict(schema["common"]["required"]) | dict(schema["common"]["optional"])
     _check_fields(config, spec["required"], allowed, f"command {command!r}")
-    if command == "model":
-        params = dict(config["model"])
-        kind = params.pop("kind", None)
-        if not isinstance(kind, str) or kind not in schema["models"]:
-            raise SchemaError(f"unknown model kind {kind!r}")
-        spec = schema["models"][kind]
-        allowed = dict(spec["required"]) | dict(spec["optional"])
-        _check_fields(params, spec["required"], allowed, f"model {kind!r}")
+    for name, spec in schema["objects"].items():
+        if name in config:
+            _check_tagged(config[name], spec, name)
+
+
+def _check_tagged(fields: dict, spec: dict, owner: str) -> None:
+    """Check a nested object whose tag field (kind, preset) selects its fields."""
+    fields = dict(fields)
+    tag = fields.pop(spec["tag"], spec.get("untagged"))
+    if not isinstance(tag, str) or tag not in spec["variants"]:
+        raise SchemaError(f"unknown {owner} {spec['tag']} {tag!r}")
+    variant = spec["variants"][tag]
+    allowed = dict(variant["required"]) | dict(variant["optional"])
+    _check_fields(fields, variant["required"], allowed, f"{owner} {tag!r}")
 
 
 # ----------------------------------------------------------------------
@@ -330,17 +339,15 @@ def _run_geometry(config, tol, record, res):
 
 
 def _potential_from_config(pot: dict):
-    kind = pot.get("kind")
+    kind = pot["kind"]
     if kind == "monomial":
         coeff = parse_complex(pot["coeff"])
-        power = int(pot["power"])
+        power = pot["power"]
         return lambda z: coeff * z**power, lambda z: coeff * power * z ** (power - 1)
     if kind == "harmonic":
         w = float(pot["omega"])
         return lambda z: 0.5 * w**2 * z**2, lambda z: w**2 * z
-    if kind == "free":
-        return lambda z: 0.0 * z, lambda z: 0.0 * z
-    raise SchemaError(f"unknown potential kind {kind!r}")
+    return lambda z: 0.0 * z, lambda z: 0.0 * z
 
 
 def _run_classical(config, tol, record, res):
@@ -370,32 +377,26 @@ def _run_classical(config, tol, record, res):
 
 
 def _profile_from_config(pconf: dict) -> em.MediumProfile:
-    preset = pconf.get("preset")
+    preset = pconf.get("preset", "sampled")
+    z_min, z_max = pconf.get("z_min", -10.0), pconf.get("z_max", 10.0)
     if preset == "vacuum":
-        return em.vacuum(pconf.get("z_min", -10.0), pconf.get("z_max", 10.0))
+        return em.vacuum(z_min, z_max)
     if preset == "constant":
-        return em.constant_medium(float(pconf["eps"]), float(pconf.get("mu", 1.0)),
-                                  pconf.get("z_min", -10.0), pconf.get("z_max", 10.0))
+        return em.constant_medium(float(pconf["eps"]), float(pconf.get("mu", 1.0)), z_min, z_max)
     if preset == "tanh":
         eps0 = float(pconf.get("eps0", 1.0))
         amp = float(pconf.get("amp", 0.1))
-        z_min = pconf.get("z_min", -10.0)
-        z_max = pconf.get("z_max", 10.0)
         return em.MediumProfile(
             lambda z: eps0 + amp * np.tanh(np.asarray(z, dtype=float)),
             lambda z: np.ones_like(np.asarray(z, dtype=float)),
             z_min, z_max,
         )
-    if "z" in pconf:
-        return em.sampled_profile(pconf["z"], pconf["eps"], pconf["mu"])
-    raise SchemaError("profile needs a preset or sampled arrays")
+    return em.sampled_profile(pconf["z"], pconf["eps"], pconf["mu"])
 
 
 def _run_em(config, tol, record, res):
     profile = _profile_from_config(config["profile"])
     init_conf = config["init"]
-    if init_conf.get("kind") != "gaussian":
-        raise SchemaError("only gaussian initial pulses are supported")
     init = em.gaussian_pulse(
         float(init_conf.get("center", 0.0)), float(init_conf.get("width", 0.5)),
         float(init_conf.get("amplitude", 1.0)),
@@ -431,6 +432,52 @@ def _run_em(config, tol, record, res):
             res.add("closed_form_vs_fdtd", float(err), 1e-2)
 
 
+_capture = threading.local()
+_capture_lock = threading.Lock()
+_capture_state = {"users": 0}
+
+
+@contextmanager
+def _collect_warnings():
+    """Collect the messages of the warnings this thread raises into a list.
+
+    The warnings filters and hook are process-wide, so the concurrent runs
+    of a batch share one installation: the first run to enter installs it
+    and the last to leave restores what was there.  Warnings raised by a
+    thread that is not collecting pass through to the previous hook.
+    """
+    with _capture_lock:
+        if _capture_state["users"] == 0:
+            saved = warnings.catch_warnings()
+            saved.__enter__()
+            # ignore and error filters stand; a warning shown once per
+            # location would be lost to every later run, so show it each time
+            warnings.filters[:] = [("always", *f[1:]) if f[0] in ("default", "module", "once")
+                                   else f for f in warnings.filters]
+            warnings.simplefilter("always", append=True)
+            passthrough = warnings.showwarning
+
+            def show(message, *args, **kwargs):
+                sink = getattr(_capture, "sink", None)
+                if sink is None:
+                    passthrough(message, *args, **kwargs)
+                else:
+                    sink.append(str(message))
+
+            warnings.showwarning = show
+            _capture_state["saved"] = saved
+        _capture_state["users"] += 1
+    _capture.sink = sink = []
+    try:
+        yield sink
+    finally:
+        _capture.sink = None
+        with _capture_lock:
+            _capture_state["users"] -= 1
+            if _capture_state["users"] == 0:
+                _capture_state.pop("saved").__exit__(None, None, None)
+
+
 _HANDLERS = {
     "diagnose": _run_diagnose,
     "metric": _run_metric,
@@ -456,7 +503,9 @@ def run(config: dict, tol: float | None = None) -> dict:
     }
     res = Residuals()
     effective_tol = float(tol if tol is not None else config.get("tol", 1e-10))
-    _HANDLERS[config["command"]](config, effective_tol, record, res)
+    with _collect_warnings() as caught:
+        _HANDLERS[config["command"]](config, effective_tol, record, res)
+    record["warnings"] = caught
     record["residuals"] = res.entries
     record["all_pass"] = res.all_pass
     record["timing_s"] = time.perf_counter() - started
@@ -523,6 +572,9 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    for record in records:
+        for text in record["warnings"]:
+            print(f"warning: {text}", file=sys.stderr)
     output = records[0] if len(records) == 1 else records
     if args.format == "json":
         text = json.dumps(output, indent=2)

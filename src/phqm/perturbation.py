@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, opnorm, hermitian_function
+from .linalg import as_matrix, commutator, hermitian_function, is_hermitian, opnorm
 from .metric import MetricOperator
 from .errors import DimensionMismatchError, NotHermitianError, UnsolvableCommutatorError
 
@@ -38,11 +38,9 @@ class PerturbationProblem:
         H1 = as_matrix(self.H1)
         if H0.shape != H1.shape:
             raise DimensionMismatchError("H0 and H1 must share a shape")
-        scale0 = max(opnorm(H0), 1e-300)
-        scale1 = max(opnorm(H1), 1e-300)
-        if opnorm(H0 - np.conj(H0.T)) > self.tol * scale0:
+        if not is_hermitian(H0, self.tol):
             raise NotHermitianError("H0 must be Hermitian")
-        if opnorm(H1 + np.conj(H1.T)) > self.tol * scale1:
+        if not is_hermitian(1j * H1, self.tol):
             raise NotHermitianError("H1 must be anti-Hermitian")
         if self.order < 1 or self.order % 2 == 0:
             raise ValueError("order must be a positive odd integer")

@@ -1,0 +1,434 @@
+"""The certified norm gates against the exact gates they replaced.
+
+``eig_nonhermitian``, ``is_hermitian`` and ``build_system`` decide their
+gates through ``linalg.norm_ratio_above``, a Frobenius certificate with an
+exact fallback, and ``build_system`` takes eta^-1, rho and rho^-1 from one
+``eigh``.  The exact forms below (one SVD per spectral norm, an LU inverse,
+a second ``eigh`` for the square root) are the oracles: every case must
+raise the same error class, or pass, exactly as they do.  The per-column
+and per-eigenvalue loops that the vectorised ``fix_phases``,
+``pseudo_metric_family`` and degenerate-block scan replaced are oracles too.
+"""
+
+import numpy as np
+import pytest
+
+from phqm import biortho, linalg, metric
+from phqm.errors import (
+    DefectiveOperatorError,
+    NotHermitianError,
+    NotPositiveDefiniteError,
+    NotPseudoHermitianError,
+    PhqmError,
+    SpectrumOutOfDomainError,
+)
+from phqm.linalg import (
+    CONDITION_THRESHOLD,
+    DEFAULT_TOL,
+    EigenDecomposition,
+    as_matrix,
+    dagger,
+    opnorm,
+)
+
+SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
+
+
+# ----------------------------------------------------------------------
+# oracles: the exact implementations
+# ----------------------------------------------------------------------
+
+def fix_phases_loop(vectors):
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, j])))
+        pivot = out[k, j]
+        if np.abs(pivot) > 0:
+            out[:, j] *= np.abs(pivot) / pivot
+    return out
+
+
+def exact_is_hermitian(a, tol=DEFAULT_TOL):
+    scale = max(opnorm(a), 1e-300)
+    return opnorm(a - dagger(a)) <= tol * scale
+
+
+def exact_eig_nonhermitian(a, tol=DEFAULT_TOL, condition_threshold=CONDITION_THRESHOLD,
+                           check=True):
+    m = as_matrix(a)
+    values, vectors = np.linalg.eig(m)
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    vectors = fix_phases_loop(vectors[:, order])
+    condition = float(np.linalg.cond(vectors))
+    diagonalizable = bool(np.isfinite(condition) and condition < condition_threshold)
+    if check and not diagonalizable:
+        raise DefectiveOperatorError("condition")
+    scale = max(opnorm(m), 1e-300)
+    residual = opnorm(m @ vectors - vectors * values[None, :])
+    if diagonalizable and residual > 100 * max(tol, 1e-14) * scale:
+        raise DefectiveOperatorError("residual")
+    return EigenDecomposition(values, vectors, condition, diagonalizable)
+
+
+def exact_sqrtm_pd(h, tol=DEFAULT_TOL):
+    m = as_matrix(h)
+    if not exact_is_hermitian(m, tol):
+        raise NotHermitianError("not Hermitian")
+    values, vectors = np.linalg.eigh(m)
+    with np.errstate(all="ignore"):
+        root = np.sqrt(values)
+    if not np.all(np.isfinite(root)):
+        raise SpectrumOutOfDomainError("sqrt")
+    result = (vectors * root[None, :]) @ dagger(vectors)
+    return 0.5 * (result + dagger(result))
+
+
+def exact_build_system(h_op, eta, tol=metric.PSEUDO_HERMITICITY_TOL):
+    H = as_matrix(h_op)
+    eta_m = eta.eta if isinstance(eta, metric.MetricOperator) else as_matrix(eta)
+    evals = np.linalg.eigvalsh(0.5 * (eta_m + dagger(eta_m)))
+    if evals.min() <= 0:
+        raise NotPositiveDefiniteError("positivity")
+    if metric.pseudo_hermiticity_residual(H, eta_m) > tol:
+        raise NotPseudoHermitianError("residual")
+    rho = exact_sqrtm_pd(eta_m)
+    rho_inv = metric.hermitian_inverse(rho)
+    return metric.QuasiHermitianSystem(H, metric.MetricOperator(eta_m), rho, rho_inv,
+                                       rho @ H @ rho_inv)
+
+
+def pseudo_metric_outer_sum(bs, sigma):
+    eta = np.zeros((bs.dim, bs.dim), dtype=complex)
+    for s, n in zip(sigma, bs.real_indices()):
+        phi = bs.phis[:, n]
+        eta += s * np.outer(phi, np.conj(phi))
+    for nu, mnu in bs.pair_indices():
+        a, b = bs.phis[:, nu], bs.phis[:, mnu]
+        eta += np.outer(a, np.conj(b)) + np.outer(b, np.conj(a))
+    return 0.5 * (eta + dagger(eta))
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or (error class, None)."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except PhqmError as exc:
+        return type(exc), None
+
+
+def assert_same_outcome(new, old, *args, **kwargs):
+    kind_new, out_new = outcome(new, *args, **kwargs)
+    kind_old, out_old = outcome(old, *args, **kwargs)
+    assert kind_new == kind_old
+    return out_new, out_old
+
+
+def assert_same_route(a):
+    """eig, metric and build_system against the exact chain; returns the kind."""
+    dec_new, dec_old = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian, a)
+    if dec_new is None:
+        return "eig"
+    np.testing.assert_array_equal(dec_new.right_vectors, dec_old.right_vectors)
+    bs = biortho.biorthonormal_extension(dec_new)
+    if not bs.all_real:
+        return "complex"
+    mo = metric.metric_from_spectrum(bs)
+    sys_new, sys_old = assert_same_outcome(metric.build_system, exact_build_system, a, mo)
+    if sys_new is None:
+        return "build"
+    scale = opnorm(sys_old.h)
+    for name in ("rho", "rho_inv", "h"):
+        new, old = getattr(sys_new, name), getattr(sys_old, name)
+        assert opnorm(new - old) <= 1e-9 * max(opnorm(old), scale), name
+    return "ok"
+
+
+class OpnormCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = linalg.opnorm
+
+        def counted(a):
+            self.calls += 1
+            return original(a)
+
+        monkeypatch.setattr(linalg, "opnorm", counted)
+
+
+# ----------------------------------------------------------------------
+# decisions on the paths toward and away from exceptional points
+# ----------------------------------------------------------------------
+
+def two_level_matrix(d):
+    return 0.5 * np.array([[d + 1, d - 1], [-d + 1, -d - 1]], dtype=complex)
+
+
+@pytest.mark.parametrize("n,spread", [(4, 0.3), (16, 0.6), (16, 3.0), (48, 1.0), (64, 6.0)])
+def test_random_quasi_hermitian_gates_match_exact(n, spread):
+    rng = np.random.default_rng([n, int(10 * spread)])
+    kinds = set()
+    for _ in range(3):
+        lam = np.sort(rng.uniform(-n, n, n))
+        s = np.eye(n) + spread * (rng.standard_normal((n, n))
+                                  + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+        kinds.add(assert_same_route(s @ np.diag(lam) @ np.linalg.inv(s)))
+    assert "ok" in kinds
+
+
+def test_two_level_toward_exceptional_point_matches_exact():
+    kinds = [assert_same_route(two_level_matrix(10.0 ** -k)) for k in range(0, 17)]
+    kinds.append(assert_same_route(two_level_matrix(0.0)))
+    # the route works far from the EP and the condition gate fires at it
+    assert kinds[0] == "ok" and kinds[-1] == "eig"
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_jordan_block_perturbations_match_exact(n):
+    rng = np.random.default_rng(n)
+    jordan = np.diag(np.ones(n - 1), 1).astype(complex)
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    corner = np.zeros((n, n), dtype=complex)
+    corner[-1, 0] = 1.0
+    kinds = set()
+    for delta in np.append(10.0 ** -np.arange(0, 17, 2), 0.0):
+        for a in (jordan + delta * e, jordan + delta * corner):
+            kinds.add(assert_same_route(a))
+            for check in (True, False):
+                new, old = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian,
+                                               a, check=check)
+                if new is not None:
+                    assert new.diagonalizable == old.diagonalizable
+    assert "eig" in kinds
+
+
+@pytest.mark.parametrize(
+    "h,eta,expected",
+    [
+        # eta not Hermitian; H = 2I commutes with it, so the residual passes
+        (2.0 * np.eye(2), [[1.0, 0.3], [0.0, 1.0]], NotHermitianError),
+        # eta not Hermitian and the residual fails first
+        (np.diag([1.0, 2.0]), [[1.0, 0.3], [0.0, 1.0]], NotPseudoHermitianError),
+        # eta Hermitian within 1e-10 but not exactly
+        (np.diag([1.0, 2.0]), [[1.0, 1e-12], [0.0, 1.0]], "ok"),
+        # eta not positive
+        (np.eye(2), SIGMA3, NotPositiveDefiniteError),
+        (np.eye(2), -np.eye(2), NotPositiveDefiniteError),
+        (np.eye(2), np.diag([1.0, 0.0]), NotPositiveDefiniteError),
+        # (H, eta) not pseudo-Hermitian
+        ([[0.0, 1.0], [0.0, 0.0]], np.eye(2), NotPseudoHermitianError),
+        ([[1.0, 2.0], [0.0, -1.0]], [[2.0, 0.5], [0.5, 1.0]], NotPseudoHermitianError),
+        # pseudo-Hermitian with a nontrivial metric
+        (two_level_matrix(4.0), [[1.25, 0.75], [0.75, 1.25]], "ok"),
+    ],
+)
+def test_metric_inputs_raise_as_exact(h, eta, expected):
+    h = np.asarray(h, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    assert outcome(exact_build_system, h, eta)[0] == expected
+    assert outcome(metric.build_system, h, eta)[0] == expected
+
+
+# ----------------------------------------------------------------------
+# inconclusive certificates: the exact fallback decides, both ways
+# ----------------------------------------------------------------------
+
+N_INCONCLUSIVE = 16
+
+
+def dominant_hermitian(n):
+    """diag(1, 0, ..., 0): |A|_F = |A|_2, so the certificate is sqrt(n) loose."""
+    a = np.zeros((n, n), dtype=complex)
+    a[0, 0] = 1.0
+    return a
+
+
+def antihermitian_pair(n, delta):
+    """delta (e2 e3^dagger - e3 e2^dagger): spectral norm delta, Frobenius sqrt(2) delta."""
+    k = np.zeros((n, n), dtype=complex)
+    k[1, 2], k[2, 1] = delta, -delta
+    return k
+
+
+@pytest.mark.parametrize("fraction,expected", [(0.5, True), (2.0, False)])
+def test_is_hermitian_fallback_matches_exact(monkeypatch, fraction, expected):
+    # |a - a^dagger|_2 = 2 delta = 2 fraction tol; the certificate needs
+    # 2 sqrt(2) delta <= tol / 4, which neither case meets
+    tol = 1e-10
+    a = dominant_hermitian(N_INCONCLUSIVE) + antihermitian_pair(N_INCONCLUSIVE, fraction * tol / 2)
+    assert exact_is_hermitian(a, tol) is expected
+    counter = OpnormCounter(monkeypatch)
+    assert linalg.is_hermitian(a, tol) is expected
+    assert counter.calls == 2
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+@pytest.mark.parametrize("fraction,expected", [(0.5, True), (2.0, False)])
+def test_is_hermitian_at_extreme_scales_matches_exact(scale, fraction, expected):
+    # the Frobenius sums of squares underflow to 0 or overflow to inf here;
+    # the SVD scales internally and must still decide
+    tol = 1e-10
+    a = scale * (dominant_hermitian(N_INCONCLUSIVE)
+                 + antihermitian_pair(N_INCONCLUSIVE, fraction * tol / 2))
+    assert exact_is_hermitian(a, tol) is expected
+    assert linalg.is_hermitian(a, tol) is expected
+
+
+def test_is_hermitian_certificate_skips_the_svd(monkeypatch):
+    a = dominant_hermitian(N_INCONCLUSIVE) + antihermitian_pair(N_INCONCLUSIVE, 1e-13)
+    counter = OpnormCounter(monkeypatch)
+    assert linalg.is_hermitian(a)
+    assert counter.calls == 0
+
+
+@pytest.mark.parametrize("fraction,expected", [(0.5, "ok"), (2.0, NotPseudoHermitianError)])
+def test_build_system_fallback_matches_exact(monkeypatch, fraction, expected):
+    tol = metric.PSEUDO_HERMITICITY_TOL
+    n = N_INCONCLUSIVE
+    h = dominant_hermitian(n) + antihermitian_pair(n, fraction * tol / 2)
+    # equal weights on the defect's two rows make the residual exactly 2 delta
+    eta = np.diag(np.linspace(1.0, 2.0, n)).astype(complex)
+    eta[1, 1] = eta[2, 2] = 1.0
+    kind_old, _ = outcome(exact_build_system, h, eta)
+    assert kind_old == expected
+    counter = OpnormCounter(monkeypatch)
+    kind_new, _ = outcome(metric.build_system, h, eta)
+    assert kind_new == expected
+    assert counter.calls == 2
+
+
+@pytest.mark.parametrize("fraction,expected", [(0.5, "ok"), (2.0, DefectiveOperatorError)])
+def test_eigenpair_residual_fallback_matches_exact(monkeypatch, fraction, expected):
+    # a solver whose dominant eigenvector is off by delta e_0 leaves a
+    # rank-one residual of norm delta, between the certificate's reach
+    # (bound / sqrt(n)) and the exact bound on either side
+    n = N_INCONCLUSIVE
+    values = np.append(1e-3 * np.arange(n - 1), 1.0).astype(complex)
+    a = np.diag(values)
+    bound = 100 * DEFAULT_TOL
+    vectors = np.eye(n, dtype=complex)
+    vectors[0, -1] = fraction * bound
+
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (values.copy(), vectors.copy()))
+    kind_old, _ = outcome(exact_eig_nonhermitian, a)
+    assert kind_old == expected
+    counter = OpnormCounter(monkeypatch)
+    kind_new, _ = outcome(linalg.eig_nonhermitian, a)
+    assert kind_new == expected
+    assert counter.calls == 2
+
+
+def test_certificate_leaves_a_ratio_at_the_bound_to_the_svd(monkeypatch):
+    # rank-one x against a scaled identity is the one case where the
+    # certificate is tight; its margin hands the tie to the exact norms
+    n = 9
+    m = 3.0 * np.eye(n)
+    x = np.zeros((n, n))
+    x[0, 0] = 3.0 * 1e-6
+    counter = OpnormCounter(monkeypatch)
+    assert linalg.norm_ratio_above(x, m, 1e-6) is None
+    assert counter.calls == 2
+    assert linalg.norm_ratio_above(x * (1 + 1e-6), m, 1e-6) == pytest.approx(1e-6 * (1 + 1e-6))
+
+
+# ----------------------------------------------------------------------
+# the SVD budget of the Hermitisation route
+# ----------------------------------------------------------------------
+
+def test_hermitian_route_makes_one_svd(monkeypatch):
+    # eig_nonhermitian's cond(V) is the exceptional-point gate and stays
+    # exact; every other norm gate of the route is settled by a certificate
+    rng = np.random.default_rng(64)
+    n = 64
+    lam = np.arange(n) - 0.5 * n + rng.uniform(-0.25, 0.25, n)
+    s = np.eye(n) + 0.3 * (rng.standard_normal((n, n))
+                           + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    a = s @ np.diag(lam) @ np.linalg.inv(s)
+
+    counts = {"opnorm": 0, "svd": 0}
+    real_opnorm = linalg.opnorm
+    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    real_svd = internal.svd
+
+    def opnorm(m):
+        counts["opnorm"] += 1
+        return real_opnorm(m)
+
+    def svd(*args, **kwargs):
+        counts["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "opnorm", opnorm)
+    monkeypatch.setattr(metric, "opnorm", opnorm)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(internal, "svd", svd)
+
+    dec = linalg.eig_nonhermitian(a)
+    bs = biortho.biorthonormal_extension(dec)
+    metric.build_system(a, metric.metric_from_spectrum(bs))
+    assert counts == {"opnorm": 0, "svd": 1}
+
+
+# ----------------------------------------------------------------------
+# the loops replaced by array expressions
+# ----------------------------------------------------------------------
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 64):
+        _, vectors = np.linalg.eig(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        vectors[:, 0] = 0.0
+        np.testing.assert_array_equal(linalg.fix_phases(vectors), fix_phases_loop(vectors))
+
+
+def paired_spectrum_matrix(rng, n):
+    """Real matrix whose spectrum holds n // 4 conjugate pairs."""
+    n_pairs = n // 4
+    b = np.diag(np.arange(n, dtype=float))
+    for k in range(n_pairs):
+        b[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[2.0 * k, 1.0], [-1.0, 2.0 * k]]
+    s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return s @ b @ np.linalg.inv(s), n - 2 * n_pairs
+
+
+@pytest.mark.parametrize("n", [4, 9, 32, 96])
+def test_pseudo_metric_matmul_matches_outer_sum(n):
+    rng = np.random.default_rng(n)
+    a, n_real = paired_spectrum_matrix(rng, n)
+    bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(a))
+    assert len(bs.pair_indices()) == n // 4
+    sigma = rng.choice([-1.0, 1.0], size=n_real)
+    new = metric.pseudo_metric_family(bs, sigma).eta
+    old = pseudo_metric_outer_sum(bs, sigma)
+    assert opnorm(new - old) <= 1e-12 * opnorm(old)
+
+
+def degenerate_blocks_loop(values, psis, tol):
+    psis = psis.copy()
+    n = len(values)
+    scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
+    used = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if used[i]:
+            continue
+        block = [i] + [j for j in range(i + 1, n)
+                       if not used[j] and abs(values[j] - values[i]) <= tol * scale]
+        used[block] = True
+        if len(block) > 1:
+            q, _ = np.linalg.qr(psis[:, block])
+            psis[:, block] = q
+    return psis
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+def test_degenerate_block_scan_matches_loop(clustered):
+    rng = np.random.default_rng(17)
+    n = 40
+    values = np.sort(rng.uniform(-5, 5, n)).astype(complex)
+    if clustered:
+        values[10:13] = values[10]
+        values[30] = values[29] + 1e-12
+    psis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    new = biortho._orthonormalize_degenerate_blocks(values, psis, 1e-10)
+    np.testing.assert_array_equal(new, degenerate_blocks_loop(values, psis, 1e-10))
+    assert new is not psis

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,65 @@ def test_invalid_model_parameters_exit_as_input_errors(config, tmp_path, capsys)
     path.write_text(json.dumps(config))
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
     assert "error: invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # a misspelt amp would run silently with the default 0.1
+        {"command": "em", "profile": {"preset": "tanh", "ampl": 5.0},
+         "init": {"kind": "gaussian"}, "t": 1.0},
+        {"command": "em", "profile": {"preset": "vacuum", "z_min": "a"},
+         "init": {"kind": "gaussian"}, "t": 1.0},
+        {"command": "classical", "potential": {"kind": "monomial", "coeff": [0, 1], "power": [3]},
+         "z0": [0, 0], "p0": [1, 0], "t_end": 1.0, "dt": 0.01},
+    ],
+)
+def test_invalid_nested_objects_exit_as_input_errors(config, tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert "error: invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+def test_every_committed_scenario_validates(name):
+    payload = load(name)
+    for config in payload if isinstance(payload, list) else [payload]:
+        cli.validate_scenario(config)
+
+
+DELTA_KERNEL = {"command": "model",
+                "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.3}}
+
+
+def test_run_records_its_warnings():
+    record = cli.run(DELTA_KERNEL)
+    assert any("first-order kernel correction" in text and "is large" in text
+               for text in record["warnings"])
+    assert json.loads(json.dumps(record))["warnings"] == record["warnings"]
+    assert cli.run(load("two_level.json"))["warnings"] == []
+
+
+def test_warning_filters_set_to_error_still_raise():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="first-order kernel"):
+            cli.run(DELTA_KERNEL)
+
+
+def test_batch_warnings_stay_with_their_scenario(tmp_path, monkeypatch, capsys):
+    # the batch's runs share one warnings hook across threads; each record
+    # keeps its own warnings, and the hook is restored afterwards
+    monkeypatch.setenv("PHQM_THREADS", "3")
+    path, out = tmp_path / "batch.json", tmp_path / "out.json"
+    path.write_text(json.dumps([DELTA_KERNEL, load("two_level.json"), DELTA_KERNEL]))
+    filters, hook = list(warnings.filters), warnings.showwarning
+    cli.main(["--scenario", str(path), "--out", str(out)])
+    records = json.loads(out.read_text())
+    assert [len(r["warnings"]) for r in records] == [1, 0, 1]
+    assert warnings.filters == filters and warnings.showwarning is hook
+    assert capsys.readouterr().err.count("warning: first-order kernel correction") == 2
 
 
 @pytest.mark.parametrize(

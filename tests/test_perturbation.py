@@ -20,7 +20,7 @@ def random_antihermitian(n, scale=1.0):
     return scale * 0.5 * (a - a.conj().T)
 
 
-def random_graded_problem(n, scale=1.0, min_gap=0.25):
+def random_graded_problem(n, scale=1.0, min_gap=0.25, rng=RNG):
     """Random solvable perturbation: parity-like grading.
 
     H0 is block diagonal over a random even/odd split and H1 purely
@@ -30,16 +30,16 @@ def random_graded_problem(n, scale=1.0, min_gap=0.25):
     and no metric exists.
     """
     n_a = n // 2
-    vals = np.cumsum(min_gap + RNG.random(n))
+    vals = np.cumsum(min_gap + rng.random(n))
     vals -= vals.mean()
-    qa, _ = np.linalg.qr(RNG.standard_normal((n_a, n_a)) + 1j * RNG.standard_normal((n_a, n_a)))
+    qa, _ = np.linalg.qr(rng.standard_normal((n_a, n_a)) + 1j * rng.standard_normal((n_a, n_a)))
     qb, _ = np.linalg.qr(
-        RNG.standard_normal((n - n_a, n - n_a)) + 1j * RNG.standard_normal((n - n_a, n - n_a))
+        rng.standard_normal((n - n_a, n - n_a)) + 1j * rng.standard_normal((n - n_a, n - n_a))
     )
     h0 = np.zeros((n, n), dtype=complex)
     h0[:n_a, :n_a] = qa @ np.diag(vals[:n_a]) @ qa.conj().T
     h0[n_a:, n_a:] = qb @ np.diag(vals[n_a:]) @ qb.conj().T
-    w = RNG.standard_normal((n_a, n - n_a)) + 1j * RNG.standard_normal((n_a, n - n_a))
+    w = rng.standard_normal((n_a, n - n_a)) + 1j * rng.standard_normal((n_a, n - n_a))
     h1 = np.zeros((n, n), dtype=complex)
     h1[:n_a, n_a:] = w
     h1[n_a:, :n_a] = -w.conj().T
@@ -288,6 +288,25 @@ def test_q_series_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "order,eps_range", [(5, (0.005, 0.02)), (7, (0.012, 0.04))]
+)
+def test_metric_residual_order_of_the_truncated_series(order, eps_range):
+    # truncating after Q_order leaves an O(eps^(order+1)) residual at worst;
+    # on a graded problem Q_(order+1) is zero, so that term cancels and the
+    # residual falls as eps^(order+2).  The range sits below the series'
+    # asymptotic onset and above the rounding floor.
+    h0, h1 = random_graded_problem(8, rng=np.random.default_rng(0))
+    eps = np.geomspace(*eps_range, 5)
+    residuals = []
+    for e in eps:
+        prob = perturbation.PerturbationProblem(h0, h1, e, order)
+        residuals.append(perturbation.metric_residual(prob, perturbation.q_series(prob), e))
+    assert min(residuals) > 100 * np.finfo(float).eps
+    slope = np.polyfit(np.log(eps), np.log(residuals), 1)[0]
+    assert abs(slope - (order + 2)) <= 0.3
 
 
 # ----------------------------------------------------------------------

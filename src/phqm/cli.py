@@ -67,11 +67,13 @@ def encode_complex(z: complex) -> list:
 
 
 def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v).ravel()]
+    return encode_matrix(np.ravel(v))
 
 
 def encode_matrix(m) -> list:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
+    """[re, im] pairs in the array's own shape, as Python floats."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 _TYPE_CHECKS = {
@@ -214,14 +216,16 @@ def _run_hermitize(config, tol, record, res):
     )
 
 
+def _take(fields: dict, *keys) -> dict:
+    """Pop the given keys that ``fields`` sets; defaults stay in the models."""
+    return {key: fields.pop(key) for key in keys if key in fields}
+
+
 def _run_model(config, tol, record, res):
     mspec = dict(config["model"])
     kind = mspec.pop("kind")
     if kind == "two_level":
-        params = models.TwoLevelParams(
-            mspec["D"], mspec.get("r", 1.0), mspec.get("s", 0.0)
-        )
-        m = models.two_level(params)
+        m = models.two_level(models.TwoLevelParams(**mspec))
         for name, mat in [
             ("A", m.A), ("eta_plus", m.eta_plus), ("eta_general", m.eta_general),
             ("h", m.h), ("C", m.C), ("S", m.S),
@@ -230,18 +234,17 @@ def _run_model(config, tol, record, res):
         res.add("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), max(tol, 1e-10))
         res.add("charge_squares_to_identity", linalg.opnorm(m.C @ m.C - np.eye(2)), max(tol, 1e-10))
     elif kind == "swanson":
-        params = models.SwansonParams(
-            mspec.get("hbar", 1.0), mspec.get("omega", 1.0),
-            mspec["alpha"], mspec["beta"],
-        )
-        sm = models.swanson_metric(params, mspec.get("r", 0.0), mspec.get("branch", 1))
+        truncated = mspec.pop("truncated", False)
+        size = _take(mspec, "n_max")
+        call = _take(mspec, "r", "branch")
+        params = models.SwansonParams(**mspec)
+        sm = models.swanson_metric(params, **call)
         record["scalars"]["z"] = encode_complex(sm.z)
         record["scalars"]["w"] = sm.w
         record["matrices"]["eta_2x2"] = encode_matrix(sm.eta_2x2)
         res.add("matrix_identity_residual", sm.residual, 1e-12)
-        if mspec.get("truncated", False):
-            sys_ = models.swanson_truncated(params, mspec.get("r", 0.0),
-                                            mspec.get("n_max", 60), mspec.get("branch", 1))
+        if truncated:
+            sys_ = models.swanson_truncated(params, **call, **size)
             eH = np.sort(np.linalg.eigvals(sys_.H).real)[:5]
             eh = np.sort(np.linalg.eigvalsh(sys_.h))[:5]
             record["matrices"]["low_spectrum_H"] = encode_vector(eH.astype(complex))
@@ -253,11 +256,7 @@ def _run_model(config, tol, record, res):
             )
             res.add("low_spectrum_match", float(np.max(np.abs(eH - eh) / np.abs(eH))), 1e-6)
     elif kind == "quartic":
-        params = models.QuarticParams(
-            mspec["lam"], mspec.get("omega", 0.0),
-            mspec.get("n", 576), mspec.get("length", 18.0),
-            mspec.get("n_k", 256), mspec.get("length_k", 10.0),
-        )
+        params = models.QuarticParams(**mspec)
         qp = models.quartic_pair(params, n_lowest=5)
         record["matrices"]["spectrum_H"] = encode_vector(qp.spectrum_H)
         record["matrices"]["spectrum_h"] = encode_vector(qp.spectrum_h.astype(complex))
@@ -270,13 +269,9 @@ def _run_model(config, tol, record, res):
                 0.0 if np.all(qp.spectrum_h > 0) else 1.0, 0.5,
             )
     elif kind == "kernel":
-        spec = models.KernelPotentialSpec(
-            mspec["kind_detail"], mspec["zeta"], mspec.get("length", 1.0),
-            mspec.get("kappa", 1.0), mspec.get("mass", 1.0), mspec.get("hbar", 1.0),
-        )
-        grid = models.kernel_grid(
-            spec, **{key: mspec[key] for key in ("n", "x_min", "x_max") if key in mspec}
-        )
+        grid_fields = _take(mspec, "n", "x_min", "x_max")
+        spec = models.KernelPotentialSpec(mspec.pop("kind_detail"), **mspec)
+        grid = models.kernel_grid(spec, **grid_fields)
         out = models.kernel_metric(spec, grid)
         record["scalars"].update(out.residual_report)
         record["matrices"]["eta"] = encode_matrix(out.eta_matrix)

@@ -65,6 +65,10 @@ class RealityViolatedError(PhqmError):
     """Coupling constraint guaranteeing a real spectrum fails."""
 
 
+class NotPTSymmetricError(PhqmError):
+    """Operator is not invariant under grid reversal times conjugation."""
+
+
 class GridTooSmallError(PhqmError):
     """Grid does not resolve the eigenfunction tails."""
 

@@ -25,6 +25,7 @@ from .errors import (
     DefectiveOperatorError,
     GridTooSmallError,
     NonPositiveDError,
+    NotPTSymmetricError,
     RealityViolatedError,
     UnsupportedKindError,
 )
@@ -196,7 +197,7 @@ def swanson_w(params: SwansonParams, r: float, branch: int = +1) -> float:
     return (-1.0 + branch * np.sqrt(disc)) / (2.0 * at * s)
 
 
-def swanson_metric(params: SwansonParams, r: float, branch: int = +1) -> SwansonMetric:
+def swanson_metric(params: SwansonParams, r: float = 0.0, branch: int = +1) -> SwansonMetric:
     """Metric factors (z, r) and the 2x2 matrix identity residual."""
     at, bt = params.alpha_tilde, params.beta_tilde
     w = swanson_w(params, r, branch)
@@ -257,7 +258,7 @@ def _sqrtm_2x2(m: np.ndarray) -> np.ndarray:
     return (m + s * np.eye(2)) / np.sqrt(np.trace(m) + 2.0 * s)
 
 
-def swanson_truncated(params: SwansonParams, r: float, n_max: int,
+def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
                       branch: int = +1) -> QuasiHermitianSystem:
     """Truncated-basis realization of the Lie-algebraic metric.
 
@@ -340,6 +341,8 @@ class QuarticParams:
             raise ValueError("omega must be non-negative")
         if self.n < 64 or self.n_k < 64:
             raise ValueError("grids need at least 64 points")
+        if self.length <= 0 or self.length_k <= 0:
+            raise ValueError("grid half-widths length and length_k must be positive")
 
 
 def fourier_wavenumber_operator(n: int, half_width: float, power: int = 1) -> np.ndarray:
@@ -371,26 +374,40 @@ def quartic_exponent(params: QuarticParams, k):
     return k**3 / (96.0 * params.lam) - (1.0 + params.omega**2 / (8.0 * params.lam)) * k
 
 
+def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
+    """The n_lowest eigenvalues (by real part) and unit eigenvectors of a
+    PT-symmetric H, P the index reversal, solved as a real matrix.
+
+    P conj(H) P = H makes B = (I - iP) H (I + iP)/2 real; it is unitarily
+    similar to H and v = u + i P u maps an eigenvector u of B to one of H.
+    """
+    re, im = H.real, H.imag
+    defect = np.hypot(np.linalg.norm(re - re[::-1, ::-1]), np.linalg.norm(im + im[::-1, ::-1]))
+    if defect > 1e-12 * np.linalg.norm(H):
+        raise NotPTSymmetricError(f"|P conj(H) P - H|_F = {defect:.2e} exceeds 1e-12 |H|_F")
+    evals, u = np.linalg.eig(re + 0.5 * (im[::-1, :] - im[:, ::-1]))
+    low = np.argsort(evals.real)[:n_lowest]
+    v = u[:, low] + 1j * u[::-1, low]
+    return evals[low].astype(complex), v / np.linalg.norm(v, axis=0)
+
+
 def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
     """Non-Hermitian contour Hamiltonian and its Hermitian partner.
 
-    H = (1+is) K^2 + K/2 - 16 lam (1+is)^2 - 4 w^2 (1+is) on an s-grid
-    with spectral K; h = -16 lam d^2/dK^2 + (K^2-4w^2)^2/(64 lam) - K/2
-    on a K-grid.  The two discretizations are independent, so agreement
-    of their low spectra validates both.
+    H = (1+is) K^2 + K/2 - 16 lam (1+is)^2 - 4 w^2 (1+is) on a
+    cell-centred s-grid with spectral K; h = -16 lam d^2/dK^2 +
+    (K^2-4w^2)^2/(64 lam) - K/2 on a K-grid.  The grid is symmetric
+    (s reversed is -s), so H is exactly PT-symmetric and is diagonalised
+    as a real matrix (_pt_symmetric_eig).  The two discretizations are
+    independent, so agreement of their low spectra validates both.
     """
     lam, omega = params.lam, params.omega
     n, ls = params.n, params.length
-    s = np.linspace(-ls, ls, n, endpoint=False)
-    K = fourier_wavenumber_operator(n, ls, 1)
-    K2 = fourier_wavenumber_operator(n, ls, 2)
-    one_is = np.diag(1.0 + 1j * s)
-    H = (
-        one_is @ K2
-        + 0.5 * K
-        - 16.0 * lam * np.diag((1.0 + 1j * s) ** 2)
-        - 4.0 * omega**2 * one_is
-    )
+    s = (np.arange(n) + 0.5 - 0.5 * n) * (2.0 * ls / n)
+    one_is = 1.0 + 1j * s
+    H = one_is[:, None] * fourier_wavenumber_operator(n, ls, 2)
+    H += 0.5 * fourier_wavenumber_operator(n, ls, 1)
+    H[np.diag_indices(n)] -= 16.0 * lam * one_is**2 + 4.0 * omega**2 * one_is
 
     nk, lk = params.n_k, params.length_k
     kg = np.linspace(-lk, lk, nk, endpoint=False)
@@ -399,18 +416,11 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
     h = 16.0 * lam * D2 + np.diag(potential)
     h = 0.5 * (h + dagger(h))
 
-    evals_H, vecs_H = np.linalg.eig(H)
-    order = np.argsort(evals_H.real)
-    evals_H = evals_H[order]
-    vecs_H = vecs_H[:, order]
+    evals_H, low = _pt_symmetric_eig(H, n_lowest)
     evals_h = np.linalg.eigvalsh(h)
 
     edge = max(2, n // 64)
-    low = vecs_H[:, :n_lowest]
-    tail = float(
-        np.max(np.abs(np.vstack([low[:edge, :], low[-edge:, :]])))
-        / np.max(np.abs(low))
-    )
+    tail = float(np.abs(np.vstack([low[:edge], low[-edge:]])).max() / np.abs(low).max())
     if tail > params.tail_tol:
         raise GridTooSmallError(
             f"eigenfunction tail {tail:.2e} exceeds {params.tail_tol:.1e}; "
@@ -418,7 +428,7 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
         )
     return QuarticPair(
         H, h, s, kg, quartic_exponent(params, kg),
-        evals_H[:n_lowest], evals_h[:n_lowest], tail,
+        evals_H, evals_h[:n_lowest], tail,
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phqm import cli
+from phqm import cli, models
 from phqm.errors import NothingToPlotError, SchemaError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -72,6 +74,34 @@ def test_brachistochrone_tau_min(tmp_path):
     ])
     record = json.loads(out.read_text())
     assert record["scalars"]["tau_min"] == pytest.approx(np.pi / 2.0)
+
+
+def _encode_matrix_per_entry(m):
+    return [[cli.encode_complex(z) for z in row] for row in np.asarray(m)]
+
+
+def _encode_vector_per_entry(v):
+    return [cli.encode_complex(z) for z in np.asarray(v).ravel()]
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.random.default_rng(5).standard_normal((7, 5)) + 1j * np.random.default_rng(6).standard_normal((7, 5)),
+        np.random.default_rng(7).standard_normal((4, 6)),
+        np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+        np.array([[5e-324, -2.2e-308], [complex(1e-310, -4e-320), 1.0]]),
+        np.array([[1, -2], [3, 4]]),
+    ],
+    ids=["complex", "real", "signed_zero", "subnormal", "integer"],
+)
+def test_encoders_match_per_entry_reference(array):
+    encoded = cli.encode_matrix(array)
+    assert encoded == _encode_matrix_per_entry(array)
+    assert cli.encode_vector(array) == _encode_vector_per_entry(array)
+    # == treats -0.0 as 0.0; the sign bits must survive as well
+    assert json.dumps(encoded) == json.dumps(_encode_matrix_per_entry(array))
+    assert all(type(x) is float for row in encoded for pair in row for x in pair)
 
 
 def test_json_round_trip_bit_for_bit():
@@ -232,6 +262,20 @@ def test_invalid_model_parameters_exit_as_input_errors(config, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "field",
+    [{"length": 0}, {"length_k": 0}, {"length": -18.0}],
+)
+def test_non_positive_quartic_lengths_exit_as_input_errors(field, tmp_path, capsys):
+    # a zero length divided by zero in the grid spacing; a negative one ran
+    # silently on a mirrored grid
+    config = {"command": "model", "model": {"kind": "quartic", "lam": 0.0625, **field}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert "error: ValueError: grid half-widths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "config",
     [
         # a misspelt amp would run silently with the default 0.1
@@ -304,6 +348,45 @@ def test_kernel_default_grid_size_is_the_default(model):
     explicit = {"command": "model", "model": {"kind": "kernel", "n": 400, **model}}
     implicit_record = cli.run(base)
     explicit_record = cli.run(explicit)
+    for key in ("scalars", "matrices", "residuals", "all_pass"):
+        assert explicit_record[key] == implicit_record[key], key
+
+
+def _stated_defaults(kind):
+    """Every optional model field of ``kind`` at its library default."""
+    if kind == "quartic":
+        params = models.QuarticParams(0.0625)
+        return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
+                if f.name != "tail_tol"}
+    if kind == "swanson":
+        params = models.SwansonParams(alpha=0.1, beta=0.05)
+        stated = {"hbar": params.hbar, "omega": params.omega}
+        for fn in (models.swanson_metric, models.swanson_truncated):
+            stated |= {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                       if p.default is not inspect.Parameter.empty}
+        return stated
+    spec = models.KernelPotentialSpec("delta", 0.05)
+    grid = models.kernel_grid(spec)
+    return {"length": spec.length, "kappa": spec.kappa, "mass": spec.mass,
+            "hbar": spec.hbar, "n": grid.n, "x_min": grid.x_min, "x_max": grid.x_max}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "quartic", "lam": 0.0625},
+        {"kind": "swanson", "alpha": 0.1, "beta": 0.05, "truncated": True},
+        {"kind": "kernel", "kind_detail": "delta", "zeta": 0.05},
+    ],
+    ids=["quartic", "swanson", "kernel"],
+)
+def test_stating_the_defaults_changes_nothing(model):
+    # the defaults live in the model dataclasses and signatures alone
+    stated = {"command": "model", "model": {**model, **_stated_defaults(model["kind"])}}
+    assert len(stated["model"]) > len(model)
+    cli.validate_scenario(stated)
+    implicit_record = cli.run({"command": "model", "model": model})
+    explicit_record = cli.run(stated)
     for key in ("scalars", "matrices", "residuals", "all_pass"):
         assert explicit_record[key] == implicit_record[key], key
 

@@ -6,6 +6,7 @@ from phqm.errors import (
     DefectiveOperatorError,
     GridTooSmallError,
     NonPositiveDError,
+    NotPTSymmetricError,
     RealityViolatedError,
     UnsupportedKindError,
 )
@@ -217,6 +218,52 @@ def test_quartic_linear_potential_reduction(quartic_omega0):
     u = qp.k_grid
     direct = (u**2) ** 2 / (64.0 / 16.0) - 0.5 * u
     np.testing.assert_allclose(direct, 0.25 * (u**4 - 2.0 * u), atol=1e-12)
+
+
+@pytest.fixture(scope="module", params=[0.0, 1.0], ids=["omega0", "omega1"])
+def quartic_low8(request):
+    return models.quartic_pair(models.QuarticParams(1.0 / 16.0, request.param, n=384),
+                               n_lowest=8)
+
+
+def test_quartic_grid_is_exactly_pt_symmetric(quartic_low8):
+    qp = quartic_low8
+    assert np.array_equal(qp.s_grid[::-1], -qp.s_grid)
+    pt_image = np.conj(qp.H)[::-1, ::-1]
+    assert np.linalg.norm(pt_image - qp.H) <= 1e-15 * np.linalg.norm(qp.H)
+
+
+def test_quartic_real_form_matches_complex_eig(quartic_low8):
+    # the complex eigensolver on H itself is the oracle
+    qp = quartic_low8
+    oracle = np.linalg.eigvals(qp.H)
+    oracle = oracle[np.argsort(oracle.real)][:8]
+    assert qp.spectrum_H.shape == (8,)
+    np.testing.assert_allclose(qp.spectrum_H, oracle, rtol=1e-10, atol=0)
+
+
+def test_quartic_real_form_eigenvectors(quartic_low8):
+    qp = quartic_low8
+    values, vectors = models._pt_symmetric_eig(qp.H, 8)
+    np.testing.assert_array_equal(values, qp.spectrum_H)
+    np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, rtol=1e-14)
+    residual = np.linalg.norm(qp.H @ vectors - vectors * values, axis=0)
+    assert residual.max() <= 1e-10 * np.linalg.norm(qp.H, 2)
+
+
+def test_pt_symmetric_eig_rejects_broken_symmetry():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    symmetric = 0.5 * (a + np.conj(a)[::-1, ::-1])
+    values, _ = models._pt_symmetric_eig(symmetric, 16)
+    distance = np.abs(values[:, None] - np.linalg.eigvals(symmetric)[None, :])
+    assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) <= 1e-12
+    with pytest.raises(NotPTSymmetricError):
+        models._pt_symmetric_eig(a, 4)
+    # the seam point of a grid that is not mirror-symmetric breaks PT
+    s = np.linspace(-4.0, 4.0, 16, endpoint=False)
+    with pytest.raises(NotPTSymmetricError):
+        models._pt_symmetric_eig(np.diag(1.0 + 1j * s), 4)
 
 
 def test_quartic_grid_too_small():

@@ -69,6 +69,10 @@ class NotPTSymmetricError(PhqmError):
     """Operator is not invariant under grid reversal times conjugation."""
 
 
+class EigenpairsNotConvergedError(PhqmError):
+    """Iterative eigensolver did not converge to resolved eigenpairs."""
+
+
 class GridTooSmallError(PhqmError):
     """Grid does not resolve the eigenfunction tails."""
 
@@ -87,10 +91,6 @@ class DegenerateStructureError(PhqmError):
 
 class OutOfDomainError(PhqmError):
     """Coordinate outside the declared domain."""
-
-
-class OutOfRangeError(PhqmError):
-    """Value outside the invertible range."""
 
 
 class CFLViolationError(PhqmError):

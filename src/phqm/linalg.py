@@ -170,10 +170,3 @@ def commutator(a, b) -> np.ndarray:
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
     return ma @ mb - mb @ ma
-
-
-def anticommutator(a, b) -> np.ndarray:
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    return ma @ mb + mb @ ma

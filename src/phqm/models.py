@@ -23,10 +23,12 @@ import numpy as np
 from .biortho import from_right_vectors
 from .errors import (
     DefectiveOperatorError,
+    EigenpairsNotConvergedError,
     GridTooSmallError,
     NonPositiveDError,
     NotPTSymmetricError,
     RealityViolatedError,
+    SingularOperatorError,
     UnsupportedKindError,
 )
 from .linalg import dagger, opnorm, sqrtm_pd
@@ -346,14 +348,17 @@ class QuarticParams:
 
 
 def fourier_wavenumber_operator(n: int, half_width: float, power: int = 1) -> np.ndarray:
-    """Dense matrix of (-i d/ds)^power under periodic embedding."""
+    """Dense matrix of (-i d/ds)^power under periodic embedding: the
+    circulant C[i, j] = c[(i - j) mod n], c the inverse FFT of the spectrum;
+    real symmetric for an even power, whose spectrum is real and even."""
     dx = 2.0 * half_width / n
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    spectrum = k**power
-    op = np.fft.ifft(spectrum[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    col = np.fft.ifft(k**power)
     if power % 2 == 0:
-        op = 0.5 * (op + dagger(op))
-    return op
+        col = 0.5 * (col.real + np.roll(col.real[::-1], 1))
+    # row i of C is col reversed and rotated, a window of the doubled reversal
+    doubled = np.concatenate((col[::-1], col[::-1]))[:-1]
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -375,20 +380,65 @@ def quartic_exponent(params: QuarticParams, k):
 
 
 def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
-    """The n_lowest eigenvalues (by real part) and unit eigenvectors of a
-    PT-symmetric H, P the index reversal, solved as a real matrix.
-
-    P conj(H) P = H makes B = (I - iP) H (I + iP)/2 real; it is unitarily
-    similar to H and v = u + i P u maps an eigenvector u of B to one of H.
+    """The n_lowest eigenpairs nearest 0, sorted by real part, of a PT-symmetric H
+    (P the index reversal): B = (I - iP) H (I + iP)/2 is real and similar
+    to H, and v = u + i P u maps B's eigenvector u to H's (unit columns).
+    Shift-invert Arnoldi at 0 on B (fixed start, Gram-Schmidt twice) stops
+    when the n_lowest + 3 Ritz pairs nearest 0 have |B u - E u| <= 1e-13
+    |B|_F and each kept E's error disc kappa |B u - E u| holds no other
+    Ritz value (a defective E fails that); the Krylov dimension doubles up
+    to n, then EigenpairsNotConvergedError.  B^-1 is exact only to
+    u cond(B): a kept pair above 1e-15 |B|_F takes one inverse iteration.
     """
     re, im = H.real, H.imag
     defect = np.hypot(np.linalg.norm(re - re[::-1, ::-1]), np.linalg.norm(im + im[::-1, ::-1]))
     if defect > 1e-12 * np.linalg.norm(H):
         raise NotPTSymmetricError(f"|P conj(H) P - H|_F = {defect:.2e} exceeds 1e-12 |H|_F")
-    evals, u = np.linalg.eig(re + 0.5 * (im[::-1, :] - im[:, ::-1]))
-    low = np.argsort(evals.real)[:n_lowest]
-    v = u[:, low] + 1j * u[::-1, low]
-    return evals[low].astype(complex), v / np.linalg.norm(v, axis=0)
+    b = re + 0.5 * (im[::-1, :] - im[:, ::-1])
+    n = last = len(b)
+    try:
+        b_inv = np.linalg.inv(b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError("H is singular; no shift-invert at 0") from exc
+    want, b_norm = min(n, n_lowest + 3), np.linalg.norm(b)
+    m, done = min(n, max(40, 3 * want)), 0
+    basis, hess = np.empty((n + 1, n)), np.zeros((n + 1, n))
+    basis[0] = np.random.default_rng(0).standard_normal(n)
+    basis[0] /= np.linalg.norm(basis[0])
+    while True:
+        for j in range(done, m):
+            w = b_inv @ basis[j]
+            for _ in range(2):
+                c = basis[: j + 1] @ w
+                w -= c @ basis[: j + 1]
+                hess[: j + 1, j] += c
+            hess[j + 1, j] = beta = np.linalg.norm(w)
+            if beta == 0.0:  # invariant subspace: its Ritz pairs are all there is
+                m = last = j + 1
+                break
+            basis[j + 1] = w / beta
+        done = m
+        theta, y = (a.astype(complex) for a in np.linalg.eig(hess[:m, :m]))
+        near = np.argsort(-np.abs(theta), kind="stable")[:want]
+        kept, evals, u = near[:n_lowest], 1.0 / theta[near], basis[:m].T @ y[:, near]
+        residual = np.linalg.norm((b @ u.view(float)).view(complex) - u * evals, axis=0)
+        # error discs in theta = 1/E have radius |theta|^2 kappa |B u - E u| to first order
+        kappa_theta = np.abs(theta[kept]) ** 2 * np.linalg.norm(np.linalg.pinv(y)[kept], axis=1)
+        gap = np.abs(theta[kept, None] - theta)
+        gap[np.arange(len(kept)), kept] = np.inf
+        if (len(near) == want and np.all(residual <= 1e-13 * b_norm)
+                and np.all(kappa_theta * residual[:n_lowest] < gap.min(axis=1))):
+            break
+        if m == last:
+            raise EigenpairsNotConvergedError(f"{want} Ritz pairs nearest 0 not converged "
+                                              f"and resolved at Krylov dimension {m}")
+        m = min(last, 2 * m)
+    for i in np.flatnonzero(residual[:n_lowest] > 1e-15 * b_norm):
+        z = np.linalg.solve(b - np.real_if_close(evals[i]) * np.eye(n), np.real_if_close(u[:, i]))
+        evals[i], u[:, i] = np.vdot(z, b @ z) / np.vdot(z, z), z / np.linalg.norm(z)
+    order = np.argsort(evals[:n_lowest].real, kind="stable")
+    v = u[:, order] + 1j * u[::-1, order]
+    return evals[order], v / np.linalg.norm(v, axis=0)
 
 
 def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
@@ -396,10 +446,11 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
 
     H = (1+is) K^2 + K/2 - 16 lam (1+is)^2 - 4 w^2 (1+is) on a
     cell-centred s-grid with spectral K; h = -16 lam d^2/dK^2 +
-    (K^2-4w^2)^2/(64 lam) - K/2 on a K-grid.  The grid is symmetric
-    (s reversed is -s), so H is exactly PT-symmetric and is diagonalised
-    as a real matrix (_pt_symmetric_eig).  The two discretizations are
-    independent, so agreement of their low spectra validates both.
+    (K^2-4w^2)^2/(64 lam) - K/2 on a K-grid (real).  s reversed is -s, so H
+    is exactly PT-symmetric; _pt_symmetric_eig finds the eigenvalues nearest
+    0, which are the lowest because every observed low spectrum of H is
+    real and positive.  The two discretizations are independent, so
+    agreement of their low spectra validates both and shows none is missed.
     """
     lam, omega = params.lam, params.omega
     n, ls = params.n, params.length
@@ -413,8 +464,8 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
     kg = np.linspace(-lk, lk, nk, endpoint=False)
     D2 = fourier_wavenumber_operator(nk, lk, 2)
     potential = (kg**2 - 4.0 * omega**2) ** 2 / (64.0 * lam) - 0.5 * kg
-    h = 16.0 * lam * D2 + np.diag(potential)
-    h = 0.5 * (h + dagger(h))
+    h = 16.0 * lam * D2
+    h[np.diag_indices(nk)] += potential
 
     evals_H, low = _pt_symmetric_eig(H, n_lowest)
     evals_h = np.linalg.eigvalsh(h)

@@ -4,12 +4,16 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from phqm import em
-from phqm.errors import CFLViolationError, OutOfDomainError, OutOfRangeError
+from phqm.errors import CFLViolationError, OutOfDomainError, PhqmError
 from phqm.linalg import opnorm
 
 RNG = np.random.default_rng(2718)
 
 QUAD_EPSABS = 1e-12
+
+
+class OutOfRangeError(PhqmError):
+    """Value outside the invertible range of the oracle's u(z)."""
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,12 @@ import pytest
 from phqm import linalg, metric, models
 from phqm.errors import (
     DefectiveOperatorError,
+    EigenpairsNotConvergedError,
     GridTooSmallError,
     NonPositiveDError,
     NotPTSymmetricError,
     RealityViolatedError,
+    SingularOperatorError,
     UnsupportedKindError,
 )
 from phqm.linalg import dagger, opnorm
@@ -264,6 +266,114 @@ def test_pt_symmetric_eig_rejects_broken_symmetry():
     s = np.linspace(-4.0, 4.0, 16, endpoint=False)
     with pytest.raises(NotPTSymmetricError):
         models._pt_symmetric_eig(np.diag(1.0 + 1j * s), 4)
+
+
+def _real_form(H):
+    re, im = H.real, H.imag
+    return re + 0.5 * (im[::-1, :] - im[:, ::-1])
+
+
+@pytest.mark.parametrize("lam", [1.0 / 16.0, 0.1])
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("n", [384, 576])
+def test_shift_invert_matches_dense_eig_oracle(lam, omega, n):
+    # the dense dgeev of the same real form B is the oracle; each eigenvalue
+    # must agree to within its first-order error bound kappa_i u |B|_F, with
+    # kappa_i from the oracle's left and right eigenvectors
+    qp = models.quartic_pair(models.QuarticParams(lam, omega, n), n_lowest=8)
+    b = _real_form(qp.H)
+    values, right = np.linalg.eig(b)
+    left = np.linalg.inv(right)
+    low = np.argsort(values.real)[:8]
+    kappa = np.linalg.norm(right[:, low], axis=0) * np.linalg.norm(left[low], axis=1)
+    bound = kappa * 0.5 * np.finfo(float).eps * np.linalg.norm(b)
+    for n_lowest in (5, 8):
+        got = qp.spectrum_H if n_lowest == 8 else models._pt_symmetric_eig(qp.H, 5)[0]
+        assert got.shape == (n_lowest,)
+        error = np.abs(got - values[low[:n_lowest]])
+        assert np.all(error <= bound[:n_lowest])
+        if omega == 0.0:
+            assert np.all(error <= 1e-10 * np.abs(values[low[:n_lowest]]))
+
+
+def _pt_from_real(j):
+    # U J U^dag with U = (I + iP)/sqrt(2), written out so that for a J of
+    # small integers every entry, and the real form B = J, is exact
+    return 0.5 * (j + j[::-1, ::-1]) + 0.5j * (j[::-1, :] - j[:, ::-1])
+
+
+def test_pt_symmetric_eig_rejects_a_jordan_block():
+    # a defective eigenvalue at the low end has tiny residuals, so only the
+    # error-disc test can refuse it; the Krylov space grows to n first
+    rng = np.random.default_rng(7)
+    for n, low in ((16, 0.5), (64, 1.0), (200, 3.0)):
+        j = np.diag(np.arange(n) + low + 2.0) + 0.5 * np.triu(rng.integers(-3, 4, (n, n)), 2)
+        j[0, 0] = j[1, 1] = low
+        j[0, 1] = 1.0
+        H = _pt_from_real(j)
+        assert np.array_equal(_real_form(H), j)
+        for n_lowest in (1, 2, 5):
+            with pytest.raises(EigenpairsNotConvergedError):
+                models._pt_symmetric_eig(H, n_lowest)
+
+
+def test_pt_symmetric_eig_grows_the_krylov_space_until_converged():
+    # a spectrum clustered at 1 converges slowly under shift-invert; the
+    # start dimension leaves residuals up to 1e-4 |B|_F, so only the
+    # residual gate makes the Krylov space grow (to 320 here)
+    spacing = 1e-3
+    diagonal = 1.0 + spacing * np.random.default_rng(3).permutation(400)
+    H = _pt_from_real(np.diag(diagonal))
+    values, vectors = models._pt_symmetric_eig(H, 5)
+    np.testing.assert_allclose(values, 1.0 + spacing * np.arange(5), rtol=0, atol=1e-12)
+    residual = np.linalg.norm(H @ vectors - vectors * values, axis=0)
+    assert residual.max() <= 1e-13 * np.linalg.norm(H)
+
+
+def test_pt_symmetric_eig_rejects_a_singular_operator():
+    j = np.diag(np.arange(1.0, 17.0))
+    j[3, :] = 0.0
+    j[0, 3] = 2.0
+    with pytest.raises(SingularOperatorError):
+        models._pt_symmetric_eig(_pt_from_real(j), 4)
+
+
+def test_quartic_spectrum_is_reproducible():
+    params = models.QuarticParams(0.08, 1.0, n=384)
+    first = models.quartic_pair(params, n_lowest=5)
+    second = models.quartic_pair(params, n_lowest=5)
+    assert np.array_equal(first.spectrum_H, second.spectrum_H)
+    assert np.array_equal(first.spectrum_h, second.spectrum_h)
+
+
+def test_quartic_ill_conditioned_pairs_are_refined():
+    # at omega = 2 the upper kept eigenvalues have kappa ~ 1e7-1e8; the
+    # Arnoldi pairs alone miss h by 1.4e-4, a dense solver by 1.5e-6
+    qp = models.quartic_pair(models.QuarticParams(0.1, 2.0), n_lowest=5)
+    rel = np.abs(qp.spectrum_H.real - qp.spectrum_h) / np.abs(qp.spectrum_h)
+    assert rel.max() <= 1e-5
+
+
+def _dense_fourier_operator(n, half_width, power):
+    # the FFT of the dense identity: the former construction, kept as oracle
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_width / n)
+    op = np.fft.ifft(k[:, None] ** power * np.fft.fft(np.eye(n), axis=0), axis=0)
+    return 0.5 * (op + dagger(op)) if power % 2 == 0 else op
+
+
+@pytest.mark.parametrize("n, half_width", [(48, 16.0), (64, 3.0), (257, 10.0), (576, 18.0)])
+def test_fourier_operator_matches_dense_fft(n, half_width):
+    for power in (1, 2, 3, 4):
+        op = models.fourier_wavenumber_operator(n, half_width, power)
+        ref = _dense_fourier_operator(n, half_width, power)
+        assert np.linalg.norm(op - ref) <= 1e-15 * np.linalg.norm(ref)
+        if power % 2 == 0:
+            assert op.dtype == float and np.array_equal(op, op.T)
+
+
+def test_quartic_partner_is_real(quartic_omega0):
+    assert quartic_omega0.h.dtype == float
+    assert np.array_equal(quartic_omega0.h, quartic_omega0.h.T)
 
 
 def test_quartic_grid_too_small():

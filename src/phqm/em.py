@@ -47,29 +47,37 @@ class MediumProfile:
         return float(np.max(np.abs(deriv) * scale / self.eps_at(z)))
 
 
-def vacuum(z_min: float = -10.0, z_max: float = 10.0) -> MediumProfile:
-    return MediumProfile(lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                         lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                         z_min, z_max)
+Z_MIN, Z_MAX = -10.0, 10.0  # domain of the analytic profiles
 
 
-def constant_medium(eps: float, mu: float = 1.0, z_min: float = -10.0,
-                    z_max: float = 10.0) -> MediumProfile:
-    return MediumProfile(lambda z: eps * np.ones_like(np.asarray(z, dtype=float)),
-                         lambda z: mu * np.ones_like(np.asarray(z, dtype=float)),
-                         z_min, z_max)
+def _flat(value: float):
+    return lambda z: np.full_like(np.asarray(z, dtype=float), value)
 
 
-def sampled_profile(z_samples, eps_samples, mu_samples) -> MediumProfile:
-    """Profile from sampled arrays with linear interpolation."""
-    z = np.asarray(z_samples, dtype=float)
-    ev = np.asarray(eps_samples, dtype=float)
-    mv = np.asarray(mu_samples, dtype=float)
-    if np.any(ev <= 0) or np.any(mv <= 0):
+def vacuum(z_min: float = Z_MIN, z_max: float = Z_MAX) -> MediumProfile:
+    return MediumProfile(_flat(1.0), _flat(1.0), z_min, z_max)
+
+
+def constant_medium(eps: float, mu: float = 1.0, z_min: float = Z_MIN,
+                    z_max: float = Z_MAX) -> MediumProfile:
+    return MediumProfile(_flat(eps), _flat(mu), z_min, z_max)
+
+
+def tanh_medium(eps0: float = 1.0, amp: float = 0.1, z_min: float = Z_MIN,
+                z_max: float = Z_MAX) -> MediumProfile:
+    """eps = eps0 + amp tanh(z), mu = 1."""
+    return MediumProfile(lambda z: eps0 + amp * np.tanh(np.asarray(z, dtype=float)),
+                         _flat(1.0), z_min, z_max)
+
+
+def sampled_profile(z: list, eps: list, mu: list) -> MediumProfile:
+    """Profile from samples (lists or arrays) with linear interpolation."""
+    z, eps, mu = (np.asarray(a, dtype=float) for a in (z, eps, mu))
+    if np.any(eps <= 0) or np.any(mu <= 0):
         raise ValueError("eps and mu samples must be strictly positive")
     return MediumProfile(
-        lambda zz: np.interp(zz, z, ev),
-        lambda zz: np.interp(zz, z, mv),
+        lambda zz: np.interp(zz, z, eps),
+        lambda zz: np.interp(zz, z, mu),
         float(z[0]),
         float(z[-1]),
     )
@@ -77,17 +85,20 @@ def sampled_profile(z_samples, eps_samples, mu_samples) -> MediumProfile:
 
 @dataclass(frozen=True)
 class InitialFields:
-    """Initial transverse field E0(z) and its time derivative."""
+    """Initial transverse field E0(z), its time derivative and, where
+    known, the length over which E0 varies."""
 
     E0: callable
     E0_dot: callable
+    width: float | None = None
 
 
-def gaussian_pulse(center: float, width: float, amplitude: float = 1.0) -> InitialFields:
+def gaussian_pulse(center: float = 0.0, width: float = 0.5,
+                   amplitude: float = 1.0) -> InitialFields:
     def e0(z):
         return amplitude * np.exp(-((np.asarray(z) - center) ** 2) / (2.0 * width**2))
 
-    return InitialFields(e0, lambda z: np.zeros_like(np.asarray(z, dtype=float)))
+    return InitialFields(e0, lambda z: np.zeros_like(np.asarray(z, dtype=float)), width)
 
 
 class _PathTable:

@@ -326,6 +326,9 @@ def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
 # wrong-sign quartic on the hyperbola contour
 # ----------------------------------------------------------------------
 
+TAIL_TOL = 1e-8  # largest eigenfunction tail quartic_pair accepts at the s-grid edges
+
+
 @dataclass(frozen=True)
 class QuarticParams:
     lam: float
@@ -334,7 +337,6 @@ class QuarticParams:
     length: float = 18.0
     n_k: int = 256
     length_k: float = 10.0
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -472,9 +474,9 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
 
     edge = max(2, n // 64)
     tail = float(np.abs(np.vstack([low[:edge], low[-edge:]])).max() / np.abs(low).max())
-    if tail > params.tail_tol:
+    if tail > TAIL_TOL:
         raise GridTooSmallError(
-            f"eigenfunction tail {tail:.2e} exceeds {params.tail_tol:.1e}; "
+            f"eigenfunction tail {tail:.2e} exceeds {TAIL_TOL:.1e}; "
             "increase the s-grid half-width"
         )
     return QuarticPair(

@@ -145,13 +145,29 @@ def test_batch_execution(tmp_path):
     assert isinstance(records, list) and len(records) == 2
 
 
-def test_batch_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHQM_THREADS", "1")
-    out = tmp_path / "batch.json"
-    code = cli.main([
-        "--scenario", os.path.join(SCENARIO_DIR, "batch_small.json"), "--out", str(out),
-    ])
-    assert code == cli.EXIT_OK
+def test_batch_matches_single_runs(tmp_path):
+    # kernel_barrier and quartic are the two slow scenarios
+    scenarios = []
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        if name not in ("kernel_barrier.json", "quartic.json"):
+            payload = load(name)
+            scenarios += payload if isinstance(payload, list) else [payload]
+    path, out = tmp_path / "batch.json", tmp_path / "out.json"
+    path.write_text(json.dumps(scenarios))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    records = json.loads(out.read_text())
+    assert len(records) == len(scenarios) == 13
+    for config, record in zip(scenarios, records):
+        alone = json.loads(json.dumps(cli.run(config)))
+        for key in ("scalars", "matrices", "curves", "residuals", "warnings"):
+            assert record[key] == alone[key], (config["command"], key)
+
+
+def test_strict_leaves_inputs_as_written(tmp_path):
+    out = tmp_path / "r.json"
+    path = os.path.join(SCENARIO_DIR, "two_level.json")
+    assert cli.main(["--scenario", path, "--out", str(out), "--strict"]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["inputs"] == load("two_level.json")
 
 
 def test_csv_emission(tmp_path):
@@ -301,6 +317,115 @@ def test_every_committed_scenario_validates(name):
         cli.validate_scenario(config)
 
 
+# The scenario schema file this CLI once shipped, frozen: the fields that
+# the handler and builder signatures declare must accept exactly this set.
+FROZEN_SCHEMA = {
+    "common": {
+        "required": {"command": "string"},
+        "optional": {"tol": "number", "strict": "boolean"},
+    },
+    "commands": {
+        "diagnose": {"required": {"matrix": "matrix"}, "optional": {}},
+        "metric": {"required": {"matrix": "matrix"},
+                   "optional": {"sigma": "array", "normalize": "boolean"}},
+        "hermitize": {"required": {"matrix": "matrix"}, "optional": {"eta": "matrix"}},
+        "model": {"required": {"model": "object"}, "optional": {}},
+        "brachistochrone": {"required": {"psi_I": "vector", "psi_F": "vector", "E": "number"},
+                            "optional": {"hbar": "number", "eta": "matrix"}},
+        "geometry": {"required": {"eta": "matrix"},
+                     "optional": {"n_theta": "integer", "n_phi": "integer"}},
+        "classical": {"required": {"potential": "object", "z0": "pair", "p0": "pair",
+                                   "t_end": "number", "dt": "number"},
+                      "optional": {"mass": "number", "sample_every": "integer"}},
+        "em": {"required": {"profile": "object", "init": "object", "t": "number"},
+               "optional": {"n_eval": "integer", "fdtd_check": "boolean"}},
+    },
+    "objects": {
+        "model": {"tag": "kind", "variants": {
+            "two_level": {"required": {"D": "number"},
+                          "optional": {"r": "number", "s": "number"}},
+            "swanson": {"required": {"alpha": "number", "beta": "number"},
+                        "optional": {"hbar": "number", "omega": "number", "r": "number",
+                                     "branch": "integer", "n_max": "integer",
+                                     "truncated": "boolean"}},
+            "quartic": {"required": {"lam": "number"},
+                        "optional": {"omega": "number", "n": "integer", "length": "number",
+                                     "n_k": "integer", "length_k": "number"}},
+            "kernel": {"required": {"kind_detail": "string", "zeta": "number"},
+                       "optional": {"length": "number", "kappa": "number", "mass": "number",
+                                    "hbar": "number", "n": "integer", "x_min": "number",
+                                    "x_max": "number"}},
+        }},
+        "profile": {"tag": "preset", "untagged": "sampled", "variants": {
+            "vacuum": {"required": {}, "optional": {"z_min": "number", "z_max": "number"}},
+            "constant": {"required": {"eps": "number"},
+                         "optional": {"mu": "number", "z_min": "number", "z_max": "number"}},
+            "tanh": {"required": {}, "optional": {"eps0": "number", "amp": "number",
+                                                  "z_min": "number", "z_max": "number"}},
+            "sampled": {"required": {"z": "array", "eps": "array", "mu": "array"},
+                        "optional": {}},
+        }},
+        "init": {"tag": "kind", "variants": {
+            "gaussian": {"required": {}, "optional": {"center": "number", "width": "number",
+                                                      "amplitude": "number"}},
+        }},
+        "potential": {"tag": "kind", "variants": {
+            "monomial": {"required": {"coeff": "pair", "power": "integer"}, "optional": {}},
+            "harmonic": {"required": {"omega": "number"}, "optional": {}},
+            "free": {"required": {}, "optional": {}},
+        }},
+    },
+}
+
+# annotation of a handler or builder parameter -> frozen schema type
+SCHEMA_TYPE = {"float": "number", "int": "integer", "bool": "boolean", "str": "string",
+               "list": "array", "complex": "pair", "Vector": "vector", "Matrix": "matrix",
+               "Model": "object", "Profile": "object", "Init": "object", "Potential": "object"}
+
+
+def _declared(fn):
+    fields = cli._fields(fn)
+    return {"required": {name: SCHEMA_TYPE[t] for name, (t, required) in fields.items() if required},
+            "optional": {name: SCHEMA_TYPE[t] for name, (t, required) in fields.items()
+                         if not required}}
+
+
+def test_signatures_declare_the_frozen_schema():
+    assert set(SCHEMA_TYPE) == set(cli._TYPES)
+    assert {command: _declared(handler) for command, handler in cli._HANDLERS.items()} \
+        == FROZEN_SCHEMA["commands"]
+    builders = {"model": {kind: build for kind, (build, _) in cli._MODELS.items()},
+                "profile": cli._PROFILES, "init": cli._INITS, "potential": cli._POTENTIALS}
+    for name, spec in FROZEN_SCHEMA["objects"].items():
+        assert {tag: _declared(build) for tag, build in builders[name].items()} \
+            == spec["variants"], name
+
+
+def test_common_fields_match_the_frozen_schema():
+    # strict is now an argument of run, not a scenario field
+    assert FROZEN_SCHEMA["common"]["optional"].keys() - {"tol"} == {"strict"}
+    base = {"command": "geometry", "eta": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    _, kwargs = cli.validate_scenario({**base, "tol": 1e-9})
+    assert kwargs["tol"] == 1e-9
+    for bad in ({"tol": "1e-9"}, {"tol": True}, {"strict": True}):
+        with pytest.raises(SchemaError):
+            cli.validate_scenario({**base, **bad})
+    with pytest.raises(SchemaError):
+        cli.validate_scenario({"eta": base["eta"]})
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SCHEMA["objects"]))
+def test_nested_objects_are_selected_by_their_frozen_tag(name):
+    spec = FROZEN_SCHEMA["objects"][name]
+    build = cli._TYPES[name.capitalize()][1]
+    with pytest.raises(SchemaError, match=f"unknown {name} {spec['tag']} 'nope'"):
+        build({spec["tag"]: "nope"})
+    if "untagged" in spec:
+        untagged = spec["variants"][spec["untagged"]]["required"]
+        with pytest.raises(SchemaError, match=f"{name} {spec['untagged']!r} requires"):
+            build({key: None for key in list(untagged)[1:]})
+
+
 DELTA_KERNEL = {"command": "model",
                 "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.3}}
 
@@ -320,10 +445,9 @@ def test_warning_filters_set_to_error_still_raise():
             cli.run(DELTA_KERNEL)
 
 
-def test_batch_warnings_stay_with_their_scenario(tmp_path, monkeypatch, capsys):
-    # the batch's runs share one warnings hook across threads; each record
-    # keeps its own warnings, and the hook is restored afterwards
-    monkeypatch.setenv("PHQM_THREADS", "3")
+def test_batch_warnings_stay_with_their_scenario(tmp_path, capsys):
+    # each record keeps its own warnings, and the filters and hook are
+    # restored afterwards
     path, out = tmp_path / "batch.json", tmp_path / "out.json"
     path.write_text(json.dumps([DELTA_KERNEL, load("two_level.json"), DELTA_KERNEL]))
     filters, hook = list(warnings.filters), warnings.showwarning
@@ -356,8 +480,7 @@ def _stated_defaults(kind):
     """Every optional model field of ``kind`` at its library default."""
     if kind == "quartic":
         params = models.QuarticParams(0.0625)
-        return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
-                if f.name != "tail_tol"}
+        return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
     if kind == "swanson":
         params = models.SwansonParams(alpha=0.1, beta=0.05)
         stated = {"hbar": params.hbar, "omega": params.omega}

@@ -52,14 +52,6 @@ def invert_u(profile: em.MediumProfile, s: float) -> float:
                         profile.z_max, xtol=1e-12, rtol=1e-14))
 
 
-def tanh_profile(amp=0.1, z_min=-10.0, z_max=10.0):
-    return em.MediumProfile(
-        lambda z: 1.0 + amp * np.tanh(np.asarray(z, dtype=float)),
-        lambda z: np.ones_like(np.asarray(z, dtype=float)),
-        z_min, z_max,
-    )
-
-
 def test_optical_path_vacuum():
     prof = em.vacuum()
     for z in (-3.0, 0.0, 2.5):
@@ -88,7 +80,7 @@ def test_optical_path_domain_guard():
 
 
 def test_invert_u_round_trip():
-    prof = tanh_profile()
+    prof = em.tanh_medium()
     for s in (-4.0, 0.3, 5.5):
         z = invert_u(prof, s)
         assert optical_path(prof, z) == pytest.approx(s, abs=1e-10)
@@ -114,8 +106,8 @@ def test_path_table_matches_quadrature_oracle(name, tol):
     z_s = np.linspace(-5.0, 5.0, 200)
     prof = {
         "constant": em.constant_medium(4.0, 1.0),
-        "tanh": tanh_profile(0.1),
-        "tanh_steep": tanh_profile(0.3),
+        "tanh": em.tanh_medium(amp=0.1),
+        "tanh_steep": em.tanh_medium(amp=0.3),
         "sampled": em.sampled_profile(z_s, 1.0 + 0.1 * np.tanh(z_s), np.ones_like(z_s)),
     }[name]
     table = em._PathTable(prof)
@@ -167,7 +159,7 @@ def test_constant_medium_pulse_speed():
 
 
 def test_wave_operator_eps_pseudo_hermitian():
-    prof = tanh_profile(0.3)
+    prof = em.tanh_medium(amp=0.3)
     z = np.linspace(-8, 8, 300)
     omega2 = em.wave_operator(prof, z)
     eps = prof.eps_at(z)
@@ -196,7 +188,7 @@ def test_fdtd_standing_mode():
 
 
 def test_fdtd_convergence_order_two():
-    prof = tanh_profile(0.1)
+    prof = em.tanh_medium(amp=0.1)
     init = em.gaussian_pulse(-2.0, 0.5)
     t_end = 1.0
     errors = []
@@ -216,7 +208,7 @@ def test_fdtd_cfl_guard():
 
 
 def test_closed_form_matches_fdtd_on_slow_profile():
-    prof = tanh_profile(0.1)
+    prof = em.tanh_medium(amp=0.1)
     init = em.gaussian_pulse(-3.0, 0.45)
     assert prof.slow_variation_diagnostic(0.45) < 0.05
     t_end = 2.0
@@ -228,7 +220,7 @@ def test_closed_form_matches_fdtd_on_slow_profile():
 
 def test_time_reversal():
     # forward snapshot (E, E_dot) propagated with -t recovers the pulse
-    prof = tanh_profile(0.1)
+    prof = em.tanh_medium(amp=0.1)
     init = em.gaussian_pulse(-2.0, 0.6)
     z = np.linspace(-8.0, 8.0, 401)
     t = 1.5
@@ -250,7 +242,7 @@ def test_time_reversal():
 def test_sampled_profile_interpolation():
     z = np.linspace(-5, 5, 200)
     prof = em.sampled_profile(z, 1.0 + 0.1 * np.tanh(z), np.ones_like(z))
-    analytic = tanh_profile(0.1, -5, 5)
+    analytic = em.tanh_medium(amp=0.1, z_min=-5.0, z_max=5.0)
     zz = np.linspace(-4, 4, 50)
     np.testing.assert_allclose(prof.eps_at(zz), analytic.eps_at(zz), atol=1e-4)
     assert optical_path(prof, 3.0) == pytest.approx(

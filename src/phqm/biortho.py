@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DefectiveOperatorError
 from .linalg import EigenDecomposition, dagger
 
-PAIR_TOL = 1e-8
+PAIR_TOL = 1e-8          # |Im a| / scale below which an eigenvalue counts as real
+DEGENERACY_TOL = 1e-10   # |a_m - a_n| / scale below which a block is orthonormalized
 
 
 @dataclass(frozen=True)
@@ -115,20 +116,16 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
     return psis
 
 
-def biorthonormal_extension(
-    eig: EigenDecomposition,
-    real_tol: float = PAIR_TOL,
-    degeneracy_tol: float = 1e-10,
-) -> BiorthonormalSystem:
+def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
     """Extend right eigenvectors to a complete biorthonormal system."""
     if not eig.diagonalizable:
         raise DefectiveOperatorError("cannot extend a defective eigendecomposition")
     values = eig.values.copy()
-    psis = _orthonormalize_degenerate_blocks(values, eig.right_vectors, degeneracy_tol)
-    return from_right_vectors(values, psis, real_tol)
+    psis = _orthonormalize_degenerate_blocks(values, eig.right_vectors, DEGENERACY_TOL)
+    return from_right_vectors(values, psis)
 
 
-def from_right_vectors(values, psis, real_tol: float = PAIR_TOL) -> BiorthonormalSystem:
+def from_right_vectors(values, psis) -> BiorthonormalSystem:
     """Build a system from explicitly normalized right eigenvectors.
 
     Used by model constructors that fix the normalization constants c_n
@@ -138,8 +135,8 @@ def from_right_vectors(values, psis, real_tol: float = PAIR_TOL) -> Biorthonorma
     psis = np.asarray(psis, dtype=complex)
     phis = dagger(np.linalg.inv(psis))
     scale = max(1.0, float(np.max(np.abs(values))))
-    real_mask = np.abs(values.imag) <= real_tol * scale
-    partner = _match_conjugate_pairs(values, real_mask, real_tol)
+    real_mask = np.abs(values.imag) <= PAIR_TOL * scale
+    partner = _match_conjugate_pairs(values, real_mask, PAIR_TOL)
     return BiorthonormalSystem(values, psis, phis, real_mask, partner)
 
 

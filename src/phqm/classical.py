@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DegenerateStructureError, StepOverflowError
 
 OVERFLOW_GUARD = 1e12
+CR_TOL = 1e-4          # Cauchy-Riemann residual / |V| that real_hamiltonians accepts
+FD_STEP = 1e-5         # central-difference step of brackets, Cauchy-Riemann and Jacobian checks
+GRADIENT_STEP = 1e-6   # central-difference step of symmetry_flow
 
 J_STANDARD = np.array(
     [
@@ -117,16 +120,16 @@ def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
     return Trajectory(np.array(times), np.array(zs), np.array(ps))
 
 
-def _gradient(func, w: np.ndarray, h: float):
+def _gradient(func, w: np.ndarray):
     grad = np.empty(4, dtype=complex)
     for j in range(4):
         e = np.zeros(4)
-        e[j] = h
-        grad[j] = (func(w + e) - func(w - e)) / (2.0 * h)
+        e[j] = FD_STEP
+        grad[j] = (func(w + e) - func(w - e)) / (2.0 * FD_STEP)
     return grad
 
 
-def bracket(params: SymplecticParams, func_a, func_b, pt, h: float = 1e-5):
+def bracket(params: SymplecticParams, func_a, func_b, pt):
     """Generalized bracket sum_jk J_jk dA/dw_j dB/dw_k by central differences.
 
     Functions take the real 4-vector w = (x, p, y, q) and may return
@@ -134,16 +137,16 @@ def bracket(params: SymplecticParams, func_a, func_b, pt, h: float = 1e-5):
     """
     J = params.matrix()
     w = np.asarray(pt, dtype=float)
-    ga = _gradient(func_a, w, h)
-    gb = _gradient(func_b, w, h)
+    ga = _gradient(func_a, w)
+    gb = _gradient(func_b, w)
     return complex(ga @ J @ gb)
 
 
-def standard_bracket(func_a, func_b, pt, h: float = 1e-5):
+def standard_bracket(func_a, func_b, pt):
     """Standard Poisson bracket on R^4 (pairs (x, p) and (y, q))."""
     w = np.asarray(pt, dtype=float)
-    ga = _gradient(func_a, w, h)
-    gb = _gradient(func_b, w, h)
+    ga = _gradient(func_a, w)
+    gb = _gradient(func_b, w)
     return complex(ga @ J_STANDARD @ gb)
 
 
@@ -162,9 +165,9 @@ def phase_functions(potential, m: float):
     return z_of, p_of, h_of
 
 
-def cauchy_riemann_residual(potential, z: complex, h: float = 1e-5) -> float:
+def cauchy_riemann_residual(potential, z: complex) -> float:
     """Max finite-difference violation of the Cauchy-Riemann conditions."""
-    x, y = z.real, z.imag
+    x, y, h = z.real, z.imag, FD_STEP
 
     def vr(xx, yy):
         return potential(xx + 1j * yy).real
@@ -179,8 +182,7 @@ def cauchy_riemann_residual(potential, z: complex, h: float = 1e-5) -> float:
     return max(abs(vr_x - vi_y), abs(vr_y + vi_x))
 
 
-def real_hamiltonians(potential, pt: DarbouxPoint, m: float,
-                      cr_tol: float = 1e-4) -> dict:
+def real_hamiltonians(potential, pt: DarbouxPoint, m: float) -> dict:
     """K = 2 Re(h) and the integral of motion H_i = Im(h) at a Darboux point.
 
     Evaluated at the corresponding complex phase-space point
@@ -190,7 +192,7 @@ def real_hamiltonians(potential, pt: DarbouxPoint, m: float,
     cpt = pt.to_complex()
     cr = cauchy_riemann_residual(potential, cpt.z)
     scale = max(abs(potential(cpt.z)), 1.0)
-    if cr > cr_tol * scale:
+    if cr > CR_TOL * scale:
         raise ValueError(
             f"potential fails the Cauchy-Riemann check at {cpt.z} (residual {cr:.2e})"
         )
@@ -198,7 +200,7 @@ def real_hamiltonians(potential, pt: DarbouxPoint, m: float,
     return {"K": 2.0 * h_val.real, "H_i": h_val.imag}
 
 
-def integrability_report(potential, points, m: float, fd_step: float = 1e-5) -> dict:
+def integrability_report(potential, points, m: float) -> dict:
     """Report (not assert) functional independence of K and H_i.
 
     The Jacobian of (K, H_i) is sampled at the given Darboux points; rank
@@ -211,17 +213,16 @@ def integrability_report(potential, points, m: float, fd_step: float = 1e-5) -> 
         jac = np.zeros((2, 4))
         for j in range(4):
             e = np.zeros(4)
-            e[j] = fd_step
+            e[j] = FD_STEP
             up = real_hamiltonians(potential, DarbouxPoint(*(w + e)), m)
             dn = real_hamiltonians(potential, DarbouxPoint(*(w - e)), m)
-            jac[0, j] = (up["K"] - dn["K"]) / (2 * fd_step)
-            jac[1, j] = (up["H_i"] - dn["H_i"]) / (2 * fd_step)
+            jac[0, j] = (up["K"] - dn["K"]) / (2 * FD_STEP)
+            jac[1, j] = (up["H_i"] - dn["H_i"]) / (2 * FD_STEP)
         ranks.append(int(np.linalg.matrix_rank(jac, tol=1e-8)))
     return {"ranks": ranks, "independent_everywhere": all(r == 2 for r in ranks)}
 
 
-def symmetry_flow(potential, pt: DarbouxPoint, xi: float, m: float,
-                  fd_step: float = 1e-6) -> DarbouxPoint:
+def symmetry_flow(potential, pt: DarbouxPoint, xi: float, m: float) -> DarbouxPoint:
     """One explicit-Euler step of the H_i-generated flow.
 
     delta x1 = xi x2 / 2m, delta p2 = -xi p1 / 2m, and the V_r-gradient
@@ -232,8 +233,9 @@ def symmetry_flow(potential, pt: DarbouxPoint, xi: float, m: float,
         z = (x1 + 1j * p2) / np.sqrt(2.0)
         return potential(z).real
 
-    dvr_dx1 = (vr_tilde(pt.x1 + fd_step, pt.p2) - vr_tilde(pt.x1 - fd_step, pt.p2)) / (2 * fd_step)
-    dvr_dp2 = (vr_tilde(pt.x1, pt.p2 + fd_step) - vr_tilde(pt.x1, pt.p2 - fd_step)) / (2 * fd_step)
+    h = GRADIENT_STEP
+    dvr_dx1 = (vr_tilde(pt.x1 + h, pt.p2) - vr_tilde(pt.x1 - h, pt.p2)) / (2 * h)
+    dvr_dp2 = (vr_tilde(pt.x1, pt.p2 + h) - vr_tilde(pt.x1, pt.p2 - h)) / (2 * h)
     return DarbouxPoint(
         pt.x1 + xi * pt.x2 / (2.0 * m),
         pt.p1 + xi * dvr_dp2,

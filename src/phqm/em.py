@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import CFLViolationError, OutOfDomainError
 
+DIAGNOSTIC_SAMPLES = 400  # points of the slow-variation scan
+TABLE_POINTS = 20001      # nodes of the optical-path and E0_dot antiderivative tables
+
 
 @dataclass(frozen=True)
 class MediumProfile:
@@ -39,10 +42,10 @@ class MediumProfile:
         """sqrt(eps mu), the inverse local speed."""
         return np.sqrt(self.eps_at(z) * self.mu_at(z))
 
-    def slow_variation_diagnostic(self, scale: float, n_samples: int = 400) -> float:
+    def slow_variation_diagnostic(self, scale: float) -> float:
         """max |eps'| * scale / eps over the domain (finite differences)."""
-        z = np.linspace(self.z_min, self.z_max, n_samples)
-        h = (self.z_max - self.z_min) / (4 * n_samples)
+        z = np.linspace(self.z_min, self.z_max, DIAGNOSTIC_SAMPLES)
+        h = (self.z_max - self.z_min) / (4 * DIAGNOSTIC_SAMPLES)
         deriv = (self.eps_at(z + h) - self.eps_at(z - h)) / (2 * h)
         return float(np.max(np.abs(deriv) * scale / self.eps_at(z)))
 
@@ -98,7 +101,17 @@ def gaussian_pulse(center: float = 0.0, width: float = 0.5,
     def e0(z):
         return amplitude * np.exp(-((np.asarray(z) - center) ** 2) / (2.0 * width**2))
 
-    return InitialFields(e0, lambda z: np.zeros_like(np.asarray(z, dtype=float)), width)
+    return InitialFields(e0, _flat(0.0), width)
+
+
+def _antiderivative(f, lo: float, hi: float):
+    """Grid on [lo, hi], f on it, and int_lo^z f at each grid point by
+    cumulative Simpson with f sampled at the panel midpoints."""
+    z = np.linspace(lo, hi, TABLE_POINTS)
+    fz = np.asarray(f(z), dtype=float)
+    dz = z[1] - z[0]
+    mid = np.asarray(f(z[:-1] + 0.5 * dz), dtype=float)
+    return z, fz, np.concatenate(([0.0], np.cumsum((fz[:-1] + 4.0 * mid + fz[1:]) * dz / 6.0)))
 
 
 class _PathTable:
@@ -109,24 +122,15 @@ class _PathTable:
     below the WKB error for smooth ones.
     """
 
-    def __init__(self, profile: MediumProfile, n: int = 20001):
+    def __init__(self, profile: MediumProfile):
         self.profile = profile
-        z = np.linspace(profile.z_min, profile.z_max, n)
-        idx = np.asarray(profile.index(z), dtype=float)
+        z, idx, fine = _antiderivative(profile.index, profile.z_min, profile.z_max)
         dz = z[1] - z[0]
         coarse = np.concatenate(([0.0], np.cumsum(0.5 * (idx[1:] + idx[:-1]) * dz)))
-        mid = np.asarray(profile.index(z[:-1] + 0.5 * dz), dtype=float)
-        fine = np.concatenate(
-            ([0.0], np.cumsum((idx[:-1] + 4.0 * mid + idx[1:]) * dz / 6.0))
-        )
         u = fine + (fine - coarse) / 15.0
-        if profile.z_min <= 0.0 <= profile.z_max:
-            offset = float(np.interp(0.0, z, u))
-        elif profile.z_min > 0.0:
-            # constant extension back to the origin
-            offset = -profile.z_min * float(profile.index(profile.z_min))
-        else:
-            offset = u[-1] - profile.z_max * float(profile.index(profile.z_max))
+        # u(0) = 0, with the medium continued to the origin by its boundary value
+        z0 = min(max(0.0, profile.z_min), profile.z_max)
+        offset = float(np.interp(z0, z, u)) - z0 * float(profile.index(z0))
         self.z = z
         self.u = u - offset
         self.u_min = float(self.u[0])
@@ -157,7 +161,9 @@ def propagate(profile: MediumProfile, init: InitialFields, z, t: float,
 
     Quarter-power impedance factors multiply the two translated initial
     pulses, plus the mu^{1/4} eps^{3/4}-weighted integral of E0_dot
-    between the characteristics w_-(z,t) and w_+(z,t).
+    between the characteristics w_-(z,t) and w_+(z,t).  Outside the domain
+    that integrand continues with the boundary medium values, as the
+    profile does.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < profile.z_min) or np.any(z_arr > profile.z_max):
@@ -169,40 +175,20 @@ def propagate(profile: MediumProfile, init: InitialFields, z, t: float,
     local = (np.asarray(profile.mu_at(z_arr)) / np.asarray(profile.eps_at(z_arr))) ** 0.25
     left = (np.asarray(profile.eps_at(w_minus)) / np.asarray(profile.mu_at(w_minus))) ** 0.25
     right = (np.asarray(profile.eps_at(w_plus)) / np.asarray(profile.mu_at(w_plus))) ** 0.25
-    dot_terms = _cumulative(profile, init, w_plus) - _cumulative(profile, init, w_minus)
+
+    def weighted_dot(w):
+        return (np.asarray(profile.mu_at(w)) ** 0.25 * np.asarray(profile.eps_at(w)) ** 0.75
+                * np.asarray(init.E0_dot(w)))
+
+    # one table from the lowest characteristic foot, so both ends share its origin
+    feet = np.concatenate((w_minus, w_plus))
+    grid, _, dot = _antiderivative(weighted_dot, min(float(feet.min()), profile.z_min),
+                                   max(float(feet.max()), profile.z_max))
+    dot_terms = np.interp(w_plus, grid, dot) - np.interp(w_minus, grid, dot)
     out = 0.5 * local * (
         left * np.asarray(init.E0(w_minus)) + right * np.asarray(init.E0(w_plus)) + dot_terms
     )
     return out if np.ndim(z) else float(out[0])
-
-
-def _cumulative(profile: MediumProfile, init: InitialFields, w, n: int = 20001):
-    """Antiderivative of mu^{1/4} eps^{3/4} E0_dot, tabulated once.
-
-    Outside the domain the integrand continues with the boundary medium
-    values (consistent with the constant profile extension).
-    """
-    w = np.asarray(w, dtype=float)
-    lo = min(float(np.min(w)), profile.z_min)
-    hi = max(float(np.max(w)), profile.z_max)
-    grid = np.linspace(lo, hi, n)
-    f = (
-        np.asarray(profile.mu_at(grid)) ** 0.25
-        * np.asarray(profile.eps_at(grid)) ** 0.75
-        * np.asarray(init.E0_dot(grid))
-    )
-    if not np.any(f):
-        return np.zeros_like(w)
-    dz = grid[1] - grid[0]
-    mid = (
-        np.asarray(profile.mu_at(grid[:-1] + 0.5 * dz)) ** 0.25
-        * np.asarray(profile.eps_at(grid[:-1] + 0.5 * dz)) ** 0.75
-        * np.asarray(init.E0_dot(grid[:-1] + 0.5 * dz))
-    )
-    simpson = np.concatenate(
-        ([0.0], np.cumsum((f[:-1] + 4.0 * mid + f[1:]) * dz / 6.0))
-    )
-    return np.interp(w, grid, simpson)
 
 
 def wave_operator(profile: MediumProfile, z: np.ndarray) -> np.ndarray:
@@ -226,14 +212,13 @@ def wave_operator(profile: MediumProfile, z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FdtdResult:
     z: np.ndarray
-    times: np.ndarray
-    fields: np.ndarray          # shape (len(times), len(z))
+    field: np.ndarray           # E(z, t_end)
 
 
 def fdtd_oracle(profile: MediumProfile, init: InitialFields, t_end: float,
-                n: int = 2000, cfl: float = 0.5,
-                n_snapshots: int = 2, boundary: str = "clamped") -> FdtdResult:
-    """Second-order leapfrog integration of E_tt + Omega^2 E = 0.
+                n: int = 2000, cfl: float = 0.5) -> FdtdResult:
+    """Second-order leapfrog integration of E_tt + Omega^2 E = 0 between
+    clamped walls, returning the field at t_end.
 
     Time step dt = cfl * dz * min(sqrt(eps mu)); cfl must not exceed the
     stability bound 1.
@@ -264,29 +249,8 @@ def fdtd_oracle(profile: MediumProfile, init: InitialFields, t_end: float,
         + dt * np.asarray(init.E0_dot(z), dtype=float)
         - 0.5 * dt**2 * apply_omega2(e_prev)
     )
-    if boundary == "clamped":
+    e_curr[0] = e_curr[-1] = 0.0
+    for _ in range(2, n_steps + 1):
+        e_prev, e_curr = e_curr, 2.0 * e_curr - e_prev - dt**2 * apply_omega2(e_curr)
         e_curr[0] = e_curr[-1] = 0.0
-
-    snap_steps = set(np.unique(np.linspace(0, n_steps, n_snapshots).round().astype(int)))
-    snaps = {0: e_prev.copy()}
-    if 1 in snap_steps or n_steps == 1:
-        snaps[1] = e_curr.copy()
-    for step in range(2, n_steps + 1):
-        e_next = 2.0 * e_curr - e_prev - dt**2 * apply_omega2(e_curr)
-        if boundary == "clamped":
-            e_next[0] = e_next[-1] = 0.0
-        elif boundary == "mur":
-            c0 = 1.0 / float(profile.index(z[0]))
-            c1 = 1.0 / float(profile.index(z[-1]))
-            k0 = (c0 * dt - dz) / (c0 * dt + dz)
-            k1 = (c1 * dt - dz) / (c1 * dt + dz)
-            e_next[0] = e_curr[1] + k0 * (e_next[1] - e_curr[0])
-            e_next[-1] = e_curr[-2] + k1 * (e_next[-2] - e_curr[-1])
-        else:
-            raise ValueError(f"unknown boundary {boundary!r}")
-        e_prev, e_curr = e_curr, e_next
-        if step in snap_steps or step == n_steps:
-            snaps[step] = e_curr.copy()
-    times = np.array(sorted(snaps)) * dt
-    fields = np.vstack([snaps[k] for k in sorted(snaps)])
-    return FdtdResult(z, times, fields)
+    return FdtdResult(z, e_curr)

@@ -99,18 +99,13 @@ class EigenDecomposition:
         return len(self.values)
 
 
-def eig_nonhermitian(
-    a,
-    tol: float = DEFAULT_TOL,
-    condition_threshold: float = CONDITION_THRESHOLD,
-    check: bool = True,
-) -> EigenDecomposition:
+def eig_nonhermitian(a, tol: float = DEFAULT_TOL, check: bool = True) -> EigenDecomposition:
     """Eigendecomposition of a general complex matrix.
 
     Raises DefectiveOperatorError when the eigenvector matrix condition
-    number exceeds ``condition_threshold`` (a numerical exceptional
-    point), unless ``check`` is False in which case the flag is recorded
-    on the result instead.
+    number exceeds CONDITION_THRESHOLD (a numerical exceptional point),
+    unless ``check`` is False in which case the flag is recorded on the
+    result instead.
     """
     m = as_matrix(a)
     values, vectors = np.linalg.eig(m)
@@ -119,11 +114,11 @@ def eig_nonhermitian(
     vectors = fix_phases(vectors[:, order])
 
     condition = float(np.linalg.cond(vectors))
-    diagonalizable = bool(np.isfinite(condition) and condition < condition_threshold)
+    diagonalizable = bool(np.isfinite(condition) and condition < CONDITION_THRESHOLD)
     if check and not diagonalizable:
         raise DefectiveOperatorError(
             f"eigenvector matrix condition {condition:.3e} exceeds "
-            f"threshold {condition_threshold:.1e}"
+            f"threshold {CONDITION_THRESHOLD:.1e}"
         )
 
     if diagonalizable:

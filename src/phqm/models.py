@@ -489,6 +489,9 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
 # first-order kernel metrics (square well / barrier / delta)
 # ----------------------------------------------------------------------
 
+KG_EXCLUSION = 3.5  # grid spacings klein_gordon_residual leaves out around each kink
+
+
 @dataclass(frozen=True)
 class KernelPotentialSpec:
     """Imaginary-coupling potential with a first-order metric kernel.
@@ -691,13 +694,12 @@ def kernel_metric(
     return KernelMetricResult(eta_full, H_full, x, report)
 
 
-def klein_gordon_residual(spec: KernelPotentialSpec, grid: KernelGrid,
-                          exclusion: float = 3.5) -> float:
+def klein_gordon_residual(spec: KernelPotentialSpec, grid: KernelGrid) -> float:
     """Max |(-d_x^2 + d_y^2 + mu^2) eta(x,y)| away from kernel kinks.
 
     mu^2(x, y) = 2m/hbar^2 (v(x)* - v(y)); kink lines (x = +-y, the
     potential edges and delta axes) are excluded with a band of
-    ``exclusion`` grid spacings.
+    KG_EXCLUSION grid spacings.
     """
     x = grid.points()
     dx = grid.dx
@@ -711,7 +713,7 @@ def klein_gordon_residual(spec: KernelPotentialSpec, grid: KernelGrid,
 
     xx = x[:, None]
     yy = x[None, :]
-    band = exclusion * dx
+    band = KG_EXCLUSION * dx
     mask = (np.abs(xx - yy) > band) & (np.abs(xx + yy) > band)
     if spec.kind in ("square_well", "barrier"):
         L = spec.length

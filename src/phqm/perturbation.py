@@ -70,7 +70,7 @@ class QSeries:
         return total
 
 
-def solve_commutator(h0, r, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+def solve_commutator(h0, r) -> np.ndarray:
     """Solve [H0, Q] = R for Hermitian H0 in its eigenbasis.
 
     Q_mn = R_mn / (E_m - E_n) off degenerate blocks; Q is set to zero on
@@ -85,7 +85,7 @@ def solve_commutator(h0, r, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarra
     scale = max(float(np.max(np.abs(energies))), 1.0)
     r_tilde = np.conj(basis.T) @ R @ basis
     gaps = energies[:, None] - energies[None, :]
-    degenerate = np.abs(gaps) <= degeneracy_tol * scale
+    degenerate = np.abs(gaps) <= DEGENERACY_TOL * scale
 
     r_scale = max(opnorm(R), 1e-300)
     blocked = np.abs(r_tilde[degenerate])

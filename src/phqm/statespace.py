@@ -19,6 +19,8 @@ from .errors import (
 from .linalg import as_matrix, eig_nonhermitian
 from .metric import MetricOperator
 
+ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
+
 
 def _eta_matrix(eta, dim: int) -> np.ndarray:
     if eta is None:
@@ -147,11 +149,8 @@ class OptimalEvolution:
     distance: float
 
 
-def optimal_hamiltonian(
-    prob: BrachistochroneProblem,
-    antipodal_tol: float = 1e-12,
-    relative_phase: float = 0.0,
-) -> OptimalEvolution:
+def optimal_hamiltonian(prob: BrachistochroneProblem,
+                        relative_phase: float = 0.0) -> OptimalEvolution:
     """Traceless Hamiltonian with eigenvalues +-E evolving psi_i -> psi_f
     along a geodesic in the minimal time tau_min = hbar * s / E.
 
@@ -168,10 +167,10 @@ def optimal_hamiltonian(
     q = complex(np.conj(ui) @ eta_m @ uf)
     cos_s = min(abs(q), 1.0)
     s = float(np.arccos(cos_s))
-    if s <= antipodal_tol:
+    if s <= ANTIPODAL_TOL:
         raise IdenticalStatesError("initial and final states coincide")
 
-    if abs(q) < antipodal_tol:
+    if abs(q) < ANTIPODAL_TOL:
         uf_hat = np.exp(1j * relative_phase) * uf
     else:
         uf_hat = uf * (abs(q) / q)       # make <ui|eta uf_hat> real positive
@@ -210,12 +209,11 @@ def three_stage_switching_demo(psi_i, psi_f, energy: float, k1: float,
     }
 
 
-def evolve(h_op, psi0, t, hbar: float = 1.0, eta=None) -> np.ndarray:
+def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
     """psi(t) = exp(-i t H / hbar) psi0 through the eigendecomposition.
 
-    When eta is supplied the (conserved, for pseudo-Hermitian H) eta-norm
-    of the result is returned implicitly via the state; conservation is a
-    property of the dynamics, not enforced here.
+    No norm is imposed: for a pseudo-Hermitian H the eta-norm is conserved
+    by the dynamics alone.
     """
     H = as_matrix(h_op)
     v = _vector(psi0)

@@ -318,7 +318,7 @@ def test_criterion_10_em():
     oracle = em.fdtd_oracle(prof_s, pulse_s, 2.0, n=3000)
     closed = em.propagate(prof_s, pulse_s, oracle.z, 2.0)
     l2 = float(
-        np.linalg.norm(closed - oracle.fields[-1]) / np.linalg.norm(oracle.fields[-1])
+        np.linalg.norm(closed - oracle.field) / np.linalg.norm(oracle.field)
     )
     # eps-pseudo-Hermiticity of the discretized wave operator
     z_op = np.linspace(-10.0, 10.0, 250)

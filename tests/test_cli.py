@@ -310,6 +310,109 @@ def test_invalid_nested_objects_exit_as_input_errors(config, tmp_path, capsys):
     assert "error: invalid scenario" in capsys.readouterr().err
 
 
+CUBIC_FLOW = {"command": "classical", "potential": {"kind": "monomial", "coeff": [0, 1], "power": 3},
+              "z0": [0, 0], "p0": [1, 0], "t_end": 1.0, "dt": 0.01}
+TWO_LEVEL_A = [[[2.5, 0.0], [1.5, 0.0]], [[-1.5, 0.0], [-2.5, 0.0]]]  # eigenvalues +-2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**CUBIC_FLOW, "z0": [None, 0]},
+        {"command": "diagnose", "matrix": [[[None, 0]]]},
+        {**CUBIC_FLOW, "p0": ["0.1", 0]},
+        {**CUBIC_FLOW, "p0": [True, 0]},
+    ],
+    ids=["null-scalar", "null-matrix-entry", "string", "bool"],
+)
+def test_complex_pairs_of_non_numbers_exit_as_input_errors(config, tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert "error: invalid scenario: complex scalar must be a [re, im] pair of numbers" in (
+        capsys.readouterr().err
+    )
+
+
+def _real_matrix(encoded):
+    m = np.array(encoded)
+    assert not np.any(m[..., 1])
+    return m[..., 0]
+
+
+def test_metric_with_sigma_builds_the_indefinite_pseudo_metric():
+    record = cli.run({"command": "metric", "matrix": TWO_LEVEL_A, "sigma": [1, -1]})
+    assert list(record["matrices"]) == ["eta"]
+    assert [r["name"] for r in record["residuals"]] == ["pseudo_hermiticity",
+                                                        "biorthonormal_completeness"]
+    assert record["all_pass"]
+    evals = np.linalg.eigvalsh(_real_matrix(record["matrices"]["eta"]))
+    assert evals[0] < 0 < evals[1]
+
+
+def test_metric_normalize_scales_the_top_eigenvalue_to_one():
+    plain = cli.run({"command": "metric", "matrix": TWO_LEVEL_A})
+    scaled = cli.run({"command": "metric", "matrix": TWO_LEVEL_A, "normalize": True})
+    assert scaled["all_pass"]
+    eta = _real_matrix(plain["matrices"]["eta_plus"])
+    eta_n = _real_matrix(scaled["matrices"]["eta_plus"])
+    top = np.linalg.eigvalsh(eta).max()
+    assert top != pytest.approx(1.0)
+    np.testing.assert_allclose(eta_n, eta / top, atol=1e-14)
+    assert np.linalg.eigvalsh(eta_n).max() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_hermitize_without_eta_uses_the_spectral_metric():
+    record = cli.run({"command": "hermitize", "matrix": TWO_LEVEL_A})
+    assert record["all_pass"]
+    spectral = cli.run({"command": "metric", "matrix": TWO_LEVEL_A})
+    assert record["matrices"]["eta_plus"] == spectral["matrices"]["eta_plus"]
+    h = _real_matrix(record["matrices"]["h"])
+    np.testing.assert_allclose(np.linalg.eigvalsh(h), [-2.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "potential, z_of_t, h_of_zp",
+    [
+        # V = omega^2 z^2 / 2 with omega = 2
+        ({"kind": "harmonic", "omega": 2.0},
+         lambda z0, p0, t: z0 * np.cos(2 * t) + p0 / 2 * np.sin(2 * t),
+         lambda z, p: p**2 / 2 + 2 * z**2),
+        ({"kind": "free"}, lambda z0, p0, t: z0 + p0 * t, lambda z, p: p**2 / 2),
+    ],
+    ids=["harmonic", "free"],
+)
+def test_closed_form_potentials(potential, z_of_t, h_of_zp):
+    z0, p0 = 0.5 + 0.2j, 1.0 - 0.3j
+    record = cli.run({"command": "classical", "potential": potential, "z0": [0.5, 0.2],
+                      "p0": [1.0, -0.3], "t_end": 2.0, "dt": 0.001})
+    assert record["all_pass"]
+    t, re_z, im_z, k, h_i = record["curves"]["trajectory"]["rows"][-1]
+    assert t == pytest.approx(2.0)
+    assert complex(re_z, im_z) == pytest.approx(z_of_t(z0, p0, 2.0), abs=1e-8)
+    h = h_of_zp(z0, p0)
+    assert (k, h_i) == pytest.approx((2 * h.real, h.imag), abs=1e-10)
+
+
+def test_run_tol_overrides_the_scenario_tolerance():
+    config = load("diagnose_two_level.json")
+    default = cli.run(config)
+    loose = cli.run(config, tol=1e-3)
+    assert [r["tolerance"] for r in loose["residuals"]] == [0.1]
+    assert [r["tolerance"] for r in default["residuals"]] != [0.1]
+    assert loose["inputs"] == config
+    assert not cli.run(config, tol=1e-30)["all_pass"]
+
+
+def test_csv_of_a_record_without_curves_exits_as_input_error(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    code = cli.main(["--scenario", os.path.join(SCENARIO_DIR, "metric_identity.json"),
+                     "--out", str(out), "--format", "csv"])
+    assert code == cli.EXIT_INPUT
+    assert "error: record contains no sampled curves" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
 def test_every_committed_scenario_validates(name):
     payload = load(name)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erf
 
 from phqm import em
 from phqm.errors import CFLViolationError, OutOfDomainError, PhqmError
@@ -119,6 +120,19 @@ def test_path_table_matches_quadrature_oracle(name, tol):
     np.testing.assert_allclose(table.inverse(ss, strict=True), z_ref, rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("z_min, z_max", [(1.0, 5.0), (-5.0, -1.0)])
+@pytest.mark.parametrize("eps, mu", [(4.0, 1.0), (2.0, 3.0)])
+def test_path_table_on_a_domain_without_the_origin(z_min, z_max, eps, mu):
+    # u(z) = int_0^z sqrt(eps mu), with the medium extended to the origin
+    prof = em.constant_medium(eps, mu, z_min, z_max)
+    table = em._PathTable(prof)
+    z = np.linspace(z_min, z_max, 41)
+    np.testing.assert_allclose(table.forward(z), np.sqrt(eps * mu) * z, rtol=0, atol=1e-10)
+    inner = z[1:-1]
+    np.testing.assert_allclose(table.inverse(np.sqrt(eps * mu) * inner, strict=True), inner,
+                               rtol=0, atol=1e-10)
+
+
 def test_vacuum_closed_form_is_dalembert():
     # Gaussian E0 and Gaussian-derivative E0_dot give a closed-form
     # d'Alembert solution to compare against
@@ -131,6 +145,23 @@ def test_vacuum_closed_form_is_dalembert():
     # d'Alembert: (E0(z-t) + E0(z+t))/2 + (1/2) [E0-type antiderivative]
     exact = 0.5 * (e0(z - t) + e0(z + t)) + 0.5 * (e0(z + t) - e0(z - t))
     np.testing.assert_allclose(em.propagate(prof, init, z, t), exact, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [3.0, -3.0])
+@pytest.mark.parametrize("center", [-9.5, 9.5])
+def test_initial_velocity_at_an_edge_matches_dalembert(center, t):
+    # E0 = 0 and a Gaussian E0_dot near a wall: the characteristic feet
+    # leave the domain on one side, and d'Alembert gives (G(z+t) - G(z-t))/2
+    # with G the antiderivative of E0_dot
+    sigma = 0.5
+    init = em.InitialFields(
+        lambda z: np.zeros_like(np.asarray(z, dtype=float)),
+        lambda z: np.exp(-((np.asarray(z) - center) ** 2) / (2 * sigma**2)),
+    )
+    antiderivative = lambda z: sigma * np.sqrt(np.pi / 2) * erf((z - center) / (sigma * np.sqrt(2)))
+    z = np.linspace(-10.0, 10.0, 401)
+    exact = 0.5 * (antiderivative(z + t) - antiderivative(z - t))
+    np.testing.assert_allclose(em.propagate(em.vacuum(), init, z, t), exact, rtol=0, atol=1e-6)
 
 
 def test_vacuum_zero_velocity_pulse():
@@ -183,7 +214,7 @@ def test_fdtd_standing_mode():
     t_end = 2.0
     out = em.fdtd_oracle(prof, init, t_end, n=1200)
     exact = np.sin(k * out.z) * np.cos(k * t_end)
-    err = np.linalg.norm(out.fields[-1] - exact) / np.linalg.norm(exact)
+    err = np.linalg.norm(out.field - exact) / np.linalg.norm(exact)
     assert err < 1e-5
 
 
@@ -192,11 +223,11 @@ def test_fdtd_convergence_order_two():
     init = em.gaussian_pulse(-2.0, 0.5)
     t_end = 1.0
     errors = []
-    ref = em.fdtd_oracle(prof, init, t_end, n=6400).fields[-1]
+    ref = em.fdtd_oracle(prof, init, t_end, n=6400).field
     z_ref = np.linspace(prof.z_min, prof.z_max, 6400)
     for n in (800, 1600):
         out = em.fdtd_oracle(prof, init, t_end, n=n)
-        coarse = np.interp(z_ref, out.z, out.fields[-1])
+        coarse = np.interp(z_ref, out.z, out.field)
         errors.append(np.linalg.norm(coarse - ref) / np.linalg.norm(ref))
     order = np.log2(errors[0] / errors[1])
     assert order == pytest.approx(2.0, abs=0.4)
@@ -214,7 +245,7 @@ def test_closed_form_matches_fdtd_on_slow_profile():
     t_end = 2.0
     oracle = em.fdtd_oracle(prof, init, t_end, n=3000)
     closed = em.propagate(prof, init, oracle.z, t_end)
-    err = np.linalg.norm(closed - oracle.fields[-1]) / np.linalg.norm(oracle.fields[-1])
+    err = np.linalg.norm(closed - oracle.field) / np.linalg.norm(oracle.field)
     assert err <= 1e-2
 
 
@@ -254,8 +285,8 @@ def test_fdtd_constant_medium_speed():
     prof = em.constant_medium(4.0, 1.0, -10.0, 10.0)
     init = em.gaussian_pulse(-3.0, 0.4)
     out = em.fdtd_oracle(prof, init, 6.0, n=4000)
-    j = int(np.argmax(out.fields[-1][out.z > -3.0]))
+    j = int(np.argmax(out.field[out.z > -3.0]))
     z_pos = out.z[out.z > -3.0]
-    a, b, c = (out.fields[-1][out.z > -3.0])[j - 1 : j + 2]
+    a, b, c = (out.field[out.z > -3.0])[j - 1 : j + 2]
     peak = z_pos[j] + 0.5 * (a - c) / (a - 2 * b + c) * (z_pos[1] - z_pos[0])
     assert peak == pytest.approx(-3.0 + 6.0 / 2.0, abs=2e-3)

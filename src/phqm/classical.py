@@ -92,10 +92,16 @@ class Trajectory:
 
 def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
          sample_every: int = 1) -> Trajectory:
-    """Fixed-step RK4 integration of m dz/dt = p, dp/dt = -V'(z)."""
+    """RK4 integration of m dz/dt = p, dp/dt = -V'(z) from t = 0 to t_end.
+
+    Takes the fewest equal steps of at most dt (to 1e-9 relative) that end
+    at t_end, backward in time when t_end < 0; t_end = 0 returns the start
+    point alone.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n_steps = int(round(t_end / dt))
+    n_steps = int(np.ceil(abs(t_end) / dt * (1.0 - 1e-9)))
+    h = t_end / max(n_steps, 1)
     z, p = complex(s0.z), complex(s0.p)
     times = [0.0]
     zs = [z]
@@ -106,27 +112,29 @@ def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
 
     for step in range(1, n_steps + 1):
         k1z, k1p = rhs(z, p)
-        k2z, k2p = rhs(z + 0.5 * dt * k1z, p + 0.5 * dt * k1p)
-        k3z, k3p = rhs(z + 0.5 * dt * k2z, p + 0.5 * dt * k2p)
-        k4z, k4p = rhs(z + dt * k3z, p + dt * k3p)
-        z = z + dt * (k1z + 2 * k2z + 2 * k3z + k4z) / 6.0
-        p = p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+        k2z, k2p = rhs(z + 0.5 * h * k1z, p + 0.5 * h * k1p)
+        k3z, k3p = rhs(z + 0.5 * h * k2z, p + 0.5 * h * k2p)
+        k4z, k4p = rhs(z + h * k3z, p + h * k3p)
+        z = z + h * (k1z + 2 * k2z + 2 * k3z + k4z) / 6.0
+        p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         if abs(z) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
             raise StepOverflowError(f"trajectory diverged at step {step}")
         if step % sample_every == 0 or step == n_steps:
-            times.append(step * dt)
+            times.append(step * h)
             zs.append(z)
             ps.append(p)
     return Trajectory(np.array(times), np.array(zs), np.array(ps))
 
 
-def _gradient(func, w: np.ndarray):
-    grad = np.empty(4, dtype=complex)
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = FD_STEP
-        grad[j] = (func(w + e) - func(w - e)) / (2.0 * FD_STEP)
-    return grad
+def _gradient(func, w, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of ``func`` at the real vector ``w``.
+
+    ``func`` takes a real vector of the same length and may return complex
+    values.  Every derivative in this module comes from here.
+    """
+    w = np.asarray(w, dtype=float)
+    return np.array([(func(w + e) - func(w - e)) / (2.0 * step) for e in step * np.eye(len(w))],
+                    dtype=complex)
 
 
 def bracket(params: SymplecticParams, func_a, func_b, pt):
@@ -135,19 +143,12 @@ def bracket(params: SymplecticParams, func_a, func_b, pt):
     Functions take the real 4-vector w = (x, p, y, q) and may return
     complex values.
     """
-    J = params.matrix()
-    w = np.asarray(pt, dtype=float)
-    ga = _gradient(func_a, w)
-    gb = _gradient(func_b, w)
-    return complex(ga @ J @ gb)
+    return complex(_gradient(func_a, pt) @ params.matrix() @ _gradient(func_b, pt))
 
 
 def standard_bracket(func_a, func_b, pt):
     """Standard Poisson bracket on R^4 (pairs (x, p) and (y, q))."""
-    w = np.asarray(pt, dtype=float)
-    ga = _gradient(func_a, w)
-    gb = _gradient(func_b, w)
-    return complex(ga @ J_STANDARD @ gb)
+    return complex(_gradient(func_a, pt) @ J_STANDARD @ _gradient(func_b, pt))
 
 
 def phase_functions(potential, m: float):
@@ -166,20 +167,14 @@ def phase_functions(potential, m: float):
 
 
 def cauchy_riemann_residual(potential, z: complex) -> float:
-    """Max finite-difference violation of the Cauchy-Riemann conditions."""
-    x, y, h = z.real, z.imag, FD_STEP
+    """Max finite-difference violation of the Cauchy-Riemann conditions.
 
-    def vr(xx, yy):
-        return potential(xx + 1j * yy).real
-
-    def vi(xx, yy):
-        return potential(xx + 1j * yy).imag
-
-    vr_x = (vr(x + h, y) - vr(x - h, y)) / (2 * h)
-    vr_y = (vr(x, y + h) - vr(x, y - h)) / (2 * h)
-    vi_x = (vi(x + h, y) - vi(x - h, y)) / (2 * h)
-    vi_y = (vi(x, y + h) - vi(x, y - h)) / (2 * h)
-    return max(abs(vr_x - vi_y), abs(vr_y + vi_x))
+    With V_x, V_y the derivatives of V(x + i y), an analytic V has
+    V_y = i V_x.
+    """
+    # as a Python complex the difference divides by the real step exactly
+    v_x, v_y = _gradient(lambda w: complex(potential(w[0] + 1j * w[1])), (z.real, z.imag))
+    return max(abs(v_x.real - v_y.imag), abs(v_y.real + v_x.imag))
 
 
 def real_hamiltonians(potential, pt: DarbouxPoint, m: float) -> dict:
@@ -207,18 +202,15 @@ def integrability_report(potential, points, m: float) -> dict:
     2 everywhere is the generic integrable situation, degenerate
     potentials may lose it.
     """
+
+    def k_plus_i_hi(w):
+        vals = real_hamiltonians(potential, DarbouxPoint(*w), m)
+        return complex(vals["K"], vals["H_i"])
+
     ranks = []
     for pt in points:
-        w = pt.as_array() if isinstance(pt, DarbouxPoint) else np.asarray(pt, dtype=float)
-        jac = np.zeros((2, 4))
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = FD_STEP
-            up = real_hamiltonians(potential, DarbouxPoint(*(w + e)), m)
-            dn = real_hamiltonians(potential, DarbouxPoint(*(w - e)), m)
-            jac[0, j] = (up["K"] - dn["K"]) / (2 * FD_STEP)
-            jac[1, j] = (up["H_i"] - dn["H_i"]) / (2 * FD_STEP)
-        ranks.append(int(np.linalg.matrix_rank(jac, tol=1e-8)))
+        grad = _gradient(k_plus_i_hi, pt.as_array() if isinstance(pt, DarbouxPoint) else pt)
+        ranks.append(int(np.linalg.matrix_rank(np.array([grad.real, grad.imag]), tol=1e-8)))
     return {"ranks": ranks, "independent_everywhere": all(r == 2 for r in ranks)}
 
 
@@ -229,13 +221,10 @@ def symmetry_flow(potential, pt: DarbouxPoint, xi: float, m: float) -> DarbouxPo
     terms for x2, p1; K and H_i are invariant to O(xi^2).
     """
 
-    def vr_tilde(x1, p2):
-        z = (x1 + 1j * p2) / np.sqrt(2.0)
-        return potential(z).real
+    def vr_tilde(w):
+        return potential((w[0] + 1j * w[1]) / np.sqrt(2.0)).real
 
-    h = GRADIENT_STEP
-    dvr_dx1 = (vr_tilde(pt.x1 + h, pt.p2) - vr_tilde(pt.x1 - h, pt.p2)) / (2 * h)
-    dvr_dp2 = (vr_tilde(pt.x1, pt.p2 + h) - vr_tilde(pt.x1, pt.p2 - h)) / (2 * h)
+    dvr_dx1, dvr_dp2 = _gradient(vr_tilde, (pt.x1, pt.p2), GRADIENT_STEP).real
     return DarbouxPoint(
         pt.x1 + xi * pt.x2 / (2.0 * m),
         pt.p1 + xi * dvr_dp2,

@@ -249,10 +249,9 @@ def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
     out.gate("fidelity_deficit", 1.0 - fidelity, 1e-8)
     de = statespace.energy_uncertainty(opt.H_star, psi_I, eta)
     out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, max(tol, 1e-9))
-    rows = []
-    for t in np.linspace(0.0, opt.tau_min, 33):
-        psi_t = statespace.evolve(opt.H_star, psi_I, t, prob.hbar)
-        rows.append([t, statespace.projective_fidelity(psi_t, psi_F, eta)])
+    times = np.linspace(0.0, opt.tau_min, 33)
+    states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
+    rows = [[t, statespace.projective_fidelity(psi_t, psi_F, eta)] for t, psi_t in zip(times, states)]
     out.curves["trajectory"] = {"columns": ["t", "fidelity"], "rows": rows}
 
 

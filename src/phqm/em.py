@@ -221,7 +221,8 @@ def fdtd_oracle(profile: MediumProfile, init: InitialFields, t_end: float,
     clamped walls, returning the field at t_end.
 
     Time step dt = cfl * dz * min(sqrt(eps mu)); cfl must not exceed the
-    stability bound 1.
+    stability bound 1.  For t_end < 0 the steps are negative and leapfrog
+    runs backward in time.
     """
     if cfl > 1.0 or cfl <= 0.0:
         raise CFLViolationError(f"cfl = {cfl} outside (0, 1]")
@@ -229,7 +230,7 @@ def fdtd_oracle(profile: MediumProfile, init: InitialFields, t_end: float,
     dz = z[1] - z[0]
     v_max = float(np.max(1.0 / profile.index(z)))
     dt = cfl * dz / v_max
-    n_steps = max(1, int(np.ceil(t_end / dt)))
+    n_steps = max(1, int(np.ceil(abs(t_end) / dt)))
     dt = t_end / n_steps
 
     inv_mu = 1.0 / np.asarray(profile.mu_at(z[:-1] + 0.5 * dz), dtype=float)

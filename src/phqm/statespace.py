@@ -210,17 +210,19 @@ def three_stage_switching_demo(psi_i, psi_f, energy: float, k1: float,
 
 
 def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
-    """psi(t) = exp(-i t H / hbar) psi0 through the eigendecomposition.
+    """psi(t) = exp(-i t H / hbar) psi0 through one eigendecomposition.
 
-    No norm is imposed: for a pseudo-Hermitian H the eta-norm is conserved
-    by the dynamics alone.
+    ``t`` is a time or an array of times; the result is psi(t) with the
+    times' shape in front of the state's, so one row per time for a 1-D
+    ``t``.  No norm is imposed: for a pseudo-Hermitian H the eta-norm is
+    conserved by the dynamics alone.
     """
     H = as_matrix(h_op)
     v = _vector(psi0)
     dec = eig_nonhermitian(H, check=True)
     coeff = np.linalg.solve(dec.right_vectors, v)
-    phases = np.exp(-1j * np.asarray(t) * dec.values / hbar)
-    return dec.right_vectors @ (phases * coeff)
+    phases = np.exp(-1j * np.multiply.outer(t, dec.values) / hbar)
+    return (phases * coeff) @ dec.right_vectors.T
 
 
 def projective_fidelity(psi, target, eta=None) -> float:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from phqm import classical
 from phqm.classical import (
+    FD_STEP,
+    GRADIENT_STEP,
     J_STANDARD,
     ComplexPhasePoint,
     DarbouxPoint,
@@ -9,6 +12,7 @@ from phqm.classical import (
     bracket,
     cauchy_riemann_residual,
     flow,
+    integrability_report,
     phase_functions,
     real_hamiltonians,
     standard_bracket,
@@ -48,6 +52,48 @@ def test_cubic_conservation_along_flow():
     h_vals = traj.p**2 / 2.0 + cubic(traj.z)
     assert np.max(np.abs(h_vals.imag)) <= 1e-8
     assert np.ptp(h_vals.real) <= 1e-8
+
+
+def test_flow_ends_at_t_end_in_steps_of_at_most_dt():
+    # 1.0 is no whole number of 0.3 steps: four steps of 0.25, not three of 0.3
+    traj = flow(lambda z: z, 1.0, ComplexPhasePoint(1.0, 0.0), 1.0, 0.3)
+    np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(traj.z[-1], np.cos(1.0), atol=1e-3)
+
+
+def test_flow_step_count_tolerates_rounding_of_t_end_over_dt():
+    # 3 * 0.1 / 0.1 evaluates to 3.0000000000000004: three steps, not four
+    t_end = 3 * 0.1
+    assert t_end / 0.1 > 3.0
+    traj = flow(lambda z: z, 1.0, ComplexPhasePoint(1.0, 0.0), t_end, 0.1)
+    np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, t_end], rtol=0.0, atol=1e-15)
+
+
+def test_flow_keeps_dt_when_it_divides_t_end():
+    traj = flow(cubic_prime, 1.0, ComplexPhasePoint(0.0, 1.0), 3.0, 1e-3, sample_every=50)
+    assert len(traj.times) == 61
+    np.testing.assert_array_equal(traj.times, np.arange(0, 3001, 50) * 1e-3)
+
+
+def test_harmonic_flow_runs_backward_to_negative_t_end():
+    traj = flow(lambda z: z, 1.0, ComplexPhasePoint(1.0, 0.0), -1.0, 1e-3)
+    assert traj.times[-1] == pytest.approx(-1.0, abs=1e-15)
+    assert np.all(np.diff(traj.times) < 0)
+    np.testing.assert_allclose(traj.z, np.cos(traj.times), atol=1e-12)
+    np.testing.assert_allclose(traj.p, -np.sin(traj.times), atol=1e-12)
+
+
+def test_flow_to_zero_returns_the_start_point():
+    traj = flow(cubic_prime, 1.0, ComplexPhasePoint(0.2 + 0.1j, 1.0), 0.0, 1e-3)
+    np.testing.assert_array_equal(traj.times, [0.0])
+    np.testing.assert_array_equal(traj.z, [0.2 + 0.1j])
+    np.testing.assert_array_equal(traj.p, [1.0])
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_flow_rejects_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        flow(cubic_prime, 1.0, ComplexPhasePoint(0.0, 1.0), 1.0, dt)
 
 
 def test_flow_overflow_guard():
@@ -226,8 +272,6 @@ def test_darboux_consistency_of_flows():
 
 
 def test_integrability_report():
-    from phqm.classical import integrability_report
-
     pts = [DarbouxPoint(*RNG.standard_normal(4)) for _ in range(4)]
     report = integrability_report(cubic, pts, 1.0)
     assert report["independent_everywhere"]
@@ -235,3 +279,149 @@ def test_integrability_report():
     # free particle: K and H_i stay independent too
     free = integrability_report(lambda z: 0.0 * z, pts, 1.0)
     assert free["independent_everywhere"]
+
+
+# ----------------------------------------------------------------------
+# every derivative against the hand-written central differences the
+# module used before all of them came from classical._gradient
+# ----------------------------------------------------------------------
+
+POTENTIALS = {
+    "cubic": cubic,
+    "quadratic": lambda z: (0.7 - 0.2j) * z**2,
+    "quartic": lambda z: (0.3 + 1.1j) * z**4 - 0.5j * z,
+    "exp_iz": lambda z: np.exp(1j * z),
+}
+
+
+def oracle_gradient(func, w):
+    grad = np.empty(4, dtype=complex)
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = FD_STEP
+        grad[j] = (func(w + e) - func(w - e)) / (2.0 * FD_STEP)
+    return grad
+
+
+def oracle_cauchy_riemann(potential, z):
+    """(V_x, V_y) from separate differences of Re V and Im V, and the residual."""
+    x, y, h = z.real, z.imag, FD_STEP
+
+    def vr(xx, yy):
+        return potential(xx + 1j * yy).real
+
+    def vi(xx, yy):
+        return potential(xx + 1j * yy).imag
+
+    vr_x = (vr(x + h, y) - vr(x - h, y)) / (2 * h)
+    vr_y = (vr(x, y + h) - vr(x, y - h)) / (2 * h)
+    vi_x = (vi(x + h, y) - vi(x - h, y)) / (2 * h)
+    vi_y = (vi(x, y + h) - vi(x, y - h)) / (2 * h)
+    return [vr_x + 1j * vi_x, vr_y + 1j * vi_y], max(abs(vr_x - vi_y), abs(vr_y + vi_x))
+
+
+def oracle_jacobian(potential, w, m):
+    jac = np.zeros((2, 4))
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = FD_STEP
+        up = real_hamiltonians(potential, DarbouxPoint(*(w + e)), m)
+        dn = real_hamiltonians(potential, DarbouxPoint(*(w - e)), m)
+        jac[0, j] = (up["K"] - dn["K"]) / (2 * FD_STEP)
+        jac[1, j] = (up["H_i"] - dn["H_i"]) / (2 * FD_STEP)
+    return jac
+
+
+def oracle_symmetry_gradient(potential, pt):
+    def vr_tilde(x1, p2):
+        return potential((x1 + 1j * p2) / np.sqrt(2.0)).real
+
+    h = GRADIENT_STEP
+    dvr_dx1 = (vr_tilde(pt.x1 + h, pt.p2) - vr_tilde(pt.x1 - h, pt.p2)) / (2 * h)
+    dvr_dp2 = (vr_tilde(pt.x1, pt.p2 + h) - vr_tilde(pt.x1, pt.p2 - h)) / (2 * h)
+    return [dvr_dx1, dvr_dp2]
+
+
+@pytest.fixture
+def gradients(monkeypatch):
+    """(step, gradient) of every classical._gradient call, in the order they return."""
+    calls = []
+    gradient = classical._gradient
+
+    def spy(func, w, step=FD_STEP):
+        grad = gradient(func, w, step)
+        calls.append((step, grad))
+        return grad
+
+    monkeypatch.setattr(classical, "_gradient", spy)
+    return calls
+
+
+def assert_derivatives_match(got, expected):
+    expected = np.asarray(expected, dtype=complex)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_every_derivative_matches_its_inline_oracle(name, gradients):
+    potential, m = POTENTIALS[name], 1.3
+    params = SymplecticParams(0.2, -0.1, 0.4, 0.3)
+    z_of, p_of, h_of = phase_functions(potential, m)
+    for w in np.random.default_rng(31).uniform(-1.5, 1.5, size=(20, 4)):
+        pt = DarbouxPoint(*w)
+
+        gradients.clear()
+        value = bracket(params, z_of, h_of, w)
+        ga, gb = oracle_gradient(z_of, w), oracle_gradient(h_of, w)
+        assert [step for step, _ in gradients] == [FD_STEP, FD_STEP]
+        assert_derivatives_match(gradients[0][1], ga)
+        assert_derivatives_match(gradients[1][1], gb)
+        assert value == pytest.approx(complex(ga @ params.matrix() @ gb), rel=1e-13, abs=1e-13)
+
+        gradients.clear()
+        value = standard_bracket(p_of, h_of, w)
+        ga, gb = oracle_gradient(p_of, w), oracle_gradient(h_of, w)
+        assert_derivatives_match(gradients[0][1], ga)
+        assert_derivatives_match(gradients[1][1], gb)
+        assert value == pytest.approx(complex(ga @ J_STANDARD @ gb), rel=1e-13, abs=1e-13)
+
+        gradients.clear()
+        z = complex(w[0], w[1])
+        residual = cauchy_riemann_residual(potential, z)
+        derivatives, expected = oracle_cauchy_riemann(potential, z)
+        [(step, grad)] = gradients
+        assert step == FD_STEP
+        assert_derivatives_match(grad, derivatives)
+        assert residual == pytest.approx(expected, abs=1e-13 * np.abs(derivatives).max())
+
+        gradients.clear()
+        integrability_report(potential, [pt], m)
+        step, grad = gradients[-1]      # the inner ones are real_hamiltonians' CR checks
+        assert step == FD_STEP and len(grad) == 4
+        jac = oracle_jacobian(potential, w, m)
+        assert_derivatives_match(grad, jac[0] + 1j * jac[1])
+
+        gradients.clear()
+        xi = 0.3
+        out = symmetry_flow(potential, pt, xi, m)
+        [(step, grad)] = gradients
+        dvr_dx1, dvr_dp2 = oracle_symmetry_gradient(potential, pt)
+        assert step == GRADIENT_STEP
+        assert_derivatives_match(grad, [dvr_dx1, dvr_dp2])
+        np.testing.assert_allclose(
+            out.as_array(),
+            [pt.x1 + xi * pt.x2 / (2 * m), pt.p1 + xi * dvr_dp2,
+             pt.x2 + xi * dvr_dx1, pt.p2 - xi * pt.p1 / (2 * m)],
+            rtol=1e-13, atol=1e-13,
+        )
+
+
+def test_gradient_of_a_complex_function_of_any_length():
+    def func(w):
+        return np.exp(1j * w[0]) * w[1] ** 2 + w[2] * w[3] * w[4]
+
+    w = np.array([0.3, -1.1, 0.7, 2.0, -0.4])
+    exact = [1j * np.exp(1j * w[0]) * w[1] ** 2, 2 * np.exp(1j * w[0]) * w[1],
+             w[3] * w[4], w[2] * w[4], w[2] * w[3]]
+    np.testing.assert_allclose(classical._gradient(func, w), exact, rtol=1e-9)
+    np.testing.assert_allclose(classical._gradient(func, w, GRADIENT_STEP), exact, rtol=1e-8)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phqm import cli, models
+from phqm import cli, models, statespace
 from phqm.errors import NothingToPlotError, SchemaError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -332,6 +332,114 @@ def test_complex_pairs_of_non_numbers_exit_as_input_errors(config, tmp_path, cap
     assert "error: invalid scenario: complex scalar must be a [re, im] pair of numbers" in (
         capsys.readouterr().err
     )
+
+
+EYE3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"command": "model", "model": {"kind": "two_level", "D": 4.0, "r": 0.0}},
+         "ValueError: r must be positive"),
+        ({"command": "model", "model": {"kind": "two_level", "D": 4.0, "s": 1.0}},
+         "ValueError: s must lie in"),
+        ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
+                                        "hbar": 0.0}}, "ValueError: hbar and omega"),
+        ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
+                                        "omega": -1.0}}, "ValueError: hbar and omega"),
+        ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
+                                        "truncated": True, "n_max": 8}},
+         "ValueError: n_max must be at least 16"),
+        ({"command": "model", "model": {"kind": "quartic", "lam": -1.0}},
+         "ValueError: lambda must be positive"),
+        ({"command": "model", "model": {"kind": "quartic", "lam": 0.0625, "omega": -1.0}},
+         "ValueError: omega must be non-negative"),
+        ({"command": "model", "model": {"kind": "quartic", "lam": 0.0625, "n": 32}},
+         "ValueError: grids need at least 64 points"),
+        ({"command": "model", "model": {"kind": "kernel", "kind_detail": "barrier",
+                                        "zeta": 0.1, "length": 0.0}},
+         "ValueError: width L must be positive"),
+        ({"command": "em", "profile": {"z": [-1.0, 0.0, 1.0], "eps": [1.0, 0.0, 1.0],
+                                       "mu": [1.0, 1.0, 1.0]},
+          "init": {"kind": "gaussian"}, "t": 0.1},
+         "ValueError: eps and mu samples must be strictly positive"),
+        ({"command": "geometry", "eta": EYE3}, "ValueError: two_level_geometry requires a 2x2"),
+        ({"command": "metric", "matrix": TWO_LEVEL_A, "sigma": [1, 2]},
+         "ValueError: sigma entries must be +1 or -1"),
+        ({**CUBIC_FLOW, "dt": 0.0}, "ValueError: dt must be positive"),
+        ({"command": "metric", "matrix": [[[1.0, 0.0], [2.0, 0.0]]]},
+         "DimensionMismatchError: expected a square matrix"),
+        ({"command": "brachistochrone", "psi_I": [], "psi_F": [[1, 0], [0, 0]], "E": 1.0},
+         "invalid scenario: vector must be a non-empty list"),
+        ({"command": "metric", "matrix": []}, "invalid scenario: matrix must be a non-empty list"),
+        ({"command": "metric", "matrix": [[]]},
+         "invalid scenario: vector must be a non-empty list"),
+        ({"command": "metric", "matrix": [[[1, 0], [2, 0]], [[3, 0]]]},
+         "invalid scenario: matrix rows have unequal lengths"),
+        (5, "invalid scenario: scenario must be a JSON object"),
+        ([load("metric_identity.json"), "metric"],
+         "invalid scenario: scenario must be a JSON object"),
+    ],
+)
+def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_non_finite_matrix_entries_exit_as_input_errors(tmp_path, capsys):
+    # Python's json reads the NaN literal, so the value reaches as_matrix
+    path = tmp_path / "case.json"
+    path.write_text('{"command": "diagnose", "matrix": [[[NaN, 0]]]}')
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert "error: ValueError: matrix has non-finite entries" in capsys.readouterr().err
+
+
+def test_record_goes_to_stdout_without_out(capsys):
+    path = os.path.join(SCENARIO_DIR, "geometry_euclidean.json")
+    assert cli.main(["--scenario", path]) == cli.EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    expected = cli.run(load("geometry_euclidean.json"))
+    for field in ("scalars", "curves", "residuals", "inputs"):
+        assert printed[field] == expected[field]
+
+
+def test_em_fdtd_check_runs_backward_in_time():
+    # a negative t took one leapfrog step of size t, far beyond the CFL bound
+    config = {"command": "em", "profile": {"preset": "tanh"},
+              "init": {"kind": "gaussian", "center": -3.0, "width": 0.45}, "fdtd_check": True}
+    back = cli.run({**config, "t": -2.0})
+    forward = cli.run({**config, "t": 2.0})
+    assert back["all_pass"]
+    assert back["scalars"]["fdtd_l2_error"] <= 1e-2
+    assert back["scalars"]["fdtd_l2_error"] == pytest.approx(
+        forward["scalars"]["fdtd_l2_error"], rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["brachistochrone_antipodal.json",
+                                  "brachistochrone_deformed.json"])
+def test_brachistochrone_trajectory_takes_one_evolve_call(name, monkeypatch):
+    calls = []
+    evolve = statespace.evolve
+
+    def counting(h_op, psi0, t, hbar=1.0):
+        calls.append(np.shape(t))
+        return evolve(h_op, psi0, t, hbar)
+
+    monkeypatch.setattr(statespace, "evolve", counting)
+    config = load(name)
+    record = cli.run(config)
+    assert calls == [(), (33,)]       # the final state, then all 33 samples at once
+    psi_i, psi_f = cli.parse_vector(config["psi_I"]), cli.parse_vector(config["psi_F"])
+    eta = cli.parse_matrix(config["eta"]) if "eta" in config else None
+    h_star = np.array(record["matrices"]["H_star"])
+    h_star = h_star[..., 0] + 1j * h_star[..., 1]
+    for t, fidelity in record["curves"]["trajectory"]["rows"]:
+        psi_t = evolve(h_star, psi_i, t)
+        assert fidelity == pytest.approx(statespace.projective_fidelity(psi_t, psi_f, eta),
+                                         abs=1e-15)
 
 
 def _real_matrix(encoded):

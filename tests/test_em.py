@@ -249,6 +249,49 @@ def test_closed_form_matches_fdtd_on_slow_profile():
     assert err <= 1e-2
 
 
+def test_fdtd_runs_backward_for_negative_t_end():
+    # with E0_dot = 0 the field is even in t, so leapfrog's negative steps
+    # must reproduce the forward run; the closed form agrees at -t too
+    prof = em.tanh_medium(amp=0.1)
+    init = em.gaussian_pulse(-3.0, 0.45)
+    back = em.fdtd_oracle(prof, init, -2.0, n=3000)
+    np.testing.assert_array_equal(back.field, em.fdtd_oracle(prof, init, 2.0, n=3000).field)
+    closed = em.propagate(prof, init, back.z, -2.0)
+    assert np.linalg.norm(closed - back.field) / np.linalg.norm(back.field) <= 1e-2
+
+
+def test_fdtd_backward_moving_pulse_matches_closed_form():
+    # E0_dot = -E0' moves the pulse right, so at t < 0 it sits to the left
+    prof = em.tanh_medium(amp=0.1)
+    sigma, center = 0.45, -3.0
+    e0 = lambda z: np.exp(-((np.asarray(z) - center) ** 2) / (2 * sigma**2))
+    init = em.InitialFields(e0, lambda z: (np.asarray(z) - center) / sigma**2 * e0(z), sigma)
+    oracle = em.fdtd_oracle(prof, init, -2.0, n=3000)
+    closed = em.propagate(prof, init, oracle.z, -2.0)
+    assert np.linalg.norm(closed - oracle.field) / np.linalg.norm(oracle.field) <= 1e-2
+    assert oracle.z[np.argmax(np.abs(oracle.field))] < center - 1.5
+
+
+def test_propagate_rejects_points_outside_the_domain():
+    prof = em.vacuum(-5.0, 5.0)
+    with pytest.raises(OutOfDomainError, match="evaluation points"):
+        em.propagate(prof, em.gaussian_pulse(), np.array([0.0, 5.5]), 1.0)
+
+
+def test_strict_propagate_rejects_characteristics_leaving_the_domain():
+    prof = em.vacuum(-5.0, 5.0)
+    z = np.array([-1.0, 0.0, 1.0])
+    em.propagate(prof, em.gaussian_pulse(), z, 2.0, strict=True)
+    with pytest.raises(OutOfDomainError, match="characteristics"):
+        em.propagate(prof, em.gaussian_pulse(), z, 4.5, strict=True)
+
+
+@pytest.mark.parametrize("eps, mu", [([1.0, 0.0, 1.0], [1.0] * 3), ([1.0] * 3, [1.0, -1.0, 1.0])])
+def test_sampled_profile_rejects_non_positive_samples(eps, mu):
+    with pytest.raises(ValueError, match="strictly positive"):
+        em.sampled_profile([-1.0, 0.0, 1.0], eps, mu)
+
+
 def test_time_reversal():
     # forward snapshot (E, E_dot) propagated with -t recovers the pulse
     prof = em.tanh_medium(amp=0.1)

@@ -128,3 +128,19 @@ def test_canonical_commutator_on_oscillator_truncation():
     comm = linalg.commutator(x, p)
     interior = comm[: n_max - 1, : n_max - 1]
     np.testing.assert_allclose(interior, 1j * hbar * np.eye(n_max - 1), atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))])
+def test_as_matrix_rejects_non_square_input(a):
+    with pytest.raises(DimensionMismatchError, match="square matrix"):
+        linalg.as_matrix(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_as_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.as_matrix([[1.0, bad], [0.0, 1.0]])
+
+
+def test_decomposition_dimension():
+    assert linalg.eig_nonhermitian(two_level_matrix(4.0)).dim == 2

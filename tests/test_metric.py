@@ -338,3 +338,56 @@ def test_charge_and_antilinear_symmetry_commute():
     c = metric.charge_operator(bs, sigma)
     m = metric.antilinear_symmetry(bs).M
     np.testing.assert_allclose(c @ m, m @ np.conj(c), atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [[1, 2], [0, 1], [-1, 0.5]])
+def test_sigma_entries_must_be_plus_or_minus_one(sigma):
+    _, bs = two_level_system(4.0)
+    with pytest.raises(ValueError, match="sigma entries"):
+        metric.pseudo_metric_family(bs, sigma)
+    with pytest.raises(ValueError, match="sigma entries"):
+        metric.charge_operator(bs, sigma)
+
+
+def test_charge_and_antilinear_symmetry_require_a_real_spectrum():
+    a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+    bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(a))
+    assert not bs.all_real
+    with pytest.raises(ComplexSpectrumError, match="charge operator"):
+        metric.charge_operator(bs, [1, 1, 1, 1])
+    with pytest.raises(ComplexSpectrumError, match="antilinear symmetry"):
+        metric.antilinear_symmetry(bs)
+
+
+def test_antilinear_symmetry_needs_one_phase_per_eigenvalue():
+    _, bs = two_level_system(4.0)
+    with pytest.raises(LengthMismatchError, match="one phase per eigenvalue"):
+        metric.antilinear_symmetry(bs, phases=[0.1, 0.2, 0.3])
+
+
+def test_antilinear_symmetry_acts_antilinearly_and_commutes_with_h():
+    h = quasi_hermitian_pair(4)
+    s = metric.antilinear_symmetry(biortho.biorthonormal_extension(linalg.eig_nonhermitian(h)))
+    zeta = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
+    np.testing.assert_array_equal(s(zeta), s.M @ np.conj(zeta))
+    np.testing.assert_allclose(s(1j * zeta), -1j * s(zeta), atol=1e-12)
+    np.testing.assert_allclose(s(h @ zeta), h @ s(zeta), atol=1e-9)
+
+
+def test_metric_inner_product_makes_h_self_adjoint():
+    h = quasi_hermitian_pair(4)
+    bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(h))
+    eta = metric.metric_from_spectrum(bs)
+    x, y = (RNG.standard_normal(4) + 1j * RNG.standard_normal(4) for _ in range(2))
+    assert eta.dim == 4
+    assert eta.inner(x, y) == pytest.approx(complex(np.conj(x) @ eta.eta @ y), rel=1e-14)
+    assert eta.inner(x, h @ y) == pytest.approx(eta.inner(h @ x, y), rel=1e-9)
+    assert metric.build_system(h, eta).dim == 4
+
+
+def test_pseudo_metric_normalize_scales_the_top_eigenvalue_to_one():
+    _, bs = two_level_system(4.0)
+    pm = metric.pseudo_metric_family(bs, [1, -1], normalize=True)
+    raw = metric.pseudo_metric_family(bs, [1, -1]).eta
+    assert np.abs(np.linalg.eigvalsh(pm.eta)).max() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(pm.eta * np.abs(np.linalg.eigvalsh(raw)).max(), raw, atol=1e-12)

@@ -512,3 +512,37 @@ def test_swanson_truncated_rejects_minus_branch():
     params = models.SwansonParams(1.0, 1.0, 0.1, 0.05)
     with pytest.raises(RealityViolatedError):
         models.swanson_truncated(params, 0.0, 40, branch=-1)
+
+
+# ----------------------------------------------------------------------
+# parameter validation
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: models.TwoLevelParams(4.0, r=0.0), "r must be positive"),
+        (lambda: models.TwoLevelParams(4.0, s=1.0), r"s must lie in \(-1, 1\)"),
+        (lambda: models.TwoLevelParams(4.0, s=-1.5), r"s must lie in \(-1, 1\)"),
+        (lambda: models.SwansonParams(hbar=0.0), "hbar and omega must be positive"),
+        (lambda: models.SwansonParams(omega=-1.0), "hbar and omega must be positive"),
+        (lambda: models.swanson_truncated(models.SwansonParams(), n_max=15),
+         "n_max must be at least 16"),
+        (lambda: models.QuarticParams(0.0), "lambda must be positive"),
+        (lambda: models.QuarticParams(0.0625, omega=-0.5), "omega must be non-negative"),
+        (lambda: models.QuarticParams(0.0625, n=32), "at least 64 points"),
+        (lambda: models.QuarticParams(0.0625, n_k=63), "at least 64 points"),
+        (lambda: models.KernelPotentialSpec("square_well", 0.1, length=0.0), "width L"),
+        (lambda: models.KernelPotentialSpec("barrier", 0.1, length=-1.0), "width L"),
+    ],
+)
+def test_invalid_model_parameters_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_arnoldi_stops_on_an_invariant_subspace():
+    # a 1x1 operator spans its Krylov space in one step (beta = 0)
+    values, vectors = models._pt_symmetric_eig(np.array([[2.5 + 0.0j]]), 1)
+    np.testing.assert_allclose(values, [2.5], rtol=1e-15)
+    np.testing.assert_allclose(np.abs(vectors), [[1.0]], rtol=1e-15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phqm import linalg, perturbation
-from phqm.errors import NotHermitianError, UnsolvableCommutatorError
+from phqm.errors import DimensionMismatchError, NotHermitianError, UnsolvableCommutatorError
 from phqm.linalg import commutator, opnorm
 
 RNG = np.random.default_rng(998877)
@@ -369,3 +369,26 @@ def _q_series_every_composition(prob):
         qj = perturbation.solve_commutator(h0, rhs)
         qs[j] = 0.5 * (qj + qj.conj().T)
     return qs
+
+
+def test_problem_requires_matching_shapes_and_hermitian_h0():
+    h0 = random_hermitian_nondegenerate(3)
+    with pytest.raises(DimensionMismatchError, match="share a shape"):
+        perturbation.PerturbationProblem(h0, random_antihermitian(4), 0.1, 3)
+    with pytest.raises(NotHermitianError, match="H0 must be Hermitian"):
+        perturbation.PerturbationProblem(h0 + 0.5j * np.eye(3), random_antihermitian(3), 0.1, 3)
+
+
+def test_solve_commutator_requires_matching_shapes():
+    with pytest.raises(DimensionMismatchError, match="share a shape"):
+        perturbation.solve_commutator(random_hermitian_nondegenerate(3), np.zeros((2, 2)))
+
+
+def test_oscillator_basis_needs_two_states():
+    with pytest.raises(ValueError, match="at least 2"):
+        perturbation.oscillator_basis(1)
+
+
+def test_q_series_order_is_the_highest_stored_order():
+    h0, h1 = random_graded_problem(4, scale=0.1)
+    assert perturbation.q_series(perturbation.PerturbationProblem(h0, h1, 0.1, 5)).order == 5

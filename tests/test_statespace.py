@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from phqm import statespace
 from phqm.errors import IdenticalStatesError, NotPositiveDefiniteError, ZeroVectorError
+from phqm.metric import MetricOperator
 from phqm.statespace import (
     BrachistochroneProblem,
     energy_uncertainty,
@@ -115,6 +116,19 @@ def test_two_level_geometry_rejects_indefinite():
         two_level_geometry(np.diag([1.0, -1.0]))
 
 
+def test_two_level_geometry_requires_a_2x2_metric():
+    with pytest.raises(ValueError, match="2x2"):
+        two_level_geometry(np.eye(3))
+
+
+def test_a_metric_operator_acts_as_its_matrix():
+    eta = random_metric_2x2()
+    psi = random_state()
+    np.testing.assert_array_equal(projector(psi, MetricOperator(eta)).Lambda,
+                                  projector(psi, eta).Lambda)
+    assert geodesic_distance(psi, PLUS, MetricOperator(eta)) == geodesic_distance(psi, PLUS, eta)
+
+
 def test_geodesic_distance_examples():
     assert geodesic_distance(E1, 3.0 * E1) == pytest.approx(0.0, abs=1e-8)
     assert geodesic_distance(E1, E2) == pytest.approx(np.pi / 2.0)
@@ -207,6 +221,20 @@ def test_evolve_basics():
     np.testing.assert_allclose(evolve(np.zeros((3, 3)), psi, 2.0), psi, atol=1e-12)
     final = evolve(np.diag([1.0, -1.0]).astype(complex), E1, np.pi)
     np.testing.assert_allclose(final, -E1, atol=1e-12)
+
+
+def test_evolve_takes_an_array_of_times():
+    # one row per time, each equal to the scalar call and to expm
+    h = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]]) + np.diag([0.1j, -0.1j])
+    psi0 = random_state()
+    times = np.linspace(-1.0, 2.0, 7)
+    states = evolve(h, psi0, times, 0.7)
+    assert states.shape == (7, 2)
+    for t, psi_t in zip(times, states):
+        np.testing.assert_allclose(psi_t, evolve(h, psi0, t, 0.7), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(psi_t, expm(-1j * t * h / 0.7) @ psi0, rtol=0, atol=1e-12)
+    assert evolve(h, psi0, 0.5).shape == (2,)
+    assert evolve(h, psi0, times.reshape(7, 1)).shape == (7, 1, 2)
 
 
 def test_energy_uncertainty_eigenvector_is_zero():

@@ -58,12 +58,13 @@ class BiorthonormalSystem:
         return np.flatnonzero((~self.reality_mask) & (self.conj_partner == -2))
 
 
-def _match_conjugate_pairs(values: np.ndarray, real_mask: np.ndarray, tol: float):
-    """Greedy nearest-conjugate matching; ties broken by index order."""
+def _match_conjugate_pairs(values: np.ndarray, tol: float):
+    """Reality mask, then greedy nearest-conjugate matching; ties broken by index order."""
+    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
+    real_mask = np.abs(values.imag) <= tol * scale
     partner = np.full(len(values), -1, dtype=int)
     nonreal = [int(i) for i in np.flatnonzero(~real_mask)]
     unused = set(nonreal)
-    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
     for i in nonreal:
         if i not in unused:
             continue
@@ -83,7 +84,7 @@ def _match_conjugate_pairs(values: np.ndarray, real_mask: np.ndarray, tol: float
         else:
             partner[i] = -2
             unused.discard(i)
-    return partner
+    return real_mask, partner
 
 
 def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol: float):
@@ -117,12 +118,13 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
 
 
 def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
-    """Extend right eigenvectors to a complete biorthonormal system."""
+    """Extend right eigenvectors to a complete biorthonormal system, reusing
+    the decomposition's V^-1 unless a degenerate block was re-orthonormalized."""
     if not eig.diagonalizable:
         raise DefectiveOperatorError("cannot extend a defective eigendecomposition")
     values = eig.values.copy()
     psis = _orthonormalize_degenerate_blocks(values, eig.right_vectors, DEGENERACY_TOL)
-    return from_right_vectors(values, psis)
+    return _system(values, psis, eig.inverse if np.array_equal(psis, eig.right_vectors) else None)
 
 
 def from_right_vectors(values, psis) -> BiorthonormalSystem:
@@ -131,13 +133,14 @@ def from_right_vectors(values, psis) -> BiorthonormalSystem:
     Used by model constructors that fix the normalization constants c_n
     themselves instead of relying on the default phase convention.
     """
+    return _system(values, psis, None)
+
+
+def _system(values, psis, inverse) -> BiorthonormalSystem:
     values = np.asarray(values, dtype=complex)
     psis = np.asarray(psis, dtype=complex)
-    phis = dagger(np.linalg.inv(psis))
-    scale = max(1.0, float(np.max(np.abs(values))))
-    real_mask = np.abs(values.imag) <= PAIR_TOL * scale
-    partner = _match_conjugate_pairs(values, real_mask, PAIR_TOL)
-    return BiorthonormalSystem(values, psis, phis, real_mask, partner)
+    phis = dagger(np.linalg.inv(psis) if inverse is None else inverse)
+    return BiorthonormalSystem(values, psis, phis, *_match_conjugate_pairs(values, PAIR_TOL))
 
 
 def spectral_assembly(bs: BiorthonormalSystem) -> np.ndarray:

@@ -100,6 +100,8 @@ def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     n_steps = int(np.ceil(abs(t_end) / dt * (1.0 - 1e-9)))
     h = t_end / max(n_steps, 1)
     z, p = complex(s0.z), complex(s0.p)

@@ -11,12 +11,15 @@ exact ratio.
 
 Eigenpairs follow a deterministic convention: eigenvalues sorted by
 (real part, imaginary part), and each eigenvector phase-fixed so that its
-largest-magnitude entry is real and positive.
+largest-magnitude entry is real and positive.  Real-dtype input goes to real
+LAPACK (dgeev); the dtype decides, not the values.  The exceptional-point gate
+cond(V) < 1e12 is decided by the kappa bound sqrt(n) |V^-1|_F, then by an SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,24 +86,35 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
 class EigenDecomposition:
     """Eigenpairs of a general complex matrix.
 
-    values are sorted by (real, imag); right_vectors holds unit-norm,
-    phase-fixed eigenvectors as columns.  condition estimates the
-    eigenvector-matrix conditioning, which doubles as the
-    exceptional-point diagnostic.
+    values sorted by (real, imag); right_vectors V with unit, phase-fixed columns;
+    inverse V^-1 if computed; condition, the exact cond(V), costs an SVD when read.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
-    condition: float
-    diagonalizable: bool
+    inverse: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(self.right_vectors))
+
+    @cached_property
+    def diagonalizable(self) -> bool:
+        """cond(V) < CONDITION_THRESHOLD; sqrt(n) |V^-1|_F >= cond(V) decides if clear
+        of the n u cond(V) by which the inverse and the SVD each err."""
+        n = self.dim
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.inf if self.inverse is None else np.sqrt(n) * np.linalg.norm(self.inverse)
+            certified = bound * (1 + 10 * n * np.finfo(float).eps * bound) < CONDITION_THRESHOLD
+        return bool(certified) or self.condition < CONDITION_THRESHOLD
+
 
 def eig_nonhermitian(a, tol: float = DEFAULT_TOL, check: bool = True) -> EigenDecomposition:
-    """Eigendecomposition of a general complex matrix.
+    """Eigendecomposition of a general matrix; real dtype goes to real LAPACK.
 
     Raises DefectiveOperatorError when the eigenvector matrix condition
     number exceeds CONDITION_THRESHOLD (a numerical exceptional point),
@@ -108,27 +122,29 @@ def eig_nonhermitian(a, tol: float = DEFAULT_TOL, check: bool = True) -> EigenDe
     result instead.
     """
     m = as_matrix(a)
-    values, vectors = np.linalg.eig(m)
+    values, vectors = np.linalg.eig(m.real if np.isrealobj(a) else m)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = fix_phases(vectors[:, order])
+    values = values[order].astype(complex)
+    vectors = fix_phases(vectors[:, order].astype(complex, copy=False))
 
-    condition = float(np.linalg.cond(vectors))
-    diagonalizable = bool(np.isfinite(condition) and condition < CONDITION_THRESHOLD)
-    if check and not diagonalizable:
+    try:
+        dec = EigenDecomposition(values, vectors, np.linalg.inv(vectors))
+    except np.linalg.LinAlgError:
+        dec = EigenDecomposition(values, vectors)
+    if check and not dec.diagonalizable:
         raise DefectiveOperatorError(
-            f"eigenvector matrix condition {condition:.3e} exceeds "
+            f"eigenvector matrix condition {dec.condition:.3e} exceeds "
             f"threshold {CONDITION_THRESHOLD:.1e}"
         )
 
-    if diagonalizable:
+    if dec.diagonalizable:
         bound = 100 * max(tol, 1e-14)
         residual = norm_ratio_above(m @ vectors - vectors * values[None, :], m, bound)
         if residual is not None:
             raise DefectiveOperatorError(
                 f"eigenpair residual {residual:.3e} * |A| above {bound:.1e} * |A|"
             )
-    return EigenDecomposition(values, vectors, condition, diagonalizable)
+    return dec
 
 
 def hermitian_function(h, f, tol: float = DEFAULT_TOL) -> np.ndarray:

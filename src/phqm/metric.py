@@ -183,9 +183,9 @@ def build_system(
 ) -> QuasiHermitianSystem:
     """Assemble (H, eta_+, rho, h) after certifying the inputs.
 
-    Raises NotPseudoHermitianError when the relative residual
-    |eta H eta^-1 - H^dagger|/|H| exceeds tol, and
-    NotPositiveDefiniteError when eta is not a metric.
+    Raises NotPositiveDefiniteError unless eta is a metric and NotPseudoHermitianError
+    when |eta H eta^-1 - H^dagger|/|H| > tol; |eta H - H^dagger eta|_F / lambda_min(eta)
+    <= tol |H|_F / sqrt(n), rounding included, passes an exactly Hermitian eta uninverted.
     """
     H = as_matrix(h_op)
     eta_m = eta.eta if isinstance(eta, MetricOperator) else as_matrix(eta)
@@ -195,9 +195,18 @@ def build_system(
         raise NotPositiveDefiniteError(
             f"eta has non-positive eigenvalue {evals.min():.3e}"
         )
-    # eta's own LU inverse: near an exceptional point the residual of an
-    # eigh inverse differs enough to flip this gate
-    residual = norm_ratio_above(eta_m @ H @ _inverse(eta_m) - dagger(H), H, tol)
+    eta_h = eta_m @ H
+    with np.errstate(over="ignore", under="ignore"):
+        h_fro = np.linalg.norm(H)
+        limit = (1 - 1e-9) * tol * h_fro / np.sqrt(len(H))
+        # eta H and lambda_min each carry rounding of about n u |eta|_F (|H|_F)
+        slack = 4 * len(H) * np.finfo(float).eps * np.linalg.norm(eta_m)
+        lam = evals.min() - slack
+        certified = (1e-140 < limit < np.inf and lam > 0 and np.array_equal(eta_m, dagger(eta_m))
+                     and (np.linalg.norm(eta_h - dagger(eta_h)) + slack * h_fro) / lam <= limit)
+    # else eta's own LU inverse: near an exceptional point an eigh inverse may flip this gate
+    residual = None if certified else norm_ratio_above(
+        eta_h @ _inverse(eta_m) - dagger(H), H, tol)
     if residual is not None:
         raise NotPseudoHermitianError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds tol {tol:.1e}"

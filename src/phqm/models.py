@@ -191,9 +191,8 @@ def swanson_w(params: SwansonParams, r: float, branch: int = +1) -> float:
     """
     at, bt = params.alpha_tilde, params.beta_tilde
     s = np.exp(r)
-    disc = 4.0 * at**2 * s**2 + 1.0 - 4.0 * at * bt
-    if disc < 0.0:
-        raise RealityViolatedError(f"discriminant {disc:.3e} is negative")
+    # > 0 as SwansonParams has 4 at bt < 1, but an ulp from it rounding may go below
+    disc = max(4.0 * at**2 * s**2 + 1.0 - 4.0 * at * bt, 0.0)
     if at == 0.0:
         return -bt / s
     return (-1.0 + branch * np.sqrt(disc)) / (2.0 * at * s)

@@ -2,18 +2,23 @@
 
 ``eig_nonhermitian``, ``is_hermitian`` and ``build_system`` decide their
 gates through ``linalg.norm_ratio_above``, a Frobenius certificate with an
-exact fallback, and ``build_system`` takes eta^-1, rho and rho^-1 from one
-``eigh``.  The exact forms below (one SVD per spectral norm, an LU inverse,
-a second ``eigh`` for the square root) are the oracles: every case must
-raise the same error class, or pass, exactly as they do.  The per-column
+exact fallback; ``eig_nonhermitian`` decides cond(V) by the kappa bound
+before an SVD, and ``build_system`` certifies pseudo-Hermiticity before
+inverting eta and takes rho and rho^-1 from one ``eigh``.  The exact forms
+below (one SVD per spectral norm and for cond(V), an LU inverse, a second
+``eigh`` for the square root, the same LAPACK eigensolver by dtype) are the
+oracles: every case must raise the same error class, or pass, exactly as
+they do.  The per-column
 and per-eigenvalue loops that the vectorised ``fix_phases``,
 ``pseudo_metric_family`` and degenerate-block scan replaced are oracles too.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from phqm import biortho, linalg, metric
+from phqm import biortho, cli, linalg, metric
 from phqm.errors import (
     DefectiveOperatorError,
     NotHermitianError,
@@ -25,7 +30,6 @@ from phqm.errors import (
 from phqm.linalg import (
     CONDITION_THRESHOLD,
     DEFAULT_TOL,
-    EigenDecomposition,
     as_matrix,
     dagger,
     opnorm,
@@ -56,7 +60,9 @@ def exact_is_hermitian(a, tol=DEFAULT_TOL):
 def exact_eig_nonhermitian(a, tol=DEFAULT_TOL, condition_threshold=CONDITION_THRESHOLD,
                            check=True):
     m = as_matrix(a)
-    values, vectors = np.linalg.eig(m)
+    # the same LAPACK routine as the code under test: dgeev for real dtype
+    values, vectors = np.linalg.eig(np.asarray(a) if np.isrealobj(a) else m)
+    values, vectors = values.astype(complex), vectors.astype(complex)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = fix_phases_loop(vectors[:, order])
@@ -68,7 +74,8 @@ def exact_eig_nonhermitian(a, tol=DEFAULT_TOL, condition_threshold=CONDITION_THR
     residual = opnorm(m @ vectors - vectors * values[None, :])
     if diagonalizable and residual > 100 * max(tol, 1e-14) * scale:
         raise DefectiveOperatorError("residual")
-    return EigenDecomposition(values, vectors, condition, diagonalizable)
+    return SimpleNamespace(values=values, right_vectors=vectors, condition=condition,
+                           diagonalizable=diagonalizable)
 
 
 def exact_sqrtm_pd(h, tol=DEFAULT_TOL):
@@ -183,23 +190,65 @@ def test_two_level_toward_exceptional_point_matches_exact():
     assert kinds[0] == "ok" and kinds[-1] == "eig"
 
 
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_jordan_block_perturbations_match_exact(n):
+def test_real_two_level_toward_exceptional_point_matches_exact():
+    # dgeev's eta is the more accurate one here: at D = 1e-9 the residual is
+    # 2.6e-12 in exact arithmetic but 2.9e-8 through eta's LU inverse, and
+    # with cond(eta) = 1/D the certificate's rounding slack leaves it to the
+    # LU.  Only verdicts are compared: toward D = 1e-15 the oracle's LU
+    # rho^-1 is the less accurate one and misses the eigh rho^-1 by > 1e-9.
+    kinds = []
+    for d in np.append(10.0 ** -np.arange(0, 17), 0.0):
+        a = two_level_matrix(d).real
+        dec, _ = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian, a)
+        if dec is None:
+            kinds.append("eig")
+            continue
+        mo = metric.metric_from_spectrum(biortho.biorthonormal_extension(dec))
+        built, _ = assert_same_outcome(metric.build_system, exact_build_system, a, mo)
+        kinds.append("build" if built is None else "ok")
+    assert kinds[0] == "ok" and kinds[9] == "build" and kinds[-1] == "eig"
+
+
+def assert_same_eig_verdicts(a):
+    """eig_nonhermitian in both check modes against the oracle; returns the
+    diagonalizable flag."""
+    for check in (True, False):
+        new, old = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian,
+                                       a, check=check)
+        if new is not None:
+            assert new.diagonalizable == old.diagonalizable
+            np.testing.assert_array_equal(new.right_vectors, old.right_vectors)
+    return new.diagonalizable
+
+
+def jordan_perturbations(n, real):
     rng = np.random.default_rng(n)
     jordan = np.diag(np.ones(n - 1), 1).astype(complex)
     e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     corner = np.zeros((n, n), dtype=complex)
     corner[-1, 0] = 1.0
-    kinds = set()
     for delta in np.append(10.0 ** -np.arange(0, 17, 2), 0.0):
         for a in (jordan + delta * e, jordan + delta * corner):
-            kinds.add(assert_same_route(a))
-            for check in (True, False):
-                new, old = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian,
-                                               a, check=check)
-                if new is not None:
-                    assert new.diagonalizable == old.diagonalizable
+            yield a.real if real else a
+
+
+def assert_jordan_perturbations_match_exact(n, real):
+    kinds = set()
+    for a in jordan_perturbations(n, real):
+        kinds.add(assert_same_route(a))
+        assert_same_eig_verdicts(a)
     assert "eig" in kinds
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_jordan_block_perturbations_match_exact(n):
+    assert_jordan_perturbations_match_exact(n, real=False)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_real_jordan_block_perturbations_match_exact(n):
+    # real dtype: dgeev, then the kappa bound or the SVD, against the oracle
+    assert_jordan_perturbations_match_exact(n, real=True)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +269,9 @@ def test_jordan_block_perturbations_match_exact(n):
         ([[1.0, 2.0], [0.0, -1.0]], [[2.0, 0.5], [0.5, 1.0]], NotPseudoHermitianError),
         # pseudo-Hermitian with a nontrivial metric
         (two_level_matrix(4.0), [[1.25, 0.75], [0.75, 1.25]], "ok"),
+        # eta H is exactly Hermitian but eta is not, so eta H - (eta H)^dagger
+        # is 0 while the residual is about 0.1: the certificate must not apply
+        (np.diag([1.0, 2.0]), [[1.0, 0.1], [0.2, 1.0]], NotPseudoHermitianError),
     ],
 )
 def test_metric_inputs_raise_as_exact(h, eta, expected):
@@ -335,9 +387,39 @@ def test_certificate_leaves_a_ratio_at_the_bound_to_the_svd(monkeypatch):
 # the SVD budget of the Hermitisation route
 # ----------------------------------------------------------------------
 
-def test_hermitian_route_makes_one_svd(monkeypatch):
-    # eig_nonhermitian's cond(V) is the exceptional-point gate and stays
-    # exact; every other norm gate of the route is settled by a certificate
+class SvdCounter:
+    """Counts numpy SVDs, np.linalg.cond's included."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        real_svd = internal.svd
+
+        def svd(*args, **kwargs):
+            self.calls += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(internal, "svd", svd)
+
+
+class InvCounter:
+    """Counts np.linalg.inv calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real_inv = np.linalg.inv
+
+        def inv(m):
+            self.calls += 1
+            return real_inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+
+
+def test_hermitian_route_makes_no_svd(monkeypatch):
+    # the kappa bound settles the exceptional-point gate and a certificate
+    # every norm gate, so a well-conditioned route needs no SVD at all
     rng = np.random.default_rng(64)
     n = 64
     lam = np.arange(n) - 0.5 * n + rng.uniform(-0.25, 0.25, n)
@@ -345,28 +427,48 @@ def test_hermitian_route_makes_one_svd(monkeypatch):
                            + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
     a = s @ np.diag(lam) @ np.linalg.inv(s)
 
-    counts = {"opnorm": 0, "svd": 0}
+    counts = {"opnorm": 0}
     real_opnorm = linalg.opnorm
-    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    real_svd = internal.svd
 
     def opnorm(m):
         counts["opnorm"] += 1
         return real_opnorm(m)
 
-    def svd(*args, **kwargs):
-        counts["svd"] += 1
-        return real_svd(*args, **kwargs)
-
     monkeypatch.setattr(linalg, "opnorm", opnorm)
     monkeypatch.setattr(metric, "opnorm", opnorm)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(internal, "svd", svd)
+    svds = SvdCounter(monkeypatch)
+    inverses = InvCounter(monkeypatch)
 
     dec = linalg.eig_nonhermitian(a)
     bs = biortho.biorthonormal_extension(dec)
     metric.build_system(a, metric.metric_from_spectrum(bs))
-    assert counts == {"opnorm": 0, "svd": 1}
+    assert {**counts, "svd": svds.calls} == {"opnorm": 0, "svd": 0}
+    # V^-1 once, shared by the gate and the extension; eta is never inverted
+    assert inverses.calls == 1
+    np.testing.assert_array_equal(bs.phis, dagger(np.linalg.inv(dec.right_vectors)))
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("d,svds,diagonalizable", [(1e-16, 0, True), (1e-20, 1, False)])
+def test_svd_fallback_fires_only_near_the_exceptional_point(monkeypatch, real, d, svds,
+                                                             diagonalizable):
+    # cond(V) is 9.2e7 at D = 1e-16, where the kappa bound decides; at
+    # D = 1e-20 the bound is 1.7e12, above the threshold, and the SVD decides
+    a = two_level_matrix(d).real if real else two_level_matrix(d)
+    counter = SvdCounter(monkeypatch)
+    dec = linalg.eig_nonhermitian(a, check=False)
+    assert counter.calls == svds
+    assert dec.diagonalizable is diagonalizable
+    assert exact_eig_nonhermitian(a, check=False).diagonalizable is diagonalizable
+
+
+@pytest.mark.parametrize("d", [4.0, 1e-8, 1e-16, 1e-20, 0.0])
+def test_diagnose_condition_is_the_exact_svd_value(d):
+    a = two_level_matrix(d)
+    record = cli.run({"command": "diagnose", "matrix": [[[z.real, z.imag] for z in row]
+                                                       for row in a]})
+    vectors = linalg.eig_nonhermitian(a, check=False).right_vectors
+    assert record["scalars"]["condition"] == float(np.linalg.cond(vectors))
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +503,61 @@ def test_pseudo_metric_matmul_matches_outer_sum(n):
     new = metric.pseudo_metric_family(bs, sigma).eta
     old = pseudo_metric_outer_sum(bs, sigma)
     assert opnorm(new - old) <= 1e-12 * opnorm(old)
+
+
+def paired_toward_exceptional_point(n, delta):
+    """Real block-diagonal matrix whose pair +-i sqrt(delta) meets at an
+    exceptional point as delta -> 0; cond(V) is about delta^-1/2."""
+    b = np.diag(np.arange(n, dtype=float) + 2.0)
+    b[:2, :2] = [[0.0, 1.0], [-delta, 0.0]]
+    return b
+
+
+@pytest.mark.parametrize("n", [4, 9, 32])
+@pytest.mark.parametrize("real", [False, True])
+def test_paired_spectrum_verdicts_match_exact(n, real):
+    # cond(V) crosses CONDITION_THRESHOLD at delta = 1e-24, so the sweep
+    # passes the kappa bound, its margin and the SVD fallback
+    rng = np.random.default_rng([n, 3])
+    s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    verdicts = set()
+    for delta in np.append(10.0 ** -np.arange(0.0, 32.5, 0.5), 0.0):
+        b = paired_toward_exceptional_point(n, delta)
+        for a in (b, s @ b @ np.linalg.inv(s)):
+            verdicts.add(assert_same_eig_verdicts(a if real else a.astype(complex)))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [9, 32, 96])
+def test_real_and_complex_dtype_agree(n):
+    rng = np.random.default_rng([n, 4])
+    a, n_real = paired_spectrum_matrix(rng, n)
+    sigma = rng.choice([-1.0, 1.0], size=n_real)
+    s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    h = s @ np.diag(np.arange(n) - 0.5 * n + rng.uniform(-0.25, 0.25, n)) @ np.linalg.inv(s)
+
+    def system(m):
+        return biortho.biorthonormal_extension(linalg.eig_nonhermitian(m))
+
+    def relative(x, y):
+        return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+    paired_real, paired_complex = system(a), system(a.astype(complex))
+    # dgeev returns each nonreal eigenvalue beside its exact conjugate
+    assert len(paired_real.pair_indices()) == n // 4
+    for nu, mnu in paired_real.pair_indices():
+        assert paired_real.values[mnu] == np.conj(paired_real.values[nu])
+    # zgeev's pair partners differ in real part by rounding, so sort order may
+    # swap them: match each eigenvalue to the nearest one
+    nearest = np.abs(paired_real.values[:, None] - paired_complex.values[None, :]).min(axis=1)
+    assert np.linalg.norm(nearest) <= 1e-12 * np.linalg.norm(paired_complex.values)
+    assert relative(metric.pseudo_metric_family(paired_real, sigma).eta,
+                    metric.pseudo_metric_family(paired_complex, sigma).eta) <= 1e-12
+
+    real_spectrum, complex_spectrum = system(h), system(h.astype(complex))
+    assert relative(real_spectrum.values, complex_spectrum.values) <= 1e-12
+    assert relative(metric.metric_from_spectrum(real_spectrum).eta,
+                    metric.metric_from_spectrum(complex_spectrum).eta) <= 1e-12
 
 
 def degenerate_blocks_loop(values, psis, tol):

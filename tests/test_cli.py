@@ -389,6 +389,15 @@ def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sample_every", [0, -5])
+def test_non_positive_sample_every_exits_as_input_error(sample_every, tmp_path, capsys):
+    # 0 raised ZeroDivisionError (a traceback, exit 1); -5 sampled every 5 steps
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**CUBIC_FLOW, "sample_every": sample_every}))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
+    assert "error: ValueError: sample_every must be at least 1" in capsys.readouterr().err
+
+
 def test_non_finite_matrix_entries_exit_as_input_errors(tmp_path, capsys):
     # Python's json reads the NaN literal, so the value reaches as_matrix
     path = tmp_path / "case.json"

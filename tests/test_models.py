@@ -122,6 +122,36 @@ def test_swanson_minus_branch_also_solves():
     assert sm.residual <= 1e-12
 
 
+def largest_accepted_beta(hbar, omega, alpha):
+    """The largest beta SwansonParams accepts, so hbar^2 omega^2 -> 4 alpha beta+."""
+    beta = (hbar * omega) ** 2 / (4.0 * alpha)
+    while hbar**2 * omega**2 <= 4.0 * alpha * beta:
+        beta = np.nextafter(beta, 0.0)
+    return beta
+
+
+@pytest.mark.parametrize("hbar,omega,alpha", [(1.0, 1.0, 0.5), (1.0, 1.0, 0.3), (0.7, 1.3, 0.2)])
+@pytest.mark.parametrize("r", [-1.0, 0.0, 1.0])
+def test_swanson_discriminant_stays_positive_at_the_reality_boundary(hbar, omega, alpha, r):
+    # w_+ - w_- = sqrt(disc) / (at s) and disc = 4 at^2 s^2 + (1 - 4 at bt); at
+    # the boundary the bracket is an ulp, so the roots stay 2 apart
+    params = models.SwansonParams(hbar, omega, alpha, largest_accepted_beta(hbar, omega, alpha))
+    assert 1.0 - 4.0 * params.alpha_tilde * params.beta_tilde < 1e-15
+    w_plus, w_minus = models.swanson_w(params, r, +1), models.swanson_w(params, r, -1)
+    assert w_plus - w_minus == pytest.approx(2.0, rel=1e-12)
+    assert models.swanson_metric(params, r).residual <= 1e-12
+
+
+def test_swanson_discriminant_rounded_below_zero_gives_the_double_root():
+    # 1 - 4 at bt rounds to -2.2e-16 here and 4 at^2 s^2 = 1.5e-33 cannot lift it
+    params = models.SwansonParams(0.5429241453766552, 0.010742013170091347,
+                                  0.02649643862377257, 0.0003209239862106472)
+    at, s = params.alpha_tilde, np.exp(-40.0)
+    assert 1.0 - 4.0 * at * params.beta_tilde < 0.0
+    w_plus, w_minus = models.swanson_w(params, -40.0, +1), models.swanson_w(params, -40.0, -1)
+    assert w_plus == w_minus == -1.0 / (2.0 * at * s)
+
+
 def test_swanson_truncated_harmonic_limit():
     params = models.SwansonParams(1.0, 1.0, 0.0, 0.0)
     sys_ = models.swanson_truncated(params, 0.0, 24)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStructureError, StepOverflowError
+from .errors import DegenerateStructureError, InputError, StepOverflowError
 
 OVERFLOW_GUARD = 1e12
 CR_TOL = 1e-4          # Cauchy-Riemann residual / |V| that real_hamiltonians accepts
@@ -96,12 +96,15 @@ def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
 
     Takes the fewest equal steps of at most dt (to 1e-9 relative) that end
     at t_end, backward in time when t_end < 0; t_end = 0 returns the start
-    point alone.
+    point alone.  A V' that raises an ArithmeticError or a non-finite step
+    ends the flow with StepOverflowError.
     """
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise InputError("dt must be positive")
+    if m == 0:
+        raise InputError("mass must be nonzero")
     if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
+        raise InputError("sample_every must be at least 1")
     n_steps = int(np.ceil(abs(t_end) / dt * (1.0 - 1e-9)))
     h = t_end / max(n_steps, 1)
     z, p = complex(s0.z), complex(s0.p)
@@ -110,7 +113,10 @@ def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
     ps = [p]
 
     def rhs(zz, pp):
-        return pp / m, -v_prime(zz)
+        try:
+            return pp / m, -v_prime(zz)
+        except ArithmeticError as exc:
+            raise StepOverflowError(f"V' fails at z = {zz}: {exc}") from exc
 
     for step in range(1, n_steps + 1):
         k1z, k1p = rhs(z, p)
@@ -119,7 +125,7 @@ def flow(v_prime, m: float, s0: ComplexPhasePoint, t_end: float, dt: float,
         k4z, k4p = rhs(z + h * k3z, p + h * k3p)
         z = z + h * (k1z + 2 * k2z + 2 * k3z + k4z) / 6.0
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        if abs(z) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
+        if not (abs(z) <= OVERFLOW_GUARD and abs(p) <= OVERFLOW_GUARD):
             raise StepOverflowError(f"trajectory diverged at step {step}")
         if step % sample_every == 0 or step == n_steps:
             times.append(step * h)
@@ -190,7 +196,7 @@ def real_hamiltonians(potential, pt: DarbouxPoint, m: float) -> dict:
     cr = cauchy_riemann_residual(potential, cpt.z)
     scale = max(abs(potential(cpt.z)), 1.0)
     if cr > CR_TOL * scale:
-        raise ValueError(
+        raise InputError(
             f"potential fails the Cauchy-Riemann check at {cpt.z} (residual {cr:.2e})"
         )
     h_val = cpt.p**2 / (2.0 * m) + potential(cpt.z)

@@ -6,7 +6,8 @@ annotated keyword parameters of the command's handler below, and a nested
 object's fields are those of the builder its tag (``kind``, ``preset``)
 selects.  Complex scalars are serialized as [re, im] pairs and matrices
 row-major, so the records round-trip bit-for-bit through json.  Exit
-codes: 0 all residual checks pass, 2 residual failure, 3 input error.
+codes, first match wins: 3 an input error, 4 a domain error, 2 a failed
+residual check, 0 all pass.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import numpy as np
 
 from . import biortho, em, linalg, metric, models, statespace
 from .classical import ComplexPhasePoint, flow, real_hamiltonians, to_darboux
-from .errors import NothingToPlotError, PhqmError, SchemaError
+from .errors import InputError, PhqmError, SchemaError
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 2
 EXIT_INPUT = 3
+EXIT_DOMAIN = 4
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +89,8 @@ Profile, Init, Potential, Model = em.MediumProfile, em.InitialFields, tuple, fun
 
 class _Output:
     """What a handler writes: its record's scalars, matrices, curves and
-    gated residuals.  ``strict`` makes domain errors fatal."""
+    gated residuals.  ``strict`` makes em characteristics that leave the
+    profile an error."""
 
     def __init__(self, strict: bool):
         self.strict = strict
@@ -96,6 +99,11 @@ class _Output:
     def gate(self, name: str, value: float, tolerance: float):
         self.residuals.append({"name": name, "value": float(value),
                                "tolerance": float(tolerance), "pass": bool(value <= tolerance)})
+
+
+def _non_hermiticity(m) -> float:
+    """|m - m^dagger| / |m| in the spectral norm."""
+    return linalg.opnorm(m - np.conj(m.T)) / max(linalg.opnorm(m), 1e-300)
 
 
 def _given(**fields) -> dict:
@@ -140,11 +148,7 @@ def _run_hermitize(out, tol, *, matrix: Matrix, eta: Matrix | None = None):
     out.matrices["eta_plus"] = encode_matrix(eta)
     out.matrices["rho"] = encode_matrix(sys_.rho)
     out.matrices["h"] = encode_matrix(sys_.h)
-    out.gate(
-        "h_hermiticity",
-        linalg.opnorm(sys_.h - np.conj(sys_.h.T)) / max(linalg.opnorm(sys_.h), 1e-300),
-        max(tol, 1e-9),
-    )
+    out.gate("h_hermiticity", _non_hermiticity(sys_.h), max(tol, 1e-9))
     spec_h = np.sort(np.linalg.eigvalsh(sys_.h))
     spec_a = np.sort(np.linalg.eigvals(matrix).real)
     out.gate(
@@ -189,11 +193,7 @@ def _swanson(case, out, tol):
         eh = np.sort(np.linalg.eigvalsh(sys_.h))[:5]
         out.matrices["low_spectrum_H"] = encode_vector(eH.astype(complex))
         out.matrices["low_spectrum_h"] = encode_vector(eh.astype(complex))
-        out.gate(
-            "h_hermiticity",
-            linalg.opnorm(sys_.h - np.conj(sys_.h.T)) / max(linalg.opnorm(sys_.h), 1e-300),
-            1e-9,
-        )
+        out.gate("h_hermiticity", _non_hermiticity(sys_.h), 1e-9)
         out.gate("low_spectrum_match", float(np.max(np.abs(eH - eh) / np.abs(eH))), 1e-6)
 
 
@@ -243,25 +243,25 @@ def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
         float(np.max(np.abs(np.sort(np.abs(evals)) - prob.energy)) / prob.energy),
         max(tol, 1e-9),
     )
-    final = statespace.evolve(opt.H_star, psi_I, opt.tau_min, prob.hbar)
-    fidelity = statespace.projective_fidelity(final, psi_F, eta)
+    # linspace ends exactly at tau_min, so the last sample is the final state
+    times = np.linspace(0.0, opt.tau_min, 33)
+    states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
+    fidelity = statespace.projective_fidelity(states[-1], psi_F, eta)
     out.scalars["fidelity"] = fidelity
     out.gate("fidelity_deficit", 1.0 - fidelity, 1e-8)
     de = statespace.energy_uncertainty(opt.H_star, psi_I, eta)
     out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, max(tol, 1e-9))
-    times = np.linspace(0.0, opt.tau_min, 33)
-    states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
     rows = [[t, statespace.projective_fidelity(psi_t, psi_F, eta)] for t, psi_t in zip(times, states)]
     out.curves["trajectory"] = {"columns": ["t", "fidelity"], "rows": rows}
 
 
 def _run_geometry(out, tol, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
+    if min(n_theta, n_phi) < 1:
+        raise InputError("n_theta and n_phi must be at least 1")
     geo = statespace.two_level_geometry(eta)
     out.scalars.update({"k1": geo.k1, "k2": geo.k2, "k3": geo.k3, "beta": geo.beta})
-    rows = []
-    for theta in np.linspace(0.0, np.pi, n_theta):
-        for phi in np.linspace(0.0, 2.0 * np.pi, n_phi):
-            rows.append([theta, phi, float(geo.conformal_factor(theta, phi))])
+    rows = [[theta, phi, float(geo.conformal_factor(theta, phi))]
+            for theta in np.linspace(0.0, np.pi, n_theta) for phi in np.linspace(0.0, 2.0 * np.pi, n_phi)]
     out.curves["line_element"] = {"columns": ["theta", "phi", "ds2_factor"], "rows": rows}
     out.gate("k1_positive_margin", 0.0 if geo.k1 > 0 else 1.0, 0.5)
 
@@ -283,28 +283,20 @@ def _run_classical(out, tol, *, potential: Potential, z0: complex, p0: complex,
                    t_end: float, dt: float, mass: float = 1.0, sample_every: int = 10):
     v, v_prime = potential
     traj = flow(v_prime, mass, ComplexPhasePoint(z0, p0), t_end, dt, sample_every=sample_every)
-    ks, his = [], []
-    for z, p in zip(traj.z, traj.p):
-        vals = real_hamiltonians(v, to_darboux(ComplexPhasePoint(z, p)), mass)
-        ks.append(vals["K"])
-        his.append(vals["H_i"])
-    ks = np.array(ks)
-    his = np.array(his)
+    vals = [real_hamiltonians(v, to_darboux(ComplexPhasePoint(z, p)), mass)
+            for z, p in zip(traj.z, traj.p)]
+    ks, his = (np.array([x[key] for x in vals]) for key in ("K", "H_i"))
     scale = max(np.abs(ks).max(), 1.0)
     out.gate("K_drift", float(np.ptp(ks)) / scale, max(tol, 1e-8))
     out.gate("H_i_drift", float(np.ptp(his)) / scale, max(tol, 1e-8))
-    rows = [
-        [t, z.real, z.imag, k, hi]
-        for t, z, k, hi in zip(traj.times, traj.z, ks, his)
-    ]
-    out.curves["trajectory"] = {
-        "columns": ["t", "re_z", "im_z", "K", "H_i"],
-        "rows": rows,
-    }
+    rows = [[t, z.real, z.imag, k, hi] for t, z, k, hi in zip(traj.times, traj.z, ks, his)]
+    out.curves["trajectory"] = {"columns": ["t", "re_z", "im_z", "K", "H_i"], "rows": rows}
 
 
 def _run_em(out, tol, *, profile: Profile, init: Init, t: float, n_eval: int = 400,
             fdtd_check: bool = False):
+    if n_eval < 1:
+        raise InputError("n_eval must be at least 1")
     z_eval = np.linspace(profile.z_min, profile.z_max, n_eval)
     field = em.propagate(profile, init, z_eval, t, strict=out.strict)
     out.curves["snapshot"] = {
@@ -315,11 +307,7 @@ def _run_em(out, tol, *, profile: Profile, init: Init, t: float, n_eval: int = 4
     omega2 = em.wave_operator(profile, z_op)
     eps_diag = np.asarray(profile.eps_at(z_op), dtype=float)
     lhs = eps_diag[:, None] * omega2
-    out.gate(
-        "omega2_eps_pseudo_hermiticity",
-        linalg.opnorm(lhs - np.conj(lhs.T)) / max(linalg.opnorm(lhs), 1e-300),
-        1e-10,
-    )
+    out.gate("omega2_eps_pseudo_hermiticity", _non_hermiticity(lhs), 1e-10)
     if fdtd_check:
         diag = profile.slow_variation_diagnostic(init.width)
         out.scalars["slow_variation_diagnostic"] = diag
@@ -370,7 +358,7 @@ _TYPES = {
     "int": (lambda value: isinstance(value, int) and not isinstance(value, bool), int),
     "bool": (_is(bool), bool),
     "str": (_is(str), str),
-    "list": (_is(list), list),
+    "list": (lambda value: isinstance(value, list) and all(map(_is_number, value)), list),
     "complex": (_is(list), parse_complex),
     "Vector": (_is(list), lambda value: parse_vector(value)),
     "Matrix": (_is(list), lambda value: parse_matrix(value)),
@@ -446,42 +434,50 @@ def run(config: dict, tol: float | None = None, strict: bool = False) -> dict:
     """Execute one scenario and return its result record.
 
     ``tol`` overrides the scenario's residual tolerance; ``strict`` makes
-    domain errors fatal.
+    em characteristics that leave the profile an error.  A failed scenario's
+    record carries ``error``: the class (input, domain or residual), type
+    and message of the failure; LAPACK failing on a validated input is domain.
     """
-    handler, kwargs = validate_scenario(config)
-    if tol is not None:
-        kwargs["tol"] = float(tol)
     started = time.perf_counter()
-    out = _Output(strict)
+    out, error = _Output(strict), None
     with warnings.catch_warnings(record=True) as caught:
         # ignore and error filters stand; a warning shown once per location
         # would be lost to every later run, so record it each time
         warnings.filters[:] = [("always", *f[1:]) if f[0] in ("default", "module", "once")
                                else f for f in warnings.filters]
         warnings.simplefilter("always", append=True)
-        handler(out, **kwargs)
-    return {
-        "command": config["command"],
+        try:
+            handler, kwargs = validate_scenario(config)
+            if tol is not None:
+                kwargs["tol"] = float(tol)
+            handler(out, **kwargs)
+        except (PhqmError, np.linalg.LinAlgError) as exc:
+            error = {"class": getattr(exc, "category", "domain"), "type": type(exc).__name__,
+                     "message": str(exc)}
+    record = {
+        "command": config.get("command") if isinstance(config, dict) else None,
         "inputs": config,
+        "error": error,
         "scalars": out.scalars,
         "matrices": out.matrices,
         "curves": out.curves,
         "warnings": [str(w.message) for w in caught],
         "residuals": out.residuals,
-        "all_pass": all(e["pass"] for e in out.residuals),
+        "all_pass": error is None and all(e["pass"] for e in out.residuals),
         "timing_s": time.perf_counter() - started,
     }
+    unset = ("error",) if error is None else ("scalars", "matrices", "curves", "residuals")
+    return {key: value for key, value in record.items() if key not in unset}
 
 
 def emit_plotdata(record: dict, kind: str | None = None) -> str:
     """Render one of the record's sampled curves as headered CSV."""
     curves = record.get("curves") or {}
     if not curves:
-        raise NothingToPlotError("record contains no sampled curves")
-    if kind is None:
-        kind = sorted(curves)[0]
+        raise InputError("record contains no sampled curves")
+    kind = sorted(curves)[0] if kind is None else kind
     if kind not in curves:
-        raise NothingToPlotError(f"no curve named {kind!r}; have {sorted(curves)}")
+        raise InputError(f"no curve named {kind!r}; have {sorted(curves)}")
     curve = curves[kind]
     buf = io.StringIO()
     buf.write(",".join(curve["columns"]) + "\n")
@@ -499,7 +495,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--tol", type=float, default=None, help="override residual tolerance")
-    parser.add_argument("--strict", action="store_true", help="domain errors are fatal")
+    parser.add_argument("--strict", action="store_true", help="em characteristics may not leave the profile")
     args = parser.parse_args(argv)
 
     try:
@@ -509,26 +505,22 @@ def main(argv=None) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    scenarios = payload if isinstance(payload, list) else [payload]
-    try:
-        records = [run(sc, tol=args.tol, strict=args.strict) for sc in scenarios]
-    except SchemaError as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PhqmError, ValueError, KeyError, np.linalg.LinAlgError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    records = [run(sc, tol=args.tol, strict=args.strict)
+               for sc in (payload if isinstance(payload, list) else [payload])]
     for record in records:
         for text in record["warnings"]:
             print(f"warning: {text}", file=sys.stderr)
+        if "error" in record:
+            error = record["error"]
+            kind = "invalid scenario" if error["type"] == SchemaError.__name__ else error["type"]
+            print(f"error: {kind}: {error['message']}", file=sys.stderr)
     output = records[0] if len(records) == 1 else records
     if args.format == "json":
         text = json.dumps(output, indent=2)
     else:
         try:
-            text = "".join(emit_plotdata(r) for r in records)
-        except NothingToPlotError as exc:
+            text = "".join(emit_plotdata(r) for r in records if "error" not in r)
+        except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if args.out:
@@ -537,7 +529,9 @@ def main(argv=None) -> int:
     else:
         print(text)
 
-    return EXIT_OK if all(r["all_pass"] for r in records) else EXIT_RESIDUAL
+    failed = {r["error"]["class"] for r in records if "error" in r}
+    return (EXIT_INPUT if "input" in failed else EXIT_DOMAIN if "domain" in failed
+            else EXIT_OK if all(r["all_pass"] for r in records) else EXIT_RESIDUAL)
 
 
 if __name__ == "__main__":

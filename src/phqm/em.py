@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLViolationError, OutOfDomainError
+from .errors import InputError, OutOfDomainError
 
 DIAGNOSTIC_SAMPLES = 400  # points of the slow-variation scan
 TABLE_POINTS = 20001      # nodes of the optical-path and E0_dot antiderivative tables
@@ -76,8 +76,10 @@ def tanh_medium(eps0: float = 1.0, amp: float = 0.1, z_min: float = Z_MIN,
 def sampled_profile(z: list, eps: list, mu: list) -> MediumProfile:
     """Profile from samples (lists or arrays) with linear interpolation."""
     z, eps, mu = (np.asarray(a, dtype=float) for a in (z, eps, mu))
+    if not len(z) == len(eps) == len(mu) >= 2 or np.any(np.diff(z) <= 0):
+        raise InputError("z, eps and mu need one length of at least 2, z increasing")
     if np.any(eps <= 0) or np.any(mu <= 0):
-        raise ValueError("eps and mu samples must be strictly positive")
+        raise InputError("eps and mu samples must be strictly positive")
     return MediumProfile(
         lambda zz: np.interp(zz, z, eps),
         lambda zz: np.interp(zz, z, mu),
@@ -225,7 +227,7 @@ def fdtd_oracle(profile: MediumProfile, init: InitialFields, t_end: float,
     runs backward in time.
     """
     if cfl > 1.0 or cfl <= 0.0:
-        raise CFLViolationError(f"cfl = {cfl} outside (0, 1]")
+        raise InputError(f"cfl = {cfl} outside (0, 1]")
     z = np.linspace(profile.z_min, profile.z_max, n)
     dz = z[1] - z[0]
     v_max = float(np.max(1.0 / profile.index(z)))

@@ -1,105 +1,94 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, each under one of three bases:
+the failure class that a result record reports.
+"""
 
 
 class PhqmError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionMismatchError(PhqmError):
-    """Operands have incompatible shapes."""
+class InputError(PhqmError, ValueError):
+    """An input the toolkit cannot accept: malformed, mis-sized or out of range."""
+    category = "input"
 
 
-class DefectiveOperatorError(PhqmError):
-    """Eigenvector matrix is numerically singular (exceptional point)."""
+class DomainError(PhqmError):
+    """A valid input outside the constructions' domain, e.g. an exceptional point."""
+    category = "domain"
 
 
-class NotHermitianError(PhqmError):
-    """A Hermitian matrix was required."""
+class ResidualError(PhqmError):
+    """A certifying gate failed."""
+    category = "residual"
 
 
-class SpectrumOutOfDomainError(PhqmError):
-    """Scalar function is undefined on part of the spectrum."""
-
-
-class ComplexSpectrumError(PhqmError):
-    """Operation requires an all-real spectrum."""
-
-
-class UnpairedComplexEigenvalueError(PhqmError):
-    """A nonreal eigenvalue has no conjugate partner."""
-
-
-class LengthMismatchError(PhqmError):
-    """Sign sequence length disagrees with the number of real eigenvalues."""
-
-
-class NotPseudoHermitianError(PhqmError):
-    """Pseudo-Hermiticity residual exceeds tolerance."""
-
-
-class NotPositiveDefiniteError(PhqmError):
-    """Positive-definite matrix required."""
-
-
-class SingularOperatorError(PhqmError):
-    """Matrix is numerically singular."""
-
-
-class UnsolvableCommutatorError(PhqmError):
-    """Commutator equation has no solution on a degenerate block."""
-
-
-class ZeroVectorError(PhqmError):
-    """State vector must be nonzero."""
-
-
-class IdenticalStatesError(PhqmError):
-    """Initial and final states coincide; no evolution needed."""
-
-
-class NonPositiveDError(PhqmError):
-    """Two-level model parameter D must be positive for a metric to exist."""
-
-
-class RealityViolatedError(PhqmError):
-    """Coupling constraint guaranteeing a real spectrum fails."""
-
-
-class NotPTSymmetricError(PhqmError):
-    """Operator is not invariant under grid reversal times conjugation."""
-
-
-class EigenpairsNotConvergedError(PhqmError):
-    """Iterative eigensolver did not converge to resolved eigenpairs."""
-
-
-class GridTooSmallError(PhqmError):
-    """Grid does not resolve the eigenfunction tails."""
-
-
-class UnsupportedKindError(PhqmError):
-    """Unknown model or potential kind."""
-
-
-class StepOverflowError(PhqmError):
-    """Trajectory diverged beyond the integrator guard."""
-
-
-class DegenerateStructureError(PhqmError):
-    """Symplectic structure parameters are degenerate."""
-
-
-class OutOfDomainError(PhqmError):
-    """Coordinate outside the declared domain."""
-
-
-class CFLViolationError(PhqmError):
-    """Time step violates the CFL stability bound."""
-
-
-class SchemaError(PhqmError):
+class SchemaError(InputError):
     """Scenario file does not validate against the schema."""
 
 
-class NothingToPlotError(PhqmError):
-    """Result record carries no sampled curves."""
+class NotHermitianError(InputError):
+    """A Hermitian matrix was required."""
+
+
+class DegenerateStructureError(InputError):
+    """Symplectic structure parameters are degenerate."""
+
+
+class DefectiveOperatorError(DomainError):
+    """Eigenvector matrix is numerically singular (exceptional point)."""
+
+
+class NonPositiveDError(DomainError):
+    """Two-level model parameter D must be positive for a metric to exist."""
+
+
+class RealityViolatedError(DomainError):
+    """Coupling constraint guaranteeing a real spectrum fails."""
+
+
+class ComplexSpectrumError(DomainError):
+    """Operation requires an all-real spectrum."""
+
+
+class UnpairedComplexEigenvalueError(DomainError):
+    """A nonreal eigenvalue has no conjugate partner."""
+
+
+class SpectrumOutOfDomainError(DomainError):
+    """Scalar function is undefined on part of the spectrum."""
+
+
+class SingularOperatorError(DomainError):
+    """Matrix is numerically singular."""
+
+
+class UnsolvableCommutatorError(DomainError):
+    """Commutator equation has no solution on a degenerate block."""
+
+
+class EigenpairsNotConvergedError(DomainError):
+    """Iterative eigensolver did not converge to resolved eigenpairs."""
+
+
+class GridTooSmallError(DomainError):
+    """Grid does not resolve the eigenfunction tails."""
+
+
+class StepOverflowError(DomainError):
+    """Trajectory diverged beyond the integrator guard."""
+
+
+class OutOfDomainError(DomainError):
+    """Coordinate outside the declared domain."""
+
+
+class NotPseudoHermitianError(ResidualError):
+    """Pseudo-Hermiticity residual exceeds tolerance."""
+
+
+class NotPositiveDefiniteError(ResidualError):
+    """Positive-definite matrix required."""
+
+
+class NotPTSymmetricError(ResidualError):
+    """Operator is not invariant under grid reversal times conjugation."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (
     DefectiveOperatorError,
-    DimensionMismatchError,
+    InputError,
     NotHermitianError,
     SpectrumOutOfDomainError,
 )
@@ -38,9 +38,9 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a square, finite complex matrix."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     return m
 
 
@@ -179,5 +179,5 @@ def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
+        raise InputError(f"shapes {ma.shape} and {mb.shape} differ")
     return ma @ mb - mb @ ma

@@ -19,7 +19,7 @@ import numpy as np
 from .biortho import BiorthonormalSystem
 from .errors import (
     ComplexSpectrumError,
-    LengthMismatchError,
+    InputError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
@@ -86,11 +86,11 @@ class QuasiHermitianSystem:
 def _check_sigma(sigma, n_real: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float).ravel()
     if len(sigma) != n_real:
-        raise LengthMismatchError(
+        raise InputError(
             f"sigma has length {len(sigma)}, expected {n_real} (one per real eigenvalue)"
         )
     if not np.all(np.isin(sigma, (-1.0, 1.0))):
-        raise ValueError("sigma entries must be +1 or -1")
+        raise InputError("sigma entries must be +1 or -1")
     return sigma
 
 
@@ -158,7 +158,7 @@ def antilinear_symmetry(bs: BiorthonormalSystem, phases=None) -> AntilinearSymme
     if phases is not None:
         rot = np.exp(1j * np.asarray(phases, dtype=float))
         if len(rot) != bs.dim:
-            raise LengthMismatchError("need one phase per eigenvalue")
+            raise InputError("need one phase per eigenvalue")
         psis = psis * rot[None, :]
         phis = phis * rot[None, :]
     return AntilinearSymmetry(psis @ phis.T)

@@ -25,11 +25,11 @@ from .errors import (
     DefectiveOperatorError,
     EigenpairsNotConvergedError,
     GridTooSmallError,
+    InputError,
     NonPositiveDError,
     NotPTSymmetricError,
     RealityViolatedError,
     SingularOperatorError,
-    UnsupportedKindError,
 )
 from .linalg import dagger, opnorm, sqrtm_pd
 from .metric import MetricOperator, QuasiHermitianSystem, hermitian_inverse
@@ -52,9 +52,9 @@ class TwoLevelParams:
 
     def __post_init__(self):
         if self.r <= 0:
-            raise ValueError("r must be positive")
+            raise InputError("r must be positive")
         if not -1.0 < self.s < 1.0:
-            raise ValueError("s must lie in (-1, 1)")
+            raise InputError("s must lie in (-1, 1)")
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class SwansonParams:
 
     def __post_init__(self):
         if self.hbar <= 0 or self.omega <= 0:
-            raise ValueError("hbar and omega must be positive")
+            raise InputError("hbar and omega must be positive")
         if self.hbar**2 * self.omega**2 <= 4.0 * self.alpha * self.beta:
             raise RealityViolatedError(
                 "requires hbar^2 omega^2 > 4 alpha beta for a real spectrum"
@@ -270,7 +270,7 @@ def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
     free of truncation-edge contamination.
     """
     if n_max < 16:
-        raise ValueError("n_max must be at least 16")
+        raise InputError("n_max must be at least 16")
     sm = swanson_metric(params, r, branch)
     avatar_eigs = np.linalg.eigvals(sm.eta_2x2)
     # the principal family is connected to eta = I, so its avatar stays
@@ -339,13 +339,13 @@ class QuarticParams:
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise InputError("lambda must be positive")
         if self.omega < 0:
-            raise ValueError("omega must be non-negative")
+            raise InputError("omega must be non-negative")
         if self.n < 64 or self.n_k < 64:
-            raise ValueError("grids need at least 64 points")
+            raise InputError("grids need at least 64 points")
         if self.length <= 0 or self.length_k <= 0:
-            raise ValueError("grid half-widths length and length_k must be positive")
+            raise InputError("grid half-widths length and length_k must be positive")
 
 
 def fourier_wavenumber_operator(n: int, half_width: float, power: int = 1) -> np.ndarray:
@@ -508,11 +508,13 @@ class KernelPotentialSpec:
 
     def __post_init__(self):
         if self.kind not in ("square_well", "barrier", "delta"):
-            raise UnsupportedKindError(f"unknown kernel potential kind {self.kind!r}")
+            raise InputError(f"unknown kernel potential kind {self.kind!r}")
         if self.kind in ("square_well", "barrier") and self.length <= 0:
-            raise ValueError("width L must be positive")
+            raise InputError("width L must be positive")
         if self.kind == "delta" and self.kappa <= 0:
-            raise ValueError("kappa must be positive (spectral singularity otherwise)")
+            raise InputError("kappa must be positive (spectral singularity otherwise)")
+        if self.mass <= 0 or self.hbar <= 0:
+            raise InputError("mass and hbar must be positive")
 
 
 @dataclass(frozen=True)
@@ -528,6 +530,10 @@ class KernelGrid:
     x_min: float = -2.0
     x_max: float = 2.0
     style: str = "midpoint"
+
+    def __post_init__(self):
+        if self.n < 2 or not self.x_min < self.x_max:
+            raise InputError("a kernel grid needs n >= 2 and x_min < x_max")
 
     def points(self) -> np.ndarray:
         dx = self.dx

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import as_matrix, commutator, hermitian_function, is_hermitian, opnorm
 from .metric import MetricOperator
-from .errors import DimensionMismatchError, NotHermitianError, UnsolvableCommutatorError
+from .errors import InputError, NotHermitianError, UnsolvableCommutatorError
 
 DEGENERACY_TOL = 1e-9
 
@@ -37,13 +37,13 @@ class PerturbationProblem:
         H0 = as_matrix(self.H0)
         H1 = as_matrix(self.H1)
         if H0.shape != H1.shape:
-            raise DimensionMismatchError("H0 and H1 must share a shape")
+            raise InputError("H0 and H1 must share a shape")
         if not is_hermitian(H0, self.tol):
             raise NotHermitianError("H0 must be Hermitian")
         if not is_hermitian(1j * H1, self.tol):
             raise NotHermitianError("H1 must be anti-Hermitian")
         if self.order < 1 or self.order % 2 == 0:
-            raise ValueError("order must be a positive odd integer")
+            raise InputError("order must be a positive odd integer")
         object.__setattr__(self, "H0", H0)
         object.__setattr__(self, "H1", H1)
 
@@ -80,7 +80,7 @@ def solve_commutator(h0, r) -> np.ndarray:
     H0 = as_matrix(h0)
     R = as_matrix(r)
     if H0.shape != R.shape:
-        raise DimensionMismatchError("H0 and R must share a shape")
+        raise InputError("H0 and R must share a shape")
     energies, basis = np.linalg.eigh(0.5 * (H0 + np.conj(H0.T)))
     scale = max(float(np.max(np.abs(energies))), 1.0)
     r_tilde = np.conj(basis.T) @ R @ basis
@@ -167,7 +167,7 @@ def metric_residual(prob: PerturbationProblem, qs: QSeries, epsilon: float) -> f
 def oscillator_basis(n_max: int, mass: float = 1.0, hbar: float = 1.0, omega: float = 1.0):
     """Position and momentum matrices in the n_max-dim oscillator basis."""
     if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+        raise InputError("n_max must be at least 2")
     lower, raise_ = ladder_operators(n_max)
     x = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
     p = 1j * np.sqrt(mass * hbar * omega / 2.0) * (raise_ - lower)

@@ -11,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IdenticalStatesError,
-    NotPositiveDefiniteError,
-    ZeroVectorError,
-)
-from .linalg import as_matrix, eig_nonhermitian
+from .errors import InputError, NotPositiveDefiniteError
+from .linalg import as_matrix, eig_nonhermitian, is_hermitian
 from .metric import MetricOperator
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
@@ -33,7 +29,7 @@ def _eta_matrix(eta, dim: int) -> np.ndarray:
 def _vector(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).ravel()
     if np.linalg.norm(v) == 0:
-        raise ZeroVectorError("state vector must be nonzero")
+        raise InputError("state vector must be nonzero")
     return v
 
 
@@ -100,7 +96,7 @@ def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
     eta_m = _eta_matrix(eta, 2)
     if eta_m.shape != (2, 2):
-        raise ValueError("two_level_geometry requires a 2x2 metric")
+        raise InputError("two_level_geometry requires a 2x2 metric")
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)
@@ -139,7 +135,12 @@ class BrachistochroneProblem:
         object.__setattr__(self, "psi_i", _vector(self.psi_i))
         object.__setattr__(self, "psi_f", _vector(self.psi_f))
         if self.energy <= 0:
-            raise ValueError("energy scale E must be positive")
+            raise InputError("energy scale E must be positive")
+        eta = _eta_matrix(self.eta, len(self.psi_i))
+        if not len(self.psi_i) == len(self.psi_f) == len(eta):
+            raise InputError("psi_i, psi_f and eta sizes differ")
+        if not (is_hermitian(eta) and np.linalg.eigvalsh(eta)[0] > 0):
+            raise InputError("eta must be Hermitian positive definite")
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def optimal_hamiltonian(prob: BrachistochroneProblem,
     cos_s = min(abs(q), 1.0)
     s = float(np.arccos(cos_s))
     if s <= ANTIPODAL_TOL:
-        raise IdenticalStatesError("initial and final states coincide")
+        raise InputError("initial and final states coincide")
 
     if abs(q) < ANTIPODAL_TOL:
         uf_hat = np.exp(1j * relative_phase) * uf

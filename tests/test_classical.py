@@ -101,6 +101,25 @@ def test_flow_overflow_guard():
         flow(lambda z: -50.0 * z, 1.0, ComplexPhasePoint(1.0, 1.0), 50.0, 0.05)
 
 
+@pytest.mark.parametrize(
+    "v_prime, z0, cause",
+    [(lambda z: -(z ** -2), 0.0, ZeroDivisionError),
+     (lambda z: z ** 2000, 2.0, OverflowError),
+     (lambda z: complex("nan") * z, 1.0, type(None))],
+    ids=["pole", "complex-overflow", "nan"],
+)
+def test_flow_ends_with_step_overflow_where_the_force_fails(v_prime, z0, cause):
+    # a NaN step compares false against the guard, so it must be caught apart
+    with pytest.raises(StepOverflowError) as info:
+        flow(v_prime, 1.0, ComplexPhasePoint(z0, 1.0), 1.0, 0.1)
+    assert type(info.value.__cause__) is cause
+
+
+def test_flow_rejects_zero_mass():
+    with pytest.raises(ValueError, match="mass must be nonzero"):
+        flow(cubic_prime, 0.0, ComplexPhasePoint(0.0, 1.0), 1.0, 0.1)
+
+
 def test_standard_bracket_canonical_pairs():
     pt = RNG.standard_normal(4)
     assert standard_bracket(lambda w: w[0], lambda w: w[1], pt).real == pytest.approx(

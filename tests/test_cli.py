@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from phqm import cli, models, statespace
-from phqm.errors import NothingToPlotError, SchemaError
+from phqm.errors import InputError, SchemaError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -186,10 +186,10 @@ def test_csv_emission(tmp_path):
 
 def test_emit_plotdata_errors():
     record = cli.run(load("metric_identity.json"))
-    with pytest.raises(NothingToPlotError):
+    with pytest.raises(InputError, match="no sampled curves"):
         cli.emit_plotdata(record)
     record_g = cli.run(load("geometry_euclidean.json"))
-    with pytest.raises(NothingToPlotError):
+    with pytest.raises(InputError, match="no curve named"):
         cli.emit_plotdata(record_g, "nonexistent")
 
 
@@ -243,11 +243,14 @@ def test_sampled_profile_fdtd_scenario():
          "psi_F": [[2, 0], [0, 0]], "E": 1.0},
         {"command": "classical", "potential": {"kind": "weird"},
          "z0": [0, 0], "p0": [1, 0], "t_end": 1.0, "dt": 0.01},
-        {"command": "model", "model": {"kind": "two_level", "D": 0.0}},
-        {"command": "model", "model": {"kind": "swanson", "alpha": 0.6, "beta": 0.5}},
+        {"command": "brachistochrone", "psi_I": [[0, 0], [0, 0]],
+         "psi_F": [[1, 0], [0, 0]], "E": 1.0},
+        {"command": "metric", "matrix": [[[2.5, 0], [1.5, 0]], [[-1.5, 0], [-2.5, 0]]],
+         "sigma": [1]},
         {"command": "em", "profile": {"preset": "nope"},
          "init": {"kind": "gaussian"}, "t": 1.0},
-        {"command": "hermitize", "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+        {"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]], "psi_F": [[0, 0], [1, 0]],
+         "E": 1.0, "eta": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
     ],
 )
 def test_degenerate_inputs_exit_as_input_errors(config, tmp_path, capsys):
@@ -255,6 +258,74 @@ def test_degenerate_inputs_exit_as_input_errors(config, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+JORDAN = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "config, error_type",
+    [
+        ({"command": "model", "model": {"kind": "two_level", "D": 0.0}}, "DefectiveOperatorError"),
+        ({"command": "model", "model": {"kind": "swanson", "alpha": 0.6, "beta": 0.5}},
+         "RealityViolatedError"),
+        ({"command": "hermitize", "matrix": JORDAN}, "DefectiveOperatorError"),
+        ({"command": "metric", "matrix": JORDAN}, "DefectiveOperatorError"),
+        ({"command": "model", "model": {"kind": "quartic", "lam": 0.5, "omega": 3.0}},
+         "EigenpairsNotConvergedError"),
+        ({"command": "classical", "potential": {"kind": "monomial", "coeff": [1, 0], "power": -1},
+          "z0": [0, 0], "p0": [1, 0], "t_end": 1, "dt": 0.1}, "StepOverflowError"),
+    ],
+    ids=["two-level-D0", "swanson-complex", "hermitize-jordan", "metric-jordan",
+         "quartic-unconverged", "flow-pole"],
+)
+def test_valid_inputs_outside_the_domain_exit_as_domain_errors(config, error_type, tmp_path,
+                                                                capsys):
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_DOMAIN
+    assert f"error: {error_type}: " in capsys.readouterr().err
+    record = json.loads(out.read_text())
+    assert list(record) == ["command", "inputs", "error", "warnings", "all_pass", "timing_s"]
+    assert record["error"]["class"] == "domain" and record["error"]["type"] == error_type
+    assert record["inputs"] == config and record["all_pass"] is False
+
+
+def test_failed_gate_exits_as_residual_error(tmp_path, capsys):
+    config = {"command": "hermitize", "matrix": [[[1, 0], [1, 0]], [[0, 0], [2, 0]]], "eta": EYE2}
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_RESIDUAL
+    assert "error: NotPseudoHermitianError: pseudo-Hermiticity residual" in capsys.readouterr().err
+    assert json.loads(out.read_text())["error"]["class"] == "residual"
+
+
+def test_batch_runs_every_scenario_past_a_failure(tmp_path, capsys):
+    path, out = tmp_path / "batch.json", tmp_path / "out.json"
+    path.write_text(json.dumps([{"command": "metric", "matrix": JORDAN}, load("two_level.json")]))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.count("error: ") == 1
+    failed, passed = json.loads(out.read_text())
+    assert failed["error"]["class"] == "domain"
+    alone = json.loads(json.dumps(cli.run(load("two_level.json"))))
+    assert {**passed, "timing_s": 0} == {**alone, "timing_s": 0}
+
+
+@pytest.mark.parametrize(
+    "batch, code",
+    [
+        ([{"command": "metric", "matrix": JORDAN}, {"command": "metric"}], cli.EXIT_INPUT),
+        ([{"command": "metric", "matrix": JORDAN}, {**load("diagnose_two_level.json"), "tol": 1e-30}],
+         cli.EXIT_DOMAIN),
+        ([load("two_level.json"), {**load("diagnose_two_level.json"), "tol": 1e-30}],
+         cli.EXIT_RESIDUAL),
+    ],
+    ids=["input-over-domain", "domain-over-residual", "residual-over-pass"],
+)
+def test_exit_code_takes_the_gravest_class(batch, code, tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(batch))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == code
 
 
 @pytest.mark.parametrize(
@@ -288,7 +359,7 @@ def test_non_positive_quartic_lengths_exit_as_input_errors(field, tmp_path, caps
     path = tmp_path / "case.json"
     path.write_text(json.dumps(config))
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
-    assert "error: ValueError: grid half-widths" in capsys.readouterr().err
+    assert "error: InputError: grid half-widths" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -334,42 +405,44 @@ def test_complex_pairs_of_non_numbers_exit_as_input_errors(config, tmp_path, cap
     )
 
 
-EYE3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+EYE2, EYE3 = ([[[float(i == j), 0.0] for j in range(n)] for i in range(n)] for n in (2, 3))
+SAMPLED = {"z": [-1.0, 0.0, 1.0], "eps": [1.0, 2.0, 1.0], "mu": [1.0, 1.0, 1.0]}
+SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"}, "t": 0.1}
 
 
 @pytest.mark.parametrize(
     "config, message",
     [
         ({"command": "model", "model": {"kind": "two_level", "D": 4.0, "r": 0.0}},
-         "ValueError: r must be positive"),
+         "InputError: r must be positive"),
         ({"command": "model", "model": {"kind": "two_level", "D": 4.0, "s": 1.0}},
-         "ValueError: s must lie in"),
+         "InputError: s must lie in"),
         ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
-                                        "hbar": 0.0}}, "ValueError: hbar and omega"),
+                                        "hbar": 0.0}}, "InputError: hbar and omega"),
         ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
-                                        "omega": -1.0}}, "ValueError: hbar and omega"),
+                                        "omega": -1.0}}, "InputError: hbar and omega"),
         ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
                                         "truncated": True, "n_max": 8}},
-         "ValueError: n_max must be at least 16"),
+         "InputError: n_max must be at least 16"),
         ({"command": "model", "model": {"kind": "quartic", "lam": -1.0}},
-         "ValueError: lambda must be positive"),
+         "InputError: lambda must be positive"),
         ({"command": "model", "model": {"kind": "quartic", "lam": 0.0625, "omega": -1.0}},
-         "ValueError: omega must be non-negative"),
+         "InputError: omega must be non-negative"),
         ({"command": "model", "model": {"kind": "quartic", "lam": 0.0625, "n": 32}},
-         "ValueError: grids need at least 64 points"),
+         "InputError: grids need at least 64 points"),
         ({"command": "model", "model": {"kind": "kernel", "kind_detail": "barrier",
                                         "zeta": 0.1, "length": 0.0}},
-         "ValueError: width L must be positive"),
+         "InputError: width L must be positive"),
         ({"command": "em", "profile": {"z": [-1.0, 0.0, 1.0], "eps": [1.0, 0.0, 1.0],
                                        "mu": [1.0, 1.0, 1.0]},
           "init": {"kind": "gaussian"}, "t": 0.1},
-         "ValueError: eps and mu samples must be strictly positive"),
-        ({"command": "geometry", "eta": EYE3}, "ValueError: two_level_geometry requires a 2x2"),
+         "InputError: eps and mu samples must be strictly positive"),
+        ({"command": "geometry", "eta": EYE3}, "InputError: two_level_geometry requires a 2x2"),
         ({"command": "metric", "matrix": TWO_LEVEL_A, "sigma": [1, 2]},
-         "ValueError: sigma entries must be +1 or -1"),
-        ({**CUBIC_FLOW, "dt": 0.0}, "ValueError: dt must be positive"),
+         "InputError: sigma entries must be +1 or -1"),
+        ({**CUBIC_FLOW, "dt": 0.0}, "InputError: dt must be positive"),
         ({"command": "metric", "matrix": [[[1.0, 0.0], [2.0, 0.0]]]},
-         "DimensionMismatchError: expected a square matrix"),
+         "InputError: expected a square matrix"),
         ({"command": "brachistochrone", "psi_I": [], "psi_F": [[1, 0], [0, 0]], "E": 1.0},
          "invalid scenario: vector must be a non-empty list"),
         ({"command": "metric", "matrix": []}, "invalid scenario: matrix must be a non-empty list"),
@@ -380,6 +453,32 @@ EYE3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
         (5, "invalid scenario: scenario must be a JSON object"),
         ([load("metric_identity.json"), "metric"],
          "invalid scenario: scenario must be a JSON object"),
+        ({**SAMPLED_EM, "profile": {**SAMPLED, "mu": [1.0, 1.0]}},
+         "InputError: z, eps and mu need one length of at least 2"),
+        ({**SAMPLED_EM, "profile": {"z": [0.0], "eps": [1.0], "mu": [1.0]}},
+         "InputError: z, eps and mu need one length of at least 2"),
+        ({**SAMPLED_EM, "profile": {**SAMPLED, "z": [-1.0, 1.0, 0.5]}},
+         "InputError: z, eps and mu need one length of at least 2, z increasing"),
+        ({**SAMPLED_EM, "profile": {**SAMPLED, "z": ["a", 0.0, 1.0]}},
+         "invalid scenario: field 'z' must have type list"),
+        ({"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]],
+          "psi_F": [[0, 0], [1, 0], [0, 0]], "E": 1.0},
+         "InputError: psi_i, psi_f and eta sizes differ"),
+        ({"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]], "psi_F": [[0, 0], [1, 0]],
+          "E": 1.0, "eta": EYE3}, "InputError: psi_i, psi_f and eta sizes differ"),
+        ({"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]], "psi_F": [[0, 0], [1, 0]],
+          "E": 1.0, "eta": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+         "InputError: eta must be Hermitian positive definite"),
+        ({"command": "geometry", "eta": EYE2, "n_theta": 0},
+         "InputError: n_theta and n_phi must be at least 1"),
+        ({"command": "geometry", "eta": EYE2, "n_phi": -2},
+         "InputError: n_theta and n_phi must be at least 1"),
+        ({**SAMPLED_EM, "n_eval": 0}, "InputError: n_eval must be at least 1"),
+        ({**SAMPLED_EM, "n_eval": -3}, "InputError: n_eval must be at least 1"),
+        ({"command": "model", "model": {"kind": "kernel", "kind_detail": "barrier", "zeta": 0.1,
+                                        "n": -1}}, "InputError: a kernel grid needs n >= 2"),
+        ({"command": "model", "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.1,
+                                        "hbar": 0.0}}, "InputError: mass and hbar must be positive"),
     ],
 )
 def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):
@@ -395,7 +494,7 @@ def test_non_positive_sample_every_exits_as_input_error(sample_every, tmp_path, 
     path = tmp_path / "case.json"
     path.write_text(json.dumps({**CUBIC_FLOW, "sample_every": sample_every}))
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
-    assert "error: ValueError: sample_every must be at least 1" in capsys.readouterr().err
+    assert "error: InputError: sample_every must be at least 1" in capsys.readouterr().err
 
 
 def test_non_finite_matrix_entries_exit_as_input_errors(tmp_path, capsys):
@@ -403,7 +502,7 @@ def test_non_finite_matrix_entries_exit_as_input_errors(tmp_path, capsys):
     path = tmp_path / "case.json"
     path.write_text('{"command": "diagnose", "matrix": [[[NaN, 0]]]}')
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
-    assert "error: ValueError: matrix has non-finite entries" in capsys.readouterr().err
+    assert "error: InputError: matrix has non-finite entries" in capsys.readouterr().err
 
 
 def test_record_goes_to_stdout_without_out(capsys):
@@ -440,7 +539,7 @@ def test_brachistochrone_trajectory_takes_one_evolve_call(name, monkeypatch):
     monkeypatch.setattr(statespace, "evolve", counting)
     config = load(name)
     record = cli.run(config)
-    assert calls == [(), (33,)]       # the final state, then all 33 samples at once
+    assert calls == [(33,)]           # all 33 samples at once; the last is the final state
     psi_i, psi_f = cli.parse_vector(config["psi_I"]), cli.parse_vector(config["psi_F"])
     eta = cli.parse_matrix(config["eta"]) if "eta" in config else None
     h_star = np.array(record["matrices"]["H_star"])

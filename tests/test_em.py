@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 from scipy.special import erf
 
 from phqm import em
-from phqm.errors import CFLViolationError, OutOfDomainError, PhqmError
+from phqm.errors import InputError, OutOfDomainError, PhqmError
 from phqm.linalg import opnorm
 
 RNG = np.random.default_rng(2718)
@@ -234,7 +234,7 @@ def test_fdtd_convergence_order_two():
 
 
 def test_fdtd_cfl_guard():
-    with pytest.raises(CFLViolationError):
+    with pytest.raises(InputError, match="cfl = 1.5 outside"):
         em.fdtd_oracle(em.vacuum(), em.gaussian_pulse(0.0, 0.5), 1.0, cfl=1.5)
 
 

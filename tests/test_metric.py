@@ -4,7 +4,7 @@ import pytest
 from phqm import biortho, linalg, metric
 from phqm.errors import (
     ComplexSpectrumError,
-    LengthMismatchError,
+    InputError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
@@ -108,7 +108,7 @@ def test_pseudo_metric_residual_conjugate_pairs():
 
 def test_pseudo_metric_sigma_length_checked():
     _, bs = two_level_system(4.0)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match="one per real eigenvalue"):
         metric.pseudo_metric_family(bs, [1, -1, 1])
 
 
@@ -361,7 +361,7 @@ def test_charge_and_antilinear_symmetry_require_a_real_spectrum():
 
 def test_antilinear_symmetry_needs_one_phase_per_eigenvalue():
     _, bs = two_level_system(4.0)
-    with pytest.raises(LengthMismatchError, match="one phase per eigenvalue"):
+    with pytest.raises(InputError, match="one phase per eigenvalue"):
         metric.antilinear_symmetry(bs, phases=[0.1, 0.2, 0.3])
 
 

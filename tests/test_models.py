@@ -6,11 +6,11 @@ from phqm.errors import (
     DefectiveOperatorError,
     EigenpairsNotConvergedError,
     GridTooSmallError,
+    InputError,
     NonPositiveDError,
     NotPTSymmetricError,
     RealityViolatedError,
     SingularOperatorError,
-    UnsupportedKindError,
 )
 from phqm.linalg import dagger, opnorm
 from phqm.perturbation import ladder_operators
@@ -462,7 +462,7 @@ def test_kernel_hermiticity(kind):
 
 
 def test_kernel_unknown_kind():
-    with pytest.raises(UnsupportedKindError):
+    with pytest.raises(InputError, match="unknown kernel potential kind"):
         models.KernelPotentialSpec("gaussian", 0.1)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phqm import linalg, perturbation
-from phqm.errors import DimensionMismatchError, NotHermitianError, UnsolvableCommutatorError
+from phqm.errors import InputError, NotHermitianError, UnsolvableCommutatorError
 from phqm.linalg import commutator, opnorm
 
 RNG = np.random.default_rng(998877)
@@ -373,14 +373,14 @@ def _q_series_every_composition(prob):
 
 def test_problem_requires_matching_shapes_and_hermitian_h0():
     h0 = random_hermitian_nondegenerate(3)
-    with pytest.raises(DimensionMismatchError, match="share a shape"):
+    with pytest.raises(InputError, match="share a shape"):
         perturbation.PerturbationProblem(h0, random_antihermitian(4), 0.1, 3)
     with pytest.raises(NotHermitianError, match="H0 must be Hermitian"):
         perturbation.PerturbationProblem(h0 + 0.5j * np.eye(3), random_antihermitian(3), 0.1, 3)
 
 
 def test_solve_commutator_requires_matching_shapes():
-    with pytest.raises(DimensionMismatchError, match="share a shape"):
+    with pytest.raises(InputError, match="share a shape"):
         perturbation.solve_commutator(random_hermitian_nondegenerate(3), np.zeros((2, 2)))
 
 

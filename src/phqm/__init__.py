@@ -6,38 +6,6 @@ representations, projective state-space geometry with time-optimal
 evolutions, complex classical flows, and 1D dielectric wave propagation.
 """
 
-from . import biortho, classical, em, linalg, metric, models, perturbation, statespace
-from .biortho import BiorthonormalSystem, biorthonormal_extension
-from .linalg import EigenDecomposition, commutator, eig_nonhermitian, hermitian_function
-from .metric import (
-    MetricOperator,
-    PseudoMetric,
-    QuasiHermitianSystem,
-    antilinear_symmetry,
-    build_system,
-    charge_operator,
-    metric_from_spectrum,
-    observable_map,
-    pseudo_adjoint,
-    pseudo_metric_family,
-)
-from .perturbation import (
-    PerturbationProblem,
-    QSeries,
-    metric_from_q,
-    oscillator_basis,
-    q_series,
-    solve_commutator,
-)
-from .statespace import (
-    BrachistochroneProblem,
-    energy_uncertainty,
-    evolve,
-    fs_metric,
-    geodesic_distance,
-    optimal_hamiltonian,
-    projector,
-    two_level_geometry,
-)
+from . import biortho, classical, em, errors, linalg, metric, models, perturbation, statespace
 
 __version__ = "0.1.0"

@@ -89,11 +89,9 @@ Profile, Init, Potential, Model = em.MediumProfile, em.InitialFields, tuple, fun
 
 class _Output:
     """What a handler writes: its record's scalars, matrices, curves and
-    gated residuals.  ``strict`` makes em characteristics that leave the
-    profile an error."""
+    gated residuals."""
 
-    def __init__(self, strict: bool):
-        self.strict = strict
+    def __init__(self):
         self.scalars, self.matrices, self.curves, self.residuals = {}, {}, {}, []
 
     def gate(self, name: str, value: float, tolerance: float):
@@ -268,7 +266,9 @@ def _run_geometry(out, tol, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
 
 # a potential is the pair (V, V')
 def _monomial(coeff: complex, power: int):
-    return lambda z: coeff * z**power, lambda z: coeff * power * z ** (power - 1)
+    # z ** -1 at power 0 would make V' = 0 raise at z = 0
+    dv = (lambda z: 0.0 * z) if power == 0 else (lambda z: coeff * power * z ** (power - 1))
+    return lambda z: coeff * z**power, dv
 
 
 def _harmonic(omega: float):
@@ -298,7 +298,7 @@ def _run_em(out, tol, *, profile: Profile, init: Init, t: float, n_eval: int = 4
     if n_eval < 1:
         raise InputError("n_eval must be at least 1")
     z_eval = np.linspace(profile.z_min, profile.z_max, n_eval)
-    field = em.propagate(profile, init, z_eval, t, strict=out.strict)
+    field = em.propagate(profile, init, z_eval, t)
     out.curves["snapshot"] = {
         "columns": ["z", "E"],
         "rows": [[float(z), float(e)] for z, e in zip(z_eval, field)],
@@ -430,16 +430,15 @@ def validate_scenario(config: dict):
     return handler, {"tol": tol, **_bind(handler, fields, f"command {command!r}")}
 
 
-def run(config: dict, tol: float | None = None, strict: bool = False) -> dict:
+def run(config: dict) -> dict:
     """Execute one scenario and return its result record.
 
-    ``tol`` overrides the scenario's residual tolerance; ``strict`` makes
-    em characteristics that leave the profile an error.  A failed scenario's
-    record carries ``error``: the class (input, domain or residual), type
-    and message of the failure; LAPACK failing on a validated input is domain.
+    A failed scenario's record carries ``error``: the class (input, domain
+    or residual), type and message of the failure; LAPACK failing on a
+    validated input is domain.
     """
     started = time.perf_counter()
-    out, error = _Output(strict), None
+    out, error = _Output(), None
     with warnings.catch_warnings(record=True) as caught:
         # ignore and error filters stand; a warning shown once per location
         # would be lost to every later run, so record it each time
@@ -448,8 +447,6 @@ def run(config: dict, tol: float | None = None, strict: bool = False) -> dict:
         warnings.simplefilter("always", append=True)
         try:
             handler, kwargs = validate_scenario(config)
-            if tol is not None:
-                kwargs["tol"] = float(tol)
             handler(out, **kwargs)
         except (PhqmError, np.linalg.LinAlgError) as exc:
             error = {"class": getattr(exc, "category", "domain"), "type": type(exc).__name__,
@@ -494,8 +491,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", required=True, help="path to a JSON scenario (object or list)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol", type=float, default=None, help="override residual tolerance")
-    parser.add_argument("--strict", action="store_true", help="em characteristics may not leave the profile")
     args = parser.parse_args(argv)
 
     try:
@@ -505,8 +500,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    records = [run(sc, tol=args.tol, strict=args.strict)
-               for sc in (payload if isinstance(payload, list) else [payload])]
+    records = [run(sc) for sc in (payload if isinstance(payload, list) else [payload])]
     for record in records:
         for text in record["warnings"]:
             print(f"warning: {text}", file=sys.stderr)

@@ -100,6 +100,9 @@ class InitialFields:
 
 def gaussian_pulse(center: float = 0.0, width: float = 0.5,
                    amplitude: float = 1.0) -> InitialFields:
+    if not 0 < width < np.inf:
+        raise InputError("width must be positive")
+
     def e0(z):
         return amplitude * np.exp(-((np.asarray(z) - center) ** 2) / (2.0 * width**2))
 

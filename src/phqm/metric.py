@@ -58,6 +58,18 @@ class PseudoMetric:
     sigma: np.ndarray
 
 
+def metric_matrix(eta, dim: int | None = None) -> np.ndarray:
+    """The matrix of a metric argument: the identity of size ``dim`` for
+    None, the ``eta`` of a MetricOperator or PseudoMetric, else the matrix
+    itself; InputError when ``dim`` is given and the sizes differ."""
+    if eta is None:
+        return np.eye(dim, dtype=complex)
+    m = as_matrix(getattr(eta, "eta", eta))
+    if dim is not None and len(m) != dim:
+        raise InputError(f"eta is {len(m)}x{len(m)}, expected {dim}x{dim}")
+    return m
+
+
 @dataclass(frozen=True)
 class AntilinearSymmetry:
     """Antilinear involution acting as S zeta = M conj(zeta)."""
@@ -188,7 +200,7 @@ def build_system(
     <= tol |H|_F / sqrt(n), rounding included, passes an exactly Hermitian eta uninverted.
     """
     H = as_matrix(h_op)
-    eta_m = eta.eta if isinstance(eta, MetricOperator) else as_matrix(eta)
+    eta_m = metric_matrix(eta, len(H))
     # one eigh of eta's Hermitian part gives the positivity check, rho and rho^-1
     evals, vecs = np.linalg.eigh(0.5 * (eta_m + dagger(eta_m)))
     if evals.min() <= 0:
@@ -237,5 +249,5 @@ def observable_map(o, sys: QuasiHermitianSystem, tol: float = DEFAULT_TOL) -> np
 def pseudo_adjoint(l_op, eta) -> np.ndarray:
     """eta-pseudo-adjoint L^# = eta^-1 L^dagger eta."""
     L = as_matrix(l_op)
-    eta_m = eta.eta if isinstance(eta, MetricOperator) else as_matrix(getattr(eta, "eta", eta))
+    eta_m = metric_matrix(eta, len(L))
     return _inverse(eta_m) @ dagger(L) @ eta_m

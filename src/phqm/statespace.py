@@ -13,17 +13,9 @@ import numpy as np
 
 from .errors import InputError, NotPositiveDefiniteError
 from .linalg import as_matrix, eig_nonhermitian, is_hermitian
-from .metric import MetricOperator
+from .metric import metric_matrix
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
-
-
-def _eta_matrix(eta, dim: int) -> np.ndarray:
-    if eta is None:
-        return np.eye(dim, dtype=complex)
-    if isinstance(eta, MetricOperator):
-        return eta.eta
-    return as_matrix(eta)
 
 
 def _vector(psi) -> np.ndarray:
@@ -44,7 +36,7 @@ class ProjectiveState:
 def projector(psi, eta=None) -> ProjectiveState:
     """Lambda = |psi><psi| eta / <psi|eta psi> (eta = I when omitted)."""
     v = _vector(psi)
-    eta_m = _eta_matrix(eta, len(v))
+    eta_m = metric_matrix(eta, len(v))
     w = eta_m @ v
     norm = complex(np.conj(v) @ w)
     lam = np.outer(v, np.conj(w)) / norm
@@ -58,7 +50,7 @@ def fs_metric(psi, eta=None) -> np.ndarray:
     reduces to the standard Fubini-Study metric at eta = I.
     """
     v = _vector(psi)
-    eta_m = _eta_matrix(eta, len(v))
+    eta_m = metric_matrix(eta, len(v))
     w = eta_m @ v                     # (eta z)_b
     wc = np.conj(v) @ eta_m           # sum_c eta_cb z*_c, row vector
     norm = complex(wc @ v)
@@ -94,7 +86,7 @@ class TwoLevelLineElement:
 
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
-    eta_m = _eta_matrix(eta, 2)
+    eta_m = metric_matrix(eta, 2 if eta is None else None)
     if eta_m.shape != (2, 2):
         raise InputError("two_level_geometry requires a 2x2 metric")
     a = float(eta_m[0, 0].real)
@@ -115,7 +107,7 @@ def two_level_geometry(eta) -> TwoLevelLineElement:
 def geodesic_distance(psi_i, psi_f, eta=None) -> float:
     """Geodesic distance s in [0, pi/2] on the (eta-deformed) state space."""
     vi, vf = _vector(psi_i), _vector(psi_f)
-    eta_m = _eta_matrix(eta, len(vi))
+    eta_m = metric_matrix(eta, len(vi))
     p = complex(np.conj(vi) @ eta_m @ vf)
     ni = float(np.real(np.conj(vi) @ eta_m @ vi))
     nf = float(np.real(np.conj(vf) @ eta_m @ vf))
@@ -136,7 +128,7 @@ class BrachistochroneProblem:
         object.__setattr__(self, "psi_f", _vector(self.psi_f))
         if self.energy <= 0:
             raise InputError("energy scale E must be positive")
-        eta = _eta_matrix(self.eta, len(self.psi_i))
+        eta = metric_matrix(self.eta, len(self.psi_i) if self.eta is None else None)
         if not len(self.psi_i) == len(self.psi_f) == len(eta):
             raise InputError("psi_i, psi_f and eta sizes differ")
         if not (is_hermitian(eta) and np.linalg.eigvalsh(eta)[0] > 0):
@@ -160,7 +152,7 @@ def optimal_hamiltonian(prob: BrachistochroneProblem,
     ``relative_phase`` (all choices optimal) is used instead.
     """
     vi, vf = prob.psi_i, prob.psi_f
-    eta_m = _eta_matrix(prob.eta, len(vi))
+    eta_m = metric_matrix(prob.eta, len(vi))
     ni = float(np.real(np.conj(vi) @ eta_m @ vi))
     nf = float(np.real(np.conj(vf) @ eta_m @ vf))
     ui = vi / np.sqrt(ni)
@@ -229,7 +221,7 @@ def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
 def projective_fidelity(psi, target, eta=None) -> float:
     """|<psi|eta target>|^2 / (<psi|eta psi><target|eta target>)."""
     v, w = _vector(psi), _vector(target)
-    eta_m = _eta_matrix(eta, len(v))
+    eta_m = metric_matrix(eta, len(v))
     num = abs(complex(np.conj(v) @ eta_m @ w)) ** 2
     den = float(np.real(np.conj(v) @ eta_m @ v)) * float(np.real(np.conj(w) @ eta_m @ w))
     return num / den
@@ -239,7 +231,7 @@ def energy_uncertainty(h_op, psi, eta=None) -> float:
     """Delta E = sqrt(<H^2> - <H>^2) in the eta inner product."""
     H = as_matrix(h_op)
     v = _vector(psi)
-    eta_m = _eta_matrix(eta, len(v))
+    eta_m = metric_matrix(eta, len(v))
     norm = complex(np.conj(v) @ eta_m @ v)
     hv = H @ v
     mean = complex(np.conj(v) @ eta_m @ hv) / norm

@@ -163,13 +163,6 @@ def test_batch_matches_single_runs(tmp_path):
             assert record[key] == alone[key], (config["command"], key)
 
 
-def test_strict_leaves_inputs_as_written(tmp_path):
-    out = tmp_path / "r.json"
-    path = os.path.join(SCENARIO_DIR, "two_level.json")
-    assert cli.main(["--scenario", path, "--out", str(out), "--strict"]) == cli.EXIT_OK
-    assert json.loads(out.read_text())["inputs"] == load("two_level.json")
-
-
 def test_csv_emission(tmp_path):
     out = tmp_path / "curve.csv"
     code = cli.main([
@@ -479,6 +472,8 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
                                         "n": -1}}, "InputError: a kernel grid needs n >= 2"),
         ({"command": "model", "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.1,
                                         "hbar": 0.0}}, "InputError: mass and hbar must be positive"),
+        *(({**load("em_vacuum.json"), "init": {"kind": "gaussian", "width": width}},
+           "InputError: width must be positive") for width in (0.0, -0.5, float("nan"))),
     ],
 )
 def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):
@@ -610,14 +605,31 @@ def test_closed_form_potentials(potential, z_of_t, h_of_zp):
     assert (k, h_i) == pytest.approx((2 * h.real, h.imag), abs=1e-10)
 
 
-def test_run_tol_overrides_the_scenario_tolerance():
-    config = load("diagnose_two_level.json")
-    default = cli.run(config)
-    loose = cli.run(config, tol=1e-3)
+def test_scenario_tol_sets_the_residual_tolerance():
+    config = {**load("diagnose_two_level.json"), "tol": 1e-3}
+    default = cli.run(load("diagnose_two_level.json"))
+    loose = cli.run(config)
     assert [r["tolerance"] for r in loose["residuals"]] == [0.1]
     assert [r["tolerance"] for r in default["residuals"]] != [0.1]
     assert loose["inputs"] == config
-    assert not cli.run(config, tol=1e-30)["all_pass"]
+    assert not cli.run({**config, "tol": 1e-30})["all_pass"]
+
+
+@pytest.mark.parametrize("flag", [["--strict"], ["--tol", "1e-3"]])
+def test_removed_run_overrides_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--scenario", os.path.join(SCENARIO_DIR, "two_level.json"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_monomial_of_power_zero_flows_freely():
+    start = {"command": "classical", "z0": [0, 0], "p0": [1, 0], "t_end": 1.0, "dt": 0.1}
+    constant = cli.run({**start, "potential": {"kind": "monomial", "coeff": [1, 0], "power": 0}})
+    free = cli.run({**start, "potential": {"kind": "free"}})
+    assert constant["all_pass"]
+    assert [row[:3] for row in constant["curves"]["trajectory"]["rows"]] \
+        == [row[:3] for row in free["curves"]["trajectory"]["rows"]]
 
 
 def test_csv_of_a_record_without_curves_exits_as_input_error(tmp_path, capsys):
@@ -721,7 +733,7 @@ def test_signatures_declare_the_frozen_schema():
 
 
 def test_common_fields_match_the_frozen_schema():
-    # strict is now an argument of run, not a scenario field
+    # strict is no scenario field: strict em is a library argument only
     assert FROZEN_SCHEMA["common"]["optional"].keys() - {"tol"} == {"strict"}
     base = {"command": "geometry", "eta": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     _, kwargs = cli.validate_scenario({**base, "tol": 1e-9})
@@ -860,3 +872,14 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert len(result["codes"]) == 12
     assert set(result["codes"].values()) == {cli.EXIT_OK}
     assert result["scipy"] == []
+
+
+def test_the_package_exposes_only_its_submodules():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, phqm; print(json.dumps([n for n in dir(phqm) if not n.startswith('_')]))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["biortho", "classical", "em", "errors", "linalg", "metric",
+                                       "models", "perturbation", "statespace"]

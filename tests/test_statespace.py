@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phqm import statespace
+from phqm import metric, statespace
 from phqm.errors import InputError, NotPositiveDefiniteError
-from phqm.metric import MetricOperator
+from phqm.metric import MetricOperator, PseudoMetric
 from phqm.statespace import (
     BrachistochroneProblem,
     energy_uncertainty,
@@ -121,12 +123,39 @@ def test_two_level_geometry_requires_a_2x2_metric():
         two_level_geometry(np.eye(3))
 
 
+def _metric_readers(psi, h_op):
+    """name -> output of each metric-taking function for a metric argument."""
+    return {
+        "projector": lambda e: projector(psi, e).Lambda,
+        "fs_metric": lambda e: fs_metric(psi, e),
+        "geodesic_distance": lambda e: geodesic_distance(psi, PLUS, e),
+        "projective_fidelity": lambda e: projective_fidelity(psi, PLUS, e),
+        "energy_uncertainty": lambda e: energy_uncertainty(h_op, psi, e),
+        "two_level_geometry": lambda e: dataclasses.astuple(two_level_geometry(e)),
+        "optimal_hamiltonian": lambda e: optimal_hamiltonian(
+            BrachistochroneProblem(psi, PLUS, 1.0, 1.0, e)).H_star,
+        "build_system": lambda e: metric.build_system(h_op, e).h,
+        "pseudo_adjoint": lambda e: metric.pseudo_adjoint(h_op, e),
+    }
+
+
+def _forms(eta):
+    return [eta, MetricOperator(eta), PseudoMetric(eta, np.ones(len(eta)))]
+
+
 def test_a_metric_operator_acts_as_its_matrix():
     eta = random_metric_2x2()
-    psi = random_state()
-    np.testing.assert_array_equal(projector(psi, MetricOperator(eta)).Lambda,
-                                  projector(psi, eta).Lambda)
-    assert geodesic_distance(psi, PLUS, MetricOperator(eta)) == geodesic_distance(psi, PLUS, eta)
+    # eta h is Hermitian, so h is eta-pseudo-Hermitian and build_system accepts it
+    k = random_metric_2x2()
+    readers = _metric_readers(random_state(), np.linalg.solve(eta, k))
+    for name, read in readers.items():
+        as_matrix, *as_objects = (read(e) for e in _forms(eta))
+        for out in as_objects:
+            np.testing.assert_array_equal(out, as_matrix, err_msg=name)
+    for name, read in readers.items():
+        for e in _forms(np.eye(3)):
+            with pytest.raises(InputError):
+                read(e)
 
 
 def test_geodesic_distance_examples():

@@ -58,10 +58,20 @@ class BiorthonormalSystem:
         return np.flatnonzero((~self.reality_mask) & (self.conj_partner == -2))
 
 
-def _match_conjugate_pairs(values: np.ndarray, tol: float):
+def _scale(values: np.ndarray) -> float:
+    """max(1, max |a|), the scale of the spectral tolerances."""
+    return max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
+
+
+def reality_mask(values: np.ndarray) -> np.ndarray:
+    """True where |Im a| <= PAIR_TOL max(1, max |a|): the eigenvalues treated as real."""
+    return np.abs(values.imag) <= PAIR_TOL * _scale(values)
+
+
+def _match_conjugate_pairs(values: np.ndarray):
     """Reality mask, then greedy nearest-conjugate matching; ties broken by index order."""
-    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
-    real_mask = np.abs(values.imag) <= tol * scale
+    real_mask = reality_mask(values)
+    tol = PAIR_TOL * _scale(values)
     partner = np.full(len(values), -1, dtype=int)
     nonreal = [int(i) for i in np.flatnonzero(~real_mask)]
     unused = set(nonreal)
@@ -76,7 +86,7 @@ def _match_conjugate_pairs(values: np.ndarray, tol: float):
             d = abs(values[j] - target)
             if d < best_dist - 1e-15:
                 best, best_dist = j, d
-        if best >= 0 and best_dist <= tol * scale:
+        if best >= 0 and best_dist <= tol:
             partner[i] = best
             partner[best] = i
             unused.discard(i)
@@ -95,7 +105,7 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
     """
     psis = psis.copy()
     n = len(values)
-    scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
+    scale = _scale(values)
     # no cluster at all (the usual case): skip the O(n^2) Python scan
     gaps = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(gaps, np.inf)
@@ -140,7 +150,7 @@ def _system(values, psis, inverse) -> BiorthonormalSystem:
     values = np.asarray(values, dtype=complex)
     psis = np.asarray(psis, dtype=complex)
     phis = dagger(np.linalg.inv(psis) if inverse is None else inverse)
-    return BiorthonormalSystem(values, psis, phis, *_match_conjugate_pairs(values, PAIR_TOL))
+    return BiorthonormalSystem(values, psis, phis, *_match_conjugate_pairs(values))
 
 
 def spectral_assembly(bs: BiorthonormalSystem) -> np.ndarray:

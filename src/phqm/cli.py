@@ -117,9 +117,7 @@ def _run_diagnose(out, tol, *, matrix: Matrix):
     out.matrices["right_vectors"] = encode_matrix(dec.right_vectors)
     residual = linalg.opnorm(matrix @ dec.right_vectors - dec.right_vectors * dec.values[None, :])
     out.gate("eigenpair_residual", residual / max(linalg.opnorm(matrix), 1e-300), 100 * tol)
-    out.scalars["spectrum_real"] = bool(
-        np.all(np.abs(dec.values.imag) <= 1e-9 * max(1.0, np.abs(dec.values).max()))
-    )
+    out.scalars["spectrum_real"] = bool(np.all(biortho.reality_mask(dec.values)))
 
 
 def _run_metric(out, tol, *, matrix: Matrix, sigma: list | None = None,
@@ -174,6 +172,8 @@ def _swanson_case(alpha: float, beta: float, hbar: float | None = None,
                   truncated: bool = False):
     """Swanson parameters, the metric's arguments and, when truncated, the
     truncation's arguments."""
+    if n_max is not None and not truncated:
+        raise InputError("n_max sets the truncation, so it needs truncated: true")
     params = models.SwansonParams(alpha=alpha, beta=beta, **_given(hbar=hbar, omega=omega))
     return params, _given(r=r, branch=branch), _given(n_max=n_max) if truncated else None
 
@@ -196,7 +196,7 @@ def _swanson(case, out, tol):
 
 
 def _quartic(params, out, tol):
-    qp = models.quartic_pair(params, n_lowest=5)
+    qp = models.quartic_pair(params)
     out.matrices["spectrum_H"] = encode_vector(qp.spectrum_H)
     out.matrices["spectrum_h"] = encode_vector(qp.spectrum_h.astype(complex))
     out.scalars["tail"] = qp.tail
@@ -311,7 +311,7 @@ def _run_em(out, tol, *, profile: Profile, init: Init, t: float, n_eval: int = 4
     if fdtd_check:
         diag = profile.slow_variation_diagnostic(init.width)
         out.scalars["slow_variation_diagnostic"] = diag
-        oracle = em.fdtd_oracle(profile, init, t, n=3000)
+        oracle = em.fdtd_oracle(profile, init, t)
         closed = em.propagate(profile, init, oracle.z, t)
         err = np.linalg.norm(closed - oracle.field) / max(np.linalg.norm(oracle.field), 1e-300)
         out.scalars["fdtd_l2_error"] = float(err)

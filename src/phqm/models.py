@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -198,9 +199,16 @@ def swanson_w(params: SwansonParams, r: float, branch: int = +1) -> float:
     return (-1.0 + branch * np.sqrt(disc)) / (2.0 * at * s)
 
 
+def _swanson_2x2(params: SwansonParams) -> np.ndarray:
+    """H in the 2x2 standard representation, hbar w [[1, 2i at], [2i bt, -1]]."""
+    hw = params.hbar * params.omega
+    return hw * np.array([[1.0, 2j * params.alpha_tilde], [2j * params.beta_tilde, -1.0]],
+                         dtype=complex)
+
+
 def swanson_metric(params: SwansonParams, r: float = 0.0, branch: int = +1) -> SwansonMetric:
-    """Metric factors (z, r) and the 2x2 matrix identity residual."""
-    at, bt = params.alpha_tilde, params.beta_tilde
+    """Metric factors (z, r) and the 2x2 matrix identity residual: eta H eta^-1
+    against H^dagger, whose avatar is the transpose of H's."""
     w = swanson_w(params, r, branch)
     z = np.exp(r) * w
     er, emr = np.exp(r), np.exp(-r)
@@ -212,22 +220,9 @@ def swanson_metric(params: SwansonParams, r: float = 0.0, branch: int = +1) -> S
         [[emr, -1j * emr * z], [-1j * emr * np.conj(z), er - emr * abs(z) ** 2]],
         dtype=complex,
     )
-    hw = params.hbar * params.omega
-    H = hw * np.array([[1.0, 2j * at], [2j * bt, -1.0]], dtype=complex)
-    H_flat = hw * np.array([[1.0, 2j * bt], [2j * at, -1.0]], dtype=complex)
-    residual = opnorm(eta @ H @ eta_inv - H_flat)
+    H = _swanson_2x2(params)
+    residual = opnorm(eta @ H @ eta_inv - H.T)
     return SwansonMetric(complex(z), float(w), float(r), eta, residual)
-
-
-def swanson_operator(params: SwansonParams, n_max: int) -> np.ndarray:
-    """Truncated H = hbar w (a^dag a + 1/2) + alpha (a^dag)^2 + beta a^2."""
-    a, ad = ladder_operators(n_max)
-    number = ad @ a
-    return (
-        params.hbar * params.omega * (number + 0.5 * np.eye(n_max))
-        + params.alpha * (ad @ ad)
-        + params.beta * (a @ a)
-    )
 
 
 def _exp_k_plus(z: complex, n_max: int) -> np.ndarray:
@@ -286,13 +281,15 @@ def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
     k_plus = 0.5 * (ad @ ad)
     k_minus = 0.5 * (a @ a)
     k3 = 0.5 * (ad @ a + 0.5 * np.eye(n_max))
+    # scaling by 2 and 1/2 is exact: this is hbar w (a^dag a + 1/2) +
+    # alpha (a^dag)^2 + beta a^2 to the bit
+    H = 2.0 * (params.hbar * params.omega * k3 + params.alpha * k_plus + params.beta * k_minus)
 
     # exp(z* K-) = exp(z K+)^dag and K3 is diagonal, (n + 1/2)/2
     e_plus = _exp_k_plus(sm.z, n_max)
     scale = np.exp(r * (np.arange(n_max) + 0.5))
     eta = (e_plus * scale) @ dagger(e_plus)
     eta = 0.5 * (eta + dagger(eta))
-    H = swanson_operator(params, n_max)
 
     # h in the 2x2 representation, expanded back onto the generators.
     # The standard representation is not a *-representation, so eta_2x2 is
@@ -300,11 +297,7 @@ def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
     # the positive operator root (its eigenvalues are the positive pair
     # lambda, 1/lambda).
     rho2 = _sqrtm_2x2(sm.eta_2x2)
-    hw = params.hbar * params.omega
-    H2 = hw * np.array(
-        [[1.0, 2j * params.alpha_tilde], [2j * params.beta_tilde, -1.0]], dtype=complex
-    )
-    h2 = rho2 @ H2 @ np.linalg.inv(rho2)
+    h2 = rho2 @ _swanson_2x2(params) @ np.linalg.inv(rho2)
     eps3 = 2.0 * h2[0, 0]
     eps_plus = -1j * h2[0, 1]
     eps_minus = -1j * h2[1, 0]
@@ -442,7 +435,7 @@ def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
     return evals[order], v / np.linalg.norm(v, axis=0)
 
 
-def quartic_pair(params: QuarticParams, n_lowest: int = 8) -> QuarticPair:
+def quartic_pair(params: QuarticParams, n_lowest: int = 5) -> QuarticPair:
     """Non-Hermitian contour Hamiltonian and its Hermitian partner.
 
     H = (1+is) K^2 + K/2 - 16 lam (1+is)^2 - 4 w^2 (1+is) on a
@@ -523,7 +516,7 @@ class KernelGrid:
 
     'midpoint' puts the sgn-potential jumps of the well/barrier between
     nodes; 'node' puts x = 0 on a node so the lumped delta coincides with
-    the kernel kink line.
+    the kernel kink line, so its box must contain 0.
     """
 
     n: int = 400
@@ -534,11 +527,14 @@ class KernelGrid:
     def __post_init__(self):
         if self.n < 2 or not self.x_min < self.x_max:
             raise InputError("a kernel grid needs n >= 2 and x_min < x_max")
+        if self.style == "node" and not self.x_min <= 0.0 <= self.x_max:
+            raise InputError("a node grid's box must contain 0")
 
     def points(self) -> np.ndarray:
         dx = self.dx
         if self.style == "node":
-            return (np.arange(self.n) - self.n // 2) * dx
+            # x = 0 on a node, every node within dx/2 of [x_min, x_max]
+            return (np.arange(self.n) - math.ceil(-self.x_min / dx - 0.5)) * dx
         return self.x_min + dx * (np.arange(self.n) + 0.5)
 
     @property
@@ -666,24 +662,19 @@ def kernel_metric(
         grid = kernel_grid(spec)
     x = grid.points()
     dx = grid.dx
-
-    def assemble(zeta_val: float):
-        s = KernelPotentialSpec(
-            spec.kind, zeta_val, spec.length, spec.kappa, spec.mass, spec.hbar
-        )
-        eta = np.eye(len(x), dtype=complex) + dx * kernel_first_order(s, x)
-        H = hamiltonian_on_grid(s, grid)
-        return eta, H
-
-    eta_full, H_full = assemble(spec.zeta)
+    # the kernel is linear in zeta and halving is exact, so eta(zeta/2) is
+    # I + (dx/2) k(zeta) to the bit
+    kernel = kernel_first_order(spec, x)
+    eye = np.eye(len(x), dtype=complex)
+    eta_full, H_full = eye + dx * kernel, hamiltonian_on_grid(spec, grid)
     r_full = _weak_residual(eta_full, H_full, x)
-    eta_half, H_half = assemble(spec.zeta / 2.0)
-    r_half = _weak_residual(eta_half, H_half, x)
+    half = replace(spec, zeta=spec.zeta / 2.0)
+    r_half = _weak_residual(eye + 0.5 * dx * kernel, hamiltonian_on_grid(half, grid), x)
     order = float(np.log2(r_full / r_half)) if r_half > 0 else float("nan")
 
     # first-order-regime diagnostic: size of the O(zeta) kernel correction
     # relative to the identity; its square estimates the dropped O(zeta^2)
-    kernel_scale = opnorm(eta_full - np.eye(len(x)))
+    kernel_scale = opnorm(eta_full - eye)
     if kernel_scale > 0.1:
         warnings.warn(
             f"first-order kernel correction {kernel_scale:.2f} is large; "

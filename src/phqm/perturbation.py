@@ -2,8 +2,8 @@
 
 The exponent solves the commutator hierarchy [H0, Q_j] = R_j with
 R_1 = -2 H1 and higher R_j assembled from nested commutators of H0 with
-the lower Q_s, built by one memoised recursion at every order; even-order
-Q_j are set to zero, which the hierarchy permits.  Everything acts on
+the lower Q_s, read from one table that a plain loop over the orders
+extends; even-order Q_j are set to zero, which the hierarchy permits.  Everything acts on
 finite matrix truncations.
 """
 

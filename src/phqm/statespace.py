@@ -18,11 +18,29 @@ from .metric import metric_matrix
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
 
 
-def _vector(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex).ravel()
-    if np.linalg.norm(v) == 0:
+def _states(eta=None, **states):
+    """Each named state as a nonzero vector, then eta as a matrix (the
+    identity when None); InputError unless all share one size."""
+    vectors = [np.asarray(psi, dtype=complex).ravel() for psi in states.values()]
+    if any(np.linalg.norm(v) == 0 for v in vectors):
         raise InputError("state vector must be nonzero")
-    return v
+    eta_m = metric_matrix(eta, len(vectors[0]) if eta is None else None)
+    if any(len(v) != len(eta_m) for v in vectors):
+        raise InputError(f"{', '.join(states)} and eta sizes differ")
+    return (*vectors, eta_m)
+
+
+def _overlaps(v, w, eta_m):
+    """<v|eta w>, <v|eta v> and <w|eta w>."""
+    return (complex(np.conj(v) @ eta_m @ w), float(np.real(np.conj(v) @ eta_m @ v)),
+            float(np.real(np.conj(w) @ eta_m @ w)))
+
+
+def _hamiltonian(h_op, v) -> np.ndarray:
+    H = as_matrix(h_op)
+    if len(H) != len(v):
+        raise InputError(f"H is {len(H)}x{len(H)}, the state has {len(v)} components")
+    return H
 
 
 @dataclass(frozen=True)
@@ -35,8 +53,7 @@ class ProjectiveState:
 
 def projector(psi, eta=None) -> ProjectiveState:
     """Lambda = |psi><psi| eta / <psi|eta psi> (eta = I when omitted)."""
-    v = _vector(psi)
-    eta_m = metric_matrix(eta, len(v))
+    v, eta_m = _states(eta, psi=psi)
     w = eta_m @ v
     norm = complex(np.conj(v) @ w)
     lam = np.outer(v, np.conj(w)) / norm
@@ -49,8 +66,7 @@ def fs_metric(psi, eta=None) -> np.ndarray:
     With eta supplied this is the physical-inner-product deformation; it
     reduces to the standard Fubini-Study metric at eta = I.
     """
-    v = _vector(psi)
-    eta_m = metric_matrix(eta, len(v))
+    v, eta_m = _states(eta, psi=psi)
     w = eta_m @ v                     # (eta z)_b
     wc = np.conj(v) @ eta_m           # sum_c eta_cb z*_c, row vector
     norm = complex(wc @ v)
@@ -106,11 +122,7 @@ def two_level_geometry(eta) -> TwoLevelLineElement:
 
 def geodesic_distance(psi_i, psi_f, eta=None) -> float:
     """Geodesic distance s in [0, pi/2] on the (eta-deformed) state space."""
-    vi, vf = _vector(psi_i), _vector(psi_f)
-    eta_m = metric_matrix(eta, len(vi))
-    p = complex(np.conj(vi) @ eta_m @ vf)
-    ni = float(np.real(np.conj(vi) @ eta_m @ vi))
-    nf = float(np.real(np.conj(vf) @ eta_m @ vf))
+    p, ni, nf = _overlaps(*_states(eta, psi_i=psi_i, psi_f=psi_f))
     cos_s = np.clip(abs(p) / np.sqrt(ni * nf), 0.0, 1.0)
     return float(np.arccos(cos_s))
 
@@ -124,13 +136,11 @@ class BrachistochroneProblem:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "psi_i", _vector(self.psi_i))
-        object.__setattr__(self, "psi_f", _vector(self.psi_f))
+        psi_i, psi_f, eta = _states(self.eta, psi_i=self.psi_i, psi_f=self.psi_f)
+        object.__setattr__(self, "psi_i", psi_i)
+        object.__setattr__(self, "psi_f", psi_f)
         if self.energy <= 0:
             raise InputError("energy scale E must be positive")
-        eta = metric_matrix(self.eta, len(self.psi_i) if self.eta is None else None)
-        if not len(self.psi_i) == len(self.psi_f) == len(eta):
-            raise InputError("psi_i, psi_f and eta sizes differ")
         if not (is_hermitian(eta) and np.linalg.eigvalsh(eta)[0] > 0):
             raise InputError("eta must be Hermitian positive definite")
 
@@ -142,31 +152,27 @@ class OptimalEvolution:
     distance: float
 
 
-def optimal_hamiltonian(prob: BrachistochroneProblem,
-                        relative_phase: float = 0.0) -> OptimalEvolution:
+def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     """Traceless Hamiltonian with eigenvalues +-E evolving psi_i -> psi_f
     along a geodesic in the minimal time tau_min = hbar * s / E.
 
     For (eta-)orthogonal endpoints the generic formula degenerates; the
-    pre-limit form with unit representatives and relative phase
-    ``relative_phase`` (all choices optimal) is used instead.
+    pre-limit form with unit representatives (any relative phase is
+    optimal; this takes 0) is used instead.
     """
     vi, vf = prob.psi_i, prob.psi_f
     eta_m = metric_matrix(prob.eta, len(vi))
-    ni = float(np.real(np.conj(vi) @ eta_m @ vi))
-    nf = float(np.real(np.conj(vf) @ eta_m @ vf))
+    p, ni, nf = _overlaps(vi, vf, eta_m)
     ui = vi / np.sqrt(ni)
     uf = vf / np.sqrt(nf)
-    q = complex(np.conj(ui) @ eta_m @ uf)
+    q = p / np.sqrt(ni * nf)
     cos_s = min(abs(q), 1.0)
     s = float(np.arccos(cos_s))
     if s <= ANTIPODAL_TOL:
         raise InputError("initial and final states coincide")
 
-    if abs(q) < ANTIPODAL_TOL:
-        uf_hat = np.exp(1j * relative_phase) * uf
-    else:
-        uf_hat = uf * (abs(q) / q)       # make <ui|eta uf_hat> real positive
+    # make <ui|eta uf_hat> real positive
+    uf_hat = uf if abs(q) < ANTIPODAL_TOL else uf * (abs(q) / q)
     outer_fi = np.outer(uf_hat, np.conj(eta_m @ ui))
     outer_if = np.outer(ui, np.conj(eta_m @ uf_hat))
     h_star = 1j * prob.energy * (outer_fi - outer_if) / np.sin(s)
@@ -185,14 +191,13 @@ def three_stage_switching_demo(psi_i, psi_f, energy: float, k1: float,
     midway, which is what invalidates it as a unitary evolution; no
     unitarity claim is made.
     """
-    vi, vf = _vector(psi_i), _vector(psi_f)
-    s_flat = geodesic_distance(vi, vf)
+    s_flat = geodesic_distance(psi_i, psi_f)
     tau_flat = hbar * s_flat / energy
     trace_target = 1.0 / np.sqrt(k1)
     a = 0.5 * (trace_target + np.sqrt(max(trace_target**2 - 4.0, 0.0)))
     eta = np.diag([a, 1.0 / a]).astype(complex)
     inter = optimal_hamiltonian(
-        BrachistochroneProblem(vi, vf, energy, hbar, eta)
+        BrachistochroneProblem(psi_i, psi_f, energy, hbar, eta)
     )
     return {
         "tau_min_hermitian": tau_flat,
@@ -210,8 +215,8 @@ def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
     ``t``.  No norm is imposed: for a pseudo-Hermitian H the eta-norm is
     conserved by the dynamics alone.
     """
-    H = as_matrix(h_op)
-    v = _vector(psi0)
+    v, _ = _states(psi0=psi0)
+    H = _hamiltonian(h_op, v)
     dec = eig_nonhermitian(H, check=True)
     coeff = np.linalg.solve(dec.right_vectors, v)
     phases = np.exp(-1j * np.multiply.outer(t, dec.values) / hbar)
@@ -220,18 +225,14 @@ def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
 
 def projective_fidelity(psi, target, eta=None) -> float:
     """|<psi|eta target>|^2 / (<psi|eta psi><target|eta target>)."""
-    v, w = _vector(psi), _vector(target)
-    eta_m = metric_matrix(eta, len(v))
-    num = abs(complex(np.conj(v) @ eta_m @ w)) ** 2
-    den = float(np.real(np.conj(v) @ eta_m @ v)) * float(np.real(np.conj(w) @ eta_m @ w))
-    return num / den
+    p, nv, nw = _overlaps(*_states(eta, psi=psi, target=target))
+    return abs(p) ** 2 / (nv * nw)
 
 
 def energy_uncertainty(h_op, psi, eta=None) -> float:
     """Delta E = sqrt(<H^2> - <H>^2) in the eta inner product."""
-    H = as_matrix(h_op)
-    v = _vector(psi)
-    eta_m = metric_matrix(eta, len(v))
+    v, eta_m = _states(eta, psi=psi)
+    H = _hamiltonian(h_op, v)
     norm = complex(np.conj(v) @ eta_m @ v)
     hv = H @ v
     mean = complex(np.conj(v) @ eta_m @ hv) / norm

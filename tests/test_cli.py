@@ -379,6 +379,25 @@ CUBIC_FLOW = {"command": "classical", "potential": {"kind": "monomial", "coeff":
 TWO_LEVEL_A = [[[2.5, 0.0], [1.5, 0.0]], [[-1.5, 0.0], [-2.5, 0.0]]]  # eigenvalues +-2
 
 
+# a real 3x3 with the pair 3 +- 5e-9 i: real to biortho (|Im a| <= 1e-8 * 3)
+NEAR_REAL_PAIR = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0], [5e-9, 0.0]],
+                  [[0.0, 0.0], [-5e-9, 0.0], [3.0, 0.0]]]
+
+
+def test_diagnose_reads_reality_as_the_metric_build_does(tmp_path):
+    # diagnose used 1e-9 * scale and called the pair complex, while metric
+    # took it as real, built eta_+ and failed its residual gate
+    diagnosed = cli.run({"command": "diagnose", "matrix": NEAR_REAL_PAIR})
+    assert diagnosed["scalars"]["spectrum_real"] is True
+    built = cli.run({"command": "metric", "matrix": NEAR_REAL_PAIR})
+    gates = {g["name"]: g["pass"] for g in built["residuals"]}
+    assert "error" not in built and "eta_plus" in built["matrices"]
+    assert gates["pseudo_hermiticity"] is False
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"command": "metric", "matrix": NEAR_REAL_PAIR}))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_RESIDUAL
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -474,6 +493,12 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
                                         "hbar": 0.0}}, "InputError: mass and hbar must be positive"),
         *(({**load("em_vacuum.json"), "init": {"kind": "gaussian", "width": width}},
            "InputError: width must be positive") for width in (0.0, -0.5, float("nan"))),
+        ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
+                                        "n_max": 200}},
+         "InputError: n_max sets the truncation, so it needs truncated: true"),
+        ({"command": "model", "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.1,
+                                        "x_min": 0.5, "x_max": 4.0}},
+         "InputError: a node grid's box must contain 0"),
     ],
 )
 def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):

@@ -160,6 +160,14 @@ def test_swanson_truncated_harmonic_limit():
     np.testing.assert_allclose(spec[:6], np.arange(6) + 0.5, atol=1e-12)
 
 
+def test_swanson_truncated_hamiltonian_is_the_ladder_form():
+    params = models.SwansonParams(1.3, 0.7, 0.11, -0.06)
+    a, ad = ladder_operators(40)
+    H = (params.hbar * params.omega * (ad @ a + 0.5 * np.eye(40))
+         + params.alpha * (ad @ ad) + params.beta * (a @ a))
+    np.testing.assert_array_equal(models.swanson_truncated(params, 0.1, 40).H, H)
+
+
 def test_swanson_truncated_spectrum_and_hermiticity():
     params = models.SwansonParams(1.0, 1.0, 0.1, 0.05)
     sys_ = models.swanson_truncated(params, 0.0, 60)
@@ -464,6 +472,40 @@ def test_kernel_hermiticity(kind):
 def test_kernel_unknown_kind():
     with pytest.raises(InputError, match="unknown kernel potential kind"):
         models.KernelPotentialSpec("gaussian", 0.1)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(0.0, 4.0), (-1.0, 3.0), (-0.37, 2.9), (-2.0, 2.0)])
+def test_node_grid_spans_its_box(x_min, x_max):
+    # the node grid ran on [-2, 1.99] whatever its box, e.g. for [0, 4]
+    grid = models.KernelGrid(400, x_min, x_max, "node")
+    x, dx = grid.points(), grid.dx
+    assert 0.0 in x
+    np.testing.assert_allclose(np.diff(x), dx, rtol=1e-12)
+    assert x[0] > x_min - 0.5 * dx and x[-1] < x_max + 0.5 * dx
+    assert x[0] <= x_min + 0.5 * dx and x[-1] >= x_max - 1.5 * dx
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+def test_default_delta_grid_is_centred(kappa):
+    grid = models.kernel_grid(models.KernelPotentialSpec("delta", 0.1, kappa=kappa))
+    np.testing.assert_array_equal(grid.points(), (np.arange(grid.n) - grid.n // 2) * grid.dx)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(0.5, 4.0), (-4.0, -0.1)])
+def test_node_grid_box_must_hold_the_origin(x_min, x_max):
+    with pytest.raises(InputError, match="must contain 0"):
+        models.KernelGrid(400, x_min, x_max, "node")
+
+
+@pytest.mark.parametrize("kind", ["square_well", "barrier", "delta"])
+def test_kernel_half_coupling_residual_is_the_rebuilt_one(kind):
+    spec = models.KernelPotentialSpec(kind, 0.05)
+    out = models.kernel_metric(spec)
+    grid = models.kernel_grid(spec)
+    half = models.KernelPotentialSpec(kind, 0.025)
+    eta = np.eye(grid.n) + grid.dx * models.kernel_first_order(half, out.x)
+    r_half = models._weak_residual(eta, models.hamiltonian_on_grid(half, grid), out.x)
+    assert out.residual_report["residual_half_zeta"] == r_half
 
 
 @pytest.mark.parametrize("kind,zeta", [("barrier", 0.1), ("delta", 0.2)])

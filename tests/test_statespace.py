@@ -158,6 +158,32 @@ def test_a_metric_operator_acts_as_its_matrix():
                 read(e)
 
 
+E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: geodesic_distance(E1, E3),
+    lambda: geodesic_distance(E1, E2, np.eye(3)),
+    lambda: projective_fidelity(E1, E3),
+    lambda: projective_fidelity(E3, E1),
+    lambda: BrachistochroneProblem(E1, E3, 1.0),
+    lambda: energy_uncertainty(SIGMA_Z, E3),
+    lambda: energy_uncertainty(np.eye(3), E1),
+    lambda: evolve(SIGMA_Z, E3, 1.0),
+    lambda: evolve(np.eye(3), E1, 1.0),
+    lambda: projector(E1, np.eye(3)),
+    lambda: fs_metric(E3, np.eye(2)),
+], ids=["distance", "distance_eta", "fidelity", "fidelity_swapped", "problem",
+        "uncertainty_state", "uncertainty_H", "evolve_state", "evolve_H", "projector",
+        "fs_metric"])
+def test_states_and_operators_of_different_sizes_are_input_errors(call):
+    # numpy's bare ValueError from matmul escaped before, outside the
+    # classified errors
+    with pytest.raises(InputError, match="differ|components"):
+        call()
+
+
 def test_geodesic_distance_examples():
     assert geodesic_distance(E1, 3.0 * E1) == pytest.approx(0.0, abs=1e-8)
     assert geodesic_distance(E1, E2) == pytest.approx(np.pi / 2.0)

@@ -140,8 +140,8 @@ def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
 def from_right_vectors(values, psis) -> BiorthonormalSystem:
     """Build a system from explicitly normalized right eigenvectors.
 
-    Used by model constructors that fix the normalization constants c_n
-    themselves instead of relying on the default phase convention.
+    For callers that fix the normalization constants c_n themselves
+    instead of relying on the default phase convention.
     """
     return _system(values, psis, None)
 

@@ -6,9 +6,10 @@
                     eta_+ = exp(z K+) exp(2r K3) exp(z* K-), solved in the
                     2x2 standard representation and lifted to a truncated
                     oscillator basis.
-* quartic_pair:     wrong-sign quartic on the hyperbola contour; the
-                    s-representation Hamiltonian and its Hermitian partner
-                    in the wave-number representation.
+* quartic_pair:     wrong-sign quartic on the hyperbola contour; the low
+                    spectra of the s-representation Hamiltonian
+                    (contour_hamiltonian) and of its Hermitian partner in
+                    the wave-number representation.
 * kernel_metric:    first-order integral-kernel metrics for the imaginary
                     square well, barrier, and complex delta potentials.
 """
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .biortho import from_right_vectors
 from .errors import (
     DefectiveOperatorError,
     EigenpairsNotConvergedError,
@@ -67,7 +67,6 @@ class TwoLevelModel:
     C: np.ndarray
     S: np.ndarray
     observables: tuple
-    biortho: object
     theta: float
 
 
@@ -101,17 +100,7 @@ def two_level(params: TwoLevelParams) -> TwoLevelModel:
     s1 = SIGMA_1.copy()
     s2 = ch * SIGMA_2 - 1j * sh * SIGMA_3
     s3 = 1j * sh * SIGMA_2 + ch * SIGMA_3
-
-    root_d = np.sqrt(D)
-    c = D ** (-0.25) / 2.0
-    psis = np.column_stack(
-        [
-            c * np.array([1 + root_d, 1 - root_d], dtype=complex),
-            c * np.array([1 - root_d, 1 + root_d], dtype=complex),
-        ]
-    )
-    bs = from_right_vectors([root_d, -root_d], psis)
-    return TwoLevelModel(A, eta_plus, eta_general, h, C, S, (s1, s2, s3), bs, theta)
+    return TwoLevelModel(A, eta_plus, eta_general, h, C, S, (s1, s2, s3), theta)
 
 
 def two_level_intertwiner(params: TwoLevelParams, phi1: float = 0.0, phi2: float = 0.0):
@@ -341,27 +330,38 @@ class QuarticParams:
             raise InputError("grid half-widths length and length_k must be positive")
 
 
-def fourier_wavenumber_operator(n: int, half_width: float, power: int = 1) -> np.ndarray:
-    """Dense matrix of (-i d/ds)^power under periodic embedding: the
-    circulant C[i, j] = c[(i - j) mod n], c the inverse FFT of the spectrum;
-    real symmetric for an even power, whose spectrum is real and even."""
+def _wavenumber_column(n: int, half_width: float, power: int) -> np.ndarray:
+    """Column c of (-i d/ds)^power under periodic embedding, the inverse FFT
+    of the spectrum; real and even for an even power, whose spectrum is."""
     dx = 2.0 * half_width / n
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     col = np.fft.ifft(k**power)
     if power % 2 == 0:
         col = 0.5 * (col.real + np.roll(col.real[::-1], 1))
-    # row i of C is col reversed and rotated, a window of the doubled reversal
+    return col
+
+
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """Read-only view of the circulant C[i, j] = col[(i - j) mod n]: row i
+    is col reversed and rotated, a window of the doubled reversal."""
     doubled = np.concatenate((col[::-1], col[::-1]))[:-1]
-    return np.lib.stride_tricks.sliding_window_view(doubled, n)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(doubled, len(col))[::-1]
+
+
+def fourier_wavenumber_operator(n: int, half_width: float, power: int = 1) -> np.ndarray:
+    """Dense matrix of (-i d/ds)^power under periodic embedding, a circulant;
+    real symmetric for an even power."""
+    return _circulant(_wavenumber_column(n, half_width, power)).copy()
 
 
 @dataclass(frozen=True)
 class QuarticPair:
-    H: np.ndarray
+    """Both low spectra, the partner h and the grids; the n x n contour
+    Hamiltonian is not kept (contour_hamiltonian rebuilds it)."""
+
     h: np.ndarray
     s_grid: np.ndarray
     k_grid: np.ndarray
-    g_exponent: np.ndarray
     spectrum_H: np.ndarray
     spectrum_h: np.ndarray
     tail: float
@@ -373,10 +373,45 @@ def quartic_exponent(params: QuarticParams, k):
     return k**3 / (96.0 * params.lam) - (1.0 + params.omega**2 / (8.0 * params.lam)) * k
 
 
-def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
-    """The n_lowest eigenpairs nearest 0, sorted by real part, of a PT-symmetric H
-    (P the index reversal): B = (I - iP) H (I + iP)/2 is real and similar
-    to H, and v = u + i P u maps B's eigenvector u to H's (unit columns).
+def _s_grid(params: QuarticParams) -> np.ndarray:
+    """Cell-centred s-grid on [-length, length]; reversed it is -s."""
+    n = params.n
+    return (np.arange(n) + 0.5 - 0.5 * n) * (2.0 * params.length / n)
+
+
+def contour_hamiltonian(params: QuarticParams) -> np.ndarray:
+    """H = (1+is) K^2 + K/2 - 16 lam (1+is)^2 - 4 w^2 (1+is) on the s-grid.
+
+    Built in one complex n x n array: (1+is) times the circulant view of
+    K^2, then the view of K/2 added in place.  Scaling K's column by 1/2
+    is exact, so this equals the sum of the dense operators to the bit.
+    """
+    n, ls = params.n, params.length
+    one_is = 1.0 + 1j * _s_grid(params)
+    H = one_is[:, None] * _circulant(_wavenumber_column(n, ls, 2))
+    H += _circulant(0.5 * _wavenumber_column(n, ls, 1))
+    H[np.diag_indices(n)] -= 16.0 * params.lam * one_is**2 + 4.0 * params.omega**2 * one_is
+    return H
+
+
+def _pt_real_form(H: np.ndarray) -> np.ndarray:
+    """Real B = (I - iP) H (I + iP)/2 of a PT-symmetric H (P the index
+    reversal), similar to H; NotPTSymmetricError unless P conj(H) P = H
+    to 1e-12 |H|_F.  Holds one real n x n temporary besides H and B."""
+    re, im = H.real, H.imag
+    defect = np.hypot(np.linalg.norm(re - re[::-1, ::-1]), np.linalg.norm(im + im[::-1, ::-1]))
+    if defect > 1e-12 * np.linalg.norm(H):
+        raise NotPTSymmetricError(f"|P conj(H) P - H|_F = {defect:.2e} exceeds 1e-12 |H|_F")
+    b = im[::-1, :] - im[:, ::-1]
+    b *= 0.5
+    b += re
+    return b
+
+
+def _pt_symmetric_eig(b: np.ndarray, n_lowest: int):
+    """The n_lowest eigenpairs nearest 0, sorted by real part, of the
+    PT-symmetric H whose real form is b = _pt_real_form(H): v = u + i P u
+    maps B's eigenvector u to H's (unit columns).
     Shift-invert Arnoldi at 0 on B (fixed start, Gram-Schmidt twice) stops
     when the n_lowest + 3 Ritz pairs nearest 0 have |B u - E u| <= 1e-13
     |B|_F and each kept E's error disc kappa |B u - E u| holds no other
@@ -384,11 +419,6 @@ def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
     to n, then EigenpairsNotConvergedError.  B^-1 is exact only to
     u cond(B): a kept pair above 1e-15 |B|_F takes one inverse iteration.
     """
-    re, im = H.real, H.imag
-    defect = np.hypot(np.linalg.norm(re - re[::-1, ::-1]), np.linalg.norm(im + im[::-1, ::-1]))
-    if defect > 1e-12 * np.linalg.norm(H):
-        raise NotPTSymmetricError(f"|P conj(H) P - H|_F = {defect:.2e} exceeds 1e-12 |H|_F")
-    b = re + 0.5 * (im[::-1, :] - im[:, ::-1])
     n = last = len(b)
     try:
         b_inv = np.linalg.inv(b)
@@ -427,8 +457,12 @@ def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
             raise EigenpairsNotConvergedError(f"{want} Ritz pairs nearest 0 not converged "
                                               f"and resolved at Krylov dimension {m}")
         m = min(last, 2 * m)
+    del b_inv, basis, hess  # the refinement needs only b
     for i in np.flatnonzero(residual[:n_lowest] > 1e-15 * b_norm):
-        z = np.linalg.solve(b - np.real_if_close(evals[i]) * np.eye(n), np.real_if_close(u[:, i]))
+        e = np.real_if_close(evals[i])
+        shifted = b.astype(np.result_type(b, e))
+        shifted[np.diag_indices(n)] -= e
+        z = np.linalg.solve(shifted, np.real_if_close(u[:, i]))
         evals[i], u[:, i] = np.vdot(z, b @ z) / np.vdot(z, z), z / np.linalg.norm(z)
     order = np.argsort(evals[:n_lowest].real, kind="stable")
     v = u[:, order] + 1j * u[::-1, order]
@@ -436,32 +470,26 @@ def _pt_symmetric_eig(H: np.ndarray, n_lowest: int):
 
 
 def quartic_pair(params: QuarticParams, n_lowest: int = 5) -> QuarticPair:
-    """Non-Hermitian contour Hamiltonian and its Hermitian partner.
+    """Low spectra of the non-Hermitian contour Hamiltonian and its Hermitian partner.
 
-    H = (1+is) K^2 + K/2 - 16 lam (1+is)^2 - 4 w^2 (1+is) on a
-    cell-centred s-grid with spectral K; h = -16 lam d^2/dK^2 +
-    (K^2-4w^2)^2/(64 lam) - K/2 on a K-grid (real).  s reversed is -s, so H
-    is exactly PT-symmetric; _pt_symmetric_eig finds the eigenvalues nearest
-    0, which are the lowest because every observed low spectrum of H is
-    real and positive.  The two discretizations are independent, so
-    agreement of their low spectra validates both and shows none is missed.
+    H = contour_hamiltonian(params) on a cell-centred s-grid with spectral
+    K; h = -16 lam d^2/dK^2 + (K^2-4w^2)^2/(64 lam) - K/2 on a K-grid
+    (real).  s reversed is -s, so H is exactly PT-symmetric; only its real
+    form B is kept, and _pt_symmetric_eig finds the eigenvalues nearest 0,
+    which are the lowest because every observed low spectrum of H is real
+    and positive.  The two discretizations are independent, so agreement
+    of their low spectra validates both and shows none is missed.
     """
-    lam, omega = params.lam, params.omega
-    n, ls = params.n, params.length
-    s = (np.arange(n) + 0.5 - 0.5 * n) * (2.0 * ls / n)
-    one_is = 1.0 + 1j * s
-    H = one_is[:, None] * fourier_wavenumber_operator(n, ls, 2)
-    H += 0.5 * fourier_wavenumber_operator(n, ls, 1)
-    H[np.diag_indices(n)] -= 16.0 * lam * one_is**2 + 4.0 * omega**2 * one_is
-
-    nk, lk = params.n_k, params.length_k
+    n, nk, lk = params.n, params.n_k, params.length_k
+    if not 1 <= n_lowest <= min(n, nk):
+        raise InputError(f"n_lowest must lie in [1, min(n, n_k)] = [1, {min(n, nk)}]")
     kg = np.linspace(-lk, lk, nk, endpoint=False)
-    D2 = fourier_wavenumber_operator(nk, lk, 2)
-    potential = (kg**2 - 4.0 * omega**2) ** 2 / (64.0 * lam) - 0.5 * kg
-    h = 16.0 * lam * D2
+    potential = (kg**2 - 4.0 * params.omega**2) ** 2 / (64.0 * params.lam) - 0.5 * kg
+    h = 16.0 * params.lam * fourier_wavenumber_operator(nk, lk, 2)
     h[np.diag_indices(nk)] += potential
 
-    evals_H, low = _pt_symmetric_eig(H, n_lowest)
+    # H lives only until its real form is built, B only inside the solver
+    evals_H, low = _pt_symmetric_eig(_pt_real_form(contour_hamiltonian(params)), n_lowest)
     evals_h = np.linalg.eigvalsh(h)
 
     edge = max(2, n // 64)
@@ -471,10 +499,7 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 5) -> QuarticPair:
             f"eigenfunction tail {tail:.2e} exceeds {TAIL_TOL:.1e}; "
             "increase the s-grid half-width"
         )
-    return QuarticPair(
-        H, h, s, kg, quartic_exponent(params, kg),
-        evals_H, evals_h[:n_lowest], tail,
-    )
+    return QuarticPair(h, _s_grid(params), kg, evals_H, evals_h[:n_lowest], tail)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +637,6 @@ def hamiltonian_on_grid(spec: KernelPotentialSpec, grid: KernelGrid) -> np.ndarr
 @dataclass(frozen=True)
 class KernelMetricResult:
     eta_matrix: np.ndarray
-    H_matrix: np.ndarray
     x: np.ndarray
     residual_report: dict = field(default_factory=dict)
 
@@ -652,7 +676,8 @@ def kernel_metric(
     spec: KernelPotentialSpec,
     grid: KernelGrid | None = None,
 ) -> KernelMetricResult:
-    """First-order metric matrix, discretized Hamiltonian and residuals.
+    """First-order metric matrix, its grid and residuals against the
+    discretized Hamiltonian (hamiltonian_on_grid rebuilds it).
 
     The residual report carries the weak pseudo-Hermiticity residual at
     zeta and zeta/2 with the fitted order in zeta (2.0 for a correct
@@ -666,8 +691,8 @@ def kernel_metric(
     # I + (dx/2) k(zeta) to the bit
     kernel = kernel_first_order(spec, x)
     eye = np.eye(len(x), dtype=complex)
-    eta_full, H_full = eye + dx * kernel, hamiltonian_on_grid(spec, grid)
-    r_full = _weak_residual(eta_full, H_full, x)
+    eta_full = eye + dx * kernel
+    r_full = _weak_residual(eta_full, hamiltonian_on_grid(spec, grid), x)
     half = replace(spec, zeta=spec.zeta / 2.0)
     r_half = _weak_residual(eye + 0.5 * dx * kernel, hamiltonian_on_grid(half, grid), x)
     order = float(np.log2(r_full / r_half)) if r_half > 0 else float("nan")
@@ -687,7 +712,7 @@ def kernel_metric(
         "fitted_order": order,
         "first_order_kernel_scale": kernel_scale,
     }
-    return KernelMetricResult(eta_full, H_full, x, report)
+    return KernelMetricResult(eta_full, x, report)
 
 
 def klein_gordon_residual(spec: KernelPotentialSpec, grid: KernelGrid) -> float:

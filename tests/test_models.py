@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,48 +264,48 @@ def test_quartic_linear_potential_reduction(quartic_omega0):
 
 @pytest.fixture(scope="module", params=[0.0, 1.0], ids=["omega0", "omega1"])
 def quartic_low8(request):
-    return models.quartic_pair(models.QuarticParams(1.0 / 16.0, request.param, n=384),
-                               n_lowest=8)
+    params = models.QuarticParams(1.0 / 16.0, request.param, n=384)
+    return models.quartic_pair(params, n_lowest=8), models.contour_hamiltonian(params)
 
 
 def test_quartic_grid_is_exactly_pt_symmetric(quartic_low8):
-    qp = quartic_low8
+    qp, H = quartic_low8
     assert np.array_equal(qp.s_grid[::-1], -qp.s_grid)
-    pt_image = np.conj(qp.H)[::-1, ::-1]
-    assert np.linalg.norm(pt_image - qp.H) <= 1e-15 * np.linalg.norm(qp.H)
+    pt_image = np.conj(H)[::-1, ::-1]
+    assert np.linalg.norm(pt_image - H) <= 1e-15 * np.linalg.norm(H)
 
 
 def test_quartic_real_form_matches_complex_eig(quartic_low8):
     # the complex eigensolver on H itself is the oracle
-    qp = quartic_low8
-    oracle = np.linalg.eigvals(qp.H)
+    qp, H = quartic_low8
+    oracle = np.linalg.eigvals(H)
     oracle = oracle[np.argsort(oracle.real)][:8]
     assert qp.spectrum_H.shape == (8,)
     np.testing.assert_allclose(qp.spectrum_H, oracle, rtol=1e-10, atol=0)
 
 
 def test_quartic_real_form_eigenvectors(quartic_low8):
-    qp = quartic_low8
-    values, vectors = models._pt_symmetric_eig(qp.H, 8)
+    qp, H = quartic_low8
+    values, vectors = models._pt_symmetric_eig(models._pt_real_form(H), 8)
     np.testing.assert_array_equal(values, qp.spectrum_H)
     np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, rtol=1e-14)
-    residual = np.linalg.norm(qp.H @ vectors - vectors * values, axis=0)
-    assert residual.max() <= 1e-10 * np.linalg.norm(qp.H, 2)
+    residual = np.linalg.norm(H @ vectors - vectors * values, axis=0)
+    assert residual.max() <= 1e-10 * np.linalg.norm(H, 2)
 
 
 def test_pt_symmetric_eig_rejects_broken_symmetry():
     rng = np.random.default_rng(29)
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     symmetric = 0.5 * (a + np.conj(a)[::-1, ::-1])
-    values, _ = models._pt_symmetric_eig(symmetric, 16)
+    values, _ = models._pt_symmetric_eig(models._pt_real_form(symmetric), 16)
     distance = np.abs(values[:, None] - np.linalg.eigvals(symmetric)[None, :])
     assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) <= 1e-12
     with pytest.raises(NotPTSymmetricError):
-        models._pt_symmetric_eig(a, 4)
+        models._pt_real_form(a)
     # the seam point of a grid that is not mirror-symmetric breaks PT
     s = np.linspace(-4.0, 4.0, 16, endpoint=False)
     with pytest.raises(NotPTSymmetricError):
-        models._pt_symmetric_eig(np.diag(1.0 + 1j * s), 4)
+        models._pt_real_form(np.diag(1.0 + 1j * s))
 
 
 def _real_form(H):
@@ -318,15 +320,18 @@ def test_shift_invert_matches_dense_eig_oracle(lam, omega, n):
     # the dense dgeev of the same real form B is the oracle; each eigenvalue
     # must agree to within its first-order error bound kappa_i u |B|_F, with
     # kappa_i from the oracle's left and right eigenvectors
-    qp = models.quartic_pair(models.QuarticParams(lam, omega, n), n_lowest=8)
-    b = _real_form(qp.H)
+    params = models.QuarticParams(lam, omega, n)
+    qp = models.quartic_pair(params, n_lowest=8)
+    H = models.contour_hamiltonian(params)
+    b = _real_form(H)
     values, right = np.linalg.eig(b)
     left = np.linalg.inv(right)
     low = np.argsort(values.real)[:8]
     kappa = np.linalg.norm(right[:, low], axis=0) * np.linalg.norm(left[low], axis=1)
     bound = kappa * 0.5 * np.finfo(float).eps * np.linalg.norm(b)
     for n_lowest in (5, 8):
-        got = qp.spectrum_H if n_lowest == 8 else models._pt_symmetric_eig(qp.H, 5)[0]
+        got = qp.spectrum_H if n_lowest == 8 else models._pt_symmetric_eig(
+            models._pt_real_form(H), 5)[0]
         assert got.shape == (n_lowest,)
         error = np.abs(got - values[low[:n_lowest]])
         assert np.all(error <= bound[:n_lowest])
@@ -352,7 +357,7 @@ def test_pt_symmetric_eig_rejects_a_jordan_block():
         assert np.array_equal(_real_form(H), j)
         for n_lowest in (1, 2, 5):
             with pytest.raises(EigenpairsNotConvergedError):
-                models._pt_symmetric_eig(H, n_lowest)
+                models._pt_symmetric_eig(models._pt_real_form(H), n_lowest)
 
 
 def test_pt_symmetric_eig_grows_the_krylov_space_until_converged():
@@ -362,7 +367,7 @@ def test_pt_symmetric_eig_grows_the_krylov_space_until_converged():
     spacing = 1e-3
     diagonal = 1.0 + spacing * np.random.default_rng(3).permutation(400)
     H = _pt_from_real(np.diag(diagonal))
-    values, vectors = models._pt_symmetric_eig(H, 5)
+    values, vectors = models._pt_symmetric_eig(models._pt_real_form(H), 5)
     np.testing.assert_allclose(values, 1.0 + spacing * np.arange(5), rtol=0, atol=1e-12)
     residual = np.linalg.norm(H @ vectors - vectors * values, axis=0)
     assert residual.max() <= 1e-13 * np.linalg.norm(H)
@@ -373,7 +378,7 @@ def test_pt_symmetric_eig_rejects_a_singular_operator():
     j[3, :] = 0.0
     j[0, 3] = 2.0
     with pytest.raises(SingularOperatorError):
-        models._pt_symmetric_eig(_pt_from_real(j), 4)
+        models._pt_symmetric_eig(models._pt_real_form(_pt_from_real(j)), 4)
 
 
 def test_quartic_spectrum_is_reproducible():
@@ -417,6 +422,57 @@ def test_quartic_partner_is_real(quartic_omega0):
 def test_quartic_grid_too_small():
     with pytest.raises(GridTooSmallError):
         models.quartic_pair(models.QuarticParams(1.0 / 16.0, 0.0, n=64, length=2.0))
+
+
+@pytest.mark.parametrize(
+    "n_lowest, n_k",
+    [(0, 256), (-1, 256), (385, 512), (600, 256), (257, 256)],
+    ids=["zero", "negative", "above-n", "far-above-n", "above-n_k"],
+)
+def test_quartic_n_lowest_outside_both_grids_is_an_input_error(n_lowest, n_k):
+    # both spectra carry n_lowest values, so both grids bound it; an
+    # out-of-range count is an input fault, not a domain error
+    with pytest.raises(InputError, match="n_lowest"):
+        models.quartic_pair(models.QuarticParams(1.0 / 16.0, n=384, n_k=n_k), n_lowest)
+
+
+def _dense_contour_hamiltonian(params):
+    # the sum of dense operators with its n x n temporaries: the former
+    # assembly, kept as oracle
+    n, ls = params.n, params.length
+    s = (np.arange(n) + 0.5 - 0.5 * n) * (2.0 * ls / n)
+    one_is = 1.0 + 1j * s
+    H = one_is[:, None] * models.fourier_wavenumber_operator(n, ls, 2)
+    H += 0.5 * models.fourier_wavenumber_operator(n, ls, 1)
+    H[np.diag_indices(n)] -= 16.0 * params.lam * one_is**2 + 4.0 * params.omega**2 * one_is
+    return H
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.5])
+@pytest.mark.parametrize("n", [64, 257, 384, 576])
+def test_contour_hamiltonian_is_the_dense_assembly(n, omega):
+    params = models.QuarticParams(0.1, omega, n)
+    H = models.contour_hamiltonian(params)
+    np.testing.assert_array_equal(H, _dense_contour_hamiltonian(params))
+    np.testing.assert_array_equal(models._pt_real_form(H), _real_form(H))
+
+
+def test_quartic_pair_holds_one_complex_operator_at_a_time():
+    # H alone is one complex n x n array (16 n^2 bytes); after it come B,
+    # B^-1, the Krylov basis and the Hessenberg matrix, four real n x n
+    # arrays, and the result keeps nothing of size n^2
+    params = models.QuarticParams(1.0 / 16.0, 0.0, n=576)
+    models.quartic_pair(params)  # FFT and LAPACK set-up outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        qp = models.quartic_pair(params)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * 16 * params.n**2
+    assert current - before <= 1e6
+    assert qp.spectrum_H.shape == (5,)
 
 
 def test_quartic_translation_identity():
@@ -615,6 +671,6 @@ def test_invalid_model_parameters_raise_value_error(build, message):
 
 def test_arnoldi_stops_on_an_invariant_subspace():
     # a 1x1 operator spans its Krylov space in one step (beta = 0)
-    values, vectors = models._pt_symmetric_eig(np.array([[2.5 + 0.0j]]), 1)
+    values, vectors = models._pt_symmetric_eig(models._pt_real_form(np.array([[2.5 + 0.0j]])), 1)
     np.testing.assert_allclose(values, [2.5], rtol=1e-15)
     np.testing.assert_allclose(np.abs(vectors), [[1.0]], rtol=1e-15)

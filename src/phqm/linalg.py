@@ -147,7 +147,7 @@ def eig_nonhermitian(a, tol: float = DEFAULT_TOL, check: bool = True) -> EigenDe
     return dec
 
 
-def hermitian_function(h, f, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_function(h, f) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     f is evaluated on the real eigenvalues; non-finite values mean the
@@ -155,7 +155,7 @@ def hermitian_function(h, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     matrix) and raise SpectrumOutOfDomainError.
     """
     m = as_matrix(h)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitianError("input is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(m)
     with np.errstate(all="ignore"):
@@ -170,9 +170,9 @@ def hermitian_function(h, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     return result
 
 
-def sqrtm_pd(h, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrtm_pd(h) -> np.ndarray:
     """Positive square root of a positive-definite Hermitian matrix."""
-    return hermitian_function(h, np.sqrt, tol)
+    return hermitian_function(h, np.sqrt)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import (
     SingularOperatorError,
     UnpairedComplexEigenvalueError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, dagger, is_hermitian, norm_ratio_above, opnorm
+from .linalg import as_matrix, dagger, is_hermitian, norm_ratio_above, opnorm
 
 PSEUDO_HERMITICITY_TOL = 1e-8
 
@@ -112,16 +112,13 @@ def _normalized(eta: np.ndarray) -> np.ndarray:
 
 
 def metric_from_spectrum(bs: BiorthonormalSystem, normalize: bool = False) -> MetricOperator:
-    """eta_+ = sum_n |phi_n><phi_n|; needs an all-real spectrum."""
+    """eta_+ = sum_n |phi_n><phi_n|, the sigma = (+1, ..., +1) pseudo-metric;
+    needs an all-real spectrum."""
     if not bs.all_real:
         raise ComplexSpectrumError(
             "spectrum has nonreal eigenvalues; no positive-definite metric exists"
         )
-    eta = bs.phis @ dagger(bs.phis)
-    eta = 0.5 * (eta + dagger(eta))
-    if normalize:
-        eta = _normalized(eta)
-    return MetricOperator(eta)
+    return MetricOperator(pseudo_metric_family(bs, np.ones(bs.dim), normalize).eta)
 
 
 def pseudo_metric_family(
@@ -183,11 +180,11 @@ def pseudo_hermiticity_residual(h, eta) -> float:
     return opnorm(eta @ h @ _inverse(eta) - dagger(h)) / max(opnorm(h), 1e-300)
 
 
-def _inverse(m: np.ndarray, name: str = "eta") -> np.ndarray:
+def _inverse(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(f"{name} is singular") from exc
+        raise SingularOperatorError("eta is singular") from exc
 
 
 def build_system(
@@ -233,15 +230,10 @@ def build_system(
     return QuasiHermitianSystem(H, MetricOperator(eta_m), rho, rho_inv, h)
 
 
-def hermitian_inverse(a) -> np.ndarray:
-    inv = _inverse(as_matrix(a), "matrix")
-    return 0.5 * (inv + dagger(inv))
-
-
-def observable_map(o, sys: QuasiHermitianSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
+def observable_map(o, sys: QuasiHermitianSystem) -> np.ndarray:
     """Physical observable O = rho^-1 o rho from a Hermitian o."""
     o = as_matrix(o)
-    if not is_hermitian(o, tol):
+    if not is_hermitian(o):
         raise NotHermitianError("observable source must be Hermitian")
     return sys.rho_inv @ o @ sys.rho
 

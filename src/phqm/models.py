@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .errors import (
     RealityViolatedError,
     SingularOperatorError,
 )
-from .linalg import dagger, opnorm, sqrtm_pd
-from .metric import MetricOperator, QuasiHermitianSystem, hermitian_inverse
+from .linalg import dagger, opnorm
+from .metric import MetricOperator
 from .perturbation import ladder_operators
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -169,7 +169,6 @@ class SwansonParams:
 class SwansonMetric:
     z: complex
     w: float
-    r: float
     eta_2x2: np.ndarray
     residual: float
 
@@ -211,7 +210,7 @@ def swanson_metric(params: SwansonParams, r: float = 0.0, branch: int = +1) -> S
     )
     H = _swanson_2x2(params)
     residual = opnorm(eta @ H @ eta_inv - H.T)
-    return SwansonMetric(complex(z), float(w), float(r), eta, residual)
+    return SwansonMetric(complex(z), float(w), eta, residual)
 
 
 def _exp_k_plus(z: complex, n_max: int) -> np.ndarray:
@@ -243,8 +242,18 @@ def _sqrtm_2x2(m: np.ndarray) -> np.ndarray:
     return (m + s * np.eye(2)) / np.sqrt(np.trace(m) + 2.0 * s)
 
 
+@dataclass(frozen=True)
+class TruncatedSwanson:
+    """H, eta_+ and h; h is lifted from the 2x2 transport, so no similarity
+    of the truncated space maps H to it (only the low spectra agree): no rho."""
+
+    H: np.ndarray
+    eta_plus: MetricOperator
+    h: np.ndarray
+
+
 def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
-                      branch: int = +1) -> QuasiHermitianSystem:
+                      branch: int = +1) -> TruncatedSwanson:
     """Truncated-basis realization of the Lie-algebraic metric.
 
     eta_+ = exp(z K+) exp(2r K3) exp(z* K-) with K+ = (a^dag)^2/2,
@@ -297,10 +306,7 @@ def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
         + np.conj(coeff_plus) * k_minus
     )
     h = 0.5 * (h + dagger(h))
-
-    rho = sqrtm_pd(eta)
-    rho_inv = hermitian_inverse(rho)
-    return QuasiHermitianSystem(H, MetricOperator(eta), rho, rho_inv, h)
+    return TruncatedSwanson(H, MetricOperator(eta), h)
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +558,8 @@ class KernelGrid:
     def __post_init__(self):
         if self.n < 2 or not self.x_min < self.x_max:
             raise InputError("a kernel grid needs n >= 2 and x_min < x_max")
+        if self.style not in ("midpoint", "node"):
+            raise InputError(f"grid style must be 'midpoint' or 'node', not {self.style!r}")
         if self.style == "node" and not self.x_min <= 0.0 <= self.x_max:
             raise InputError("a node grid's box must contain 0")
 
@@ -638,7 +646,7 @@ def hamiltonian_on_grid(spec: KernelPotentialSpec, grid: KernelGrid) -> np.ndarr
 class KernelMetricResult:
     eta_matrix: np.ndarray
     x: np.ndarray
-    residual_report: dict = field(default_factory=dict)
+    residual_report: dict
 
 
 def _packet_family(x: np.ndarray) -> np.ndarray:

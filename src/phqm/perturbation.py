@@ -9,7 +9,7 @@ finite matrix truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -21,6 +21,7 @@ from .metric import MetricOperator
 from .errors import InputError, NotHermitianError, UnsolvableCommutatorError
 
 DEGENERACY_TOL = 1e-9
+HERMITICITY_TOL = 1e-9  # how far H0 and i H1 may be from Hermitian
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,15 @@ class PerturbationProblem:
     H1: np.ndarray
     epsilon: float
     order: int
-    tol: float = 1e-9
 
     def __post_init__(self):
         H0 = as_matrix(self.H0)
         H1 = as_matrix(self.H1)
         if H0.shape != H1.shape:
             raise InputError("H0 and H1 must share a shape")
-        if not is_hermitian(H0, self.tol):
+        if not is_hermitian(H0, HERMITICITY_TOL):
             raise NotHermitianError("H0 must be Hermitian")
-        if not is_hermitian(1j * H1, self.tol):
+        if not is_hermitian(1j * H1, HERMITICITY_TOL):
             raise NotHermitianError("H1 must be anti-Hermitian")
         if self.order < 1 or self.order % 2 == 0:
             raise InputError("order must be a positive odd integer")
@@ -52,7 +52,7 @@ class PerturbationProblem:
 class QSeries:
     """Map j -> Hermitian Q_j; even orders are stored as zero matrices."""
 
-    terms: dict = field(default_factory=dict)
+    terms: dict
 
     def q(self, j: int) -> np.ndarray:
         return self.terms[j]

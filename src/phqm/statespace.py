@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPositiveDefiniteError
+from .errors import InputError, NotHermitianError, NotPositiveDefiniteError
 from .linalg import as_matrix, eig_nonhermitian, is_hermitian
 from .metric import metric_matrix
 
@@ -45,10 +45,9 @@ def _hamiltonian(h_op, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectiveState:
-    """Rank-1 projector onto the ray of its representative vector."""
+    """Rank-1 projector onto the ray of a state vector."""
 
     Lambda: np.ndarray
-    representative: np.ndarray
 
 
 def projector(psi, eta=None) -> ProjectiveState:
@@ -57,7 +56,7 @@ def projector(psi, eta=None) -> ProjectiveState:
     w = eta_m @ v
     norm = complex(np.conj(v) @ w)
     lam = np.outer(v, np.conj(w)) / norm
-    return ProjectiveState(lam, v)
+    return ProjectiveState(lam)
 
 
 def fs_metric(psi, eta=None) -> np.ndarray:
@@ -105,6 +104,8 @@ def two_level_geometry(eta) -> TwoLevelLineElement:
     eta_m = metric_matrix(eta, 2 if eta is None else None)
     if eta_m.shape != (2, 2):
         raise InputError("two_level_geometry requires a 2x2 metric")
+    if not is_hermitian(eta_m):
+        raise NotHermitianError("eta must be Hermitian")
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)

@@ -100,7 +100,8 @@ def exact_build_system(h_op, eta, tol=metric.PSEUDO_HERMITICITY_TOL):
     if metric.pseudo_hermiticity_residual(H, eta_m) > tol:
         raise NotPseudoHermitianError("residual")
     rho = exact_sqrtm_pd(eta_m)
-    rho_inv = metric.hermitian_inverse(rho)
+    rho_inv = np.linalg.inv(rho)
+    rho_inv = 0.5 * (rho_inv + dagger(rho_inv))
     return metric.QuasiHermitianSystem(H, metric.MetricOperator(eta_m), rho, rho_inv,
                                        rho @ H @ rho_inv)
 

@@ -499,6 +499,10 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
         ({"command": "model", "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.1,
                                         "x_min": 0.5, "x_max": 4.0}},
          "InputError: a node grid's box must contain 0"),
+        ({"command": "geometry", "eta": [[[1, 0], [0, 0]], [[5, 0], [1, 0]]]},
+         "NotHermitianError: eta must be Hermitian"),
+        ({"command": "geometry", "eta": [[[1, 0], [0, 0.5]], [[0, 0], [1, 0]]]},
+         "NotHermitianError: eta must be Hermitian"),
     ],
 )
 def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):

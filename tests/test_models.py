@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,17 @@ def test_swanson_truncated_spectrum_and_hermiticity():
     spacing = np.diff(np.sort(np.linalg.eigvalsh(sys_.h))[:6])
     expected = np.sqrt(1.0 - 4.0 * params.alpha_tilde * params.beta_tilde)
     np.testing.assert_allclose(spacing, expected, atol=1e-8)
+
+
+def test_swanson_truncated_returns_what_it_builds():
+    # h is lifted from the 2x2 transport and no similarity of the truncated
+    # space maps H to it, so the result carries H, eta_+ and h and no rho
+    params = models.SwansonParams(1.0, 1.0, 0.1, 0.05)
+    out = models.swanson_truncated(params, 0.0, 40)
+    assert type(out) is models.TruncatedSwanson
+    assert not isinstance(out, metric.QuasiHermitianSystem)
+    assert [f.name for f in dataclasses.fields(out)] == ["H", "eta_plus", "h"]
+    assert isinstance(out.eta_plus, metric.MetricOperator)
 
 
 def test_swanson_truncated_metric_is_positive():
@@ -551,6 +563,13 @@ def test_default_delta_grid_is_centred(kappa):
 def test_node_grid_box_must_hold_the_origin(x_min, x_max):
     with pytest.raises(InputError, match="must contain 0"):
         models.KernelGrid(400, x_min, x_max, "node")
+
+
+@pytest.mark.parametrize("style", ["nodes", "Node", "", None])
+def test_kernel_grid_rejects_an_unknown_style(style):
+    # a misspelt "node" would silently place the delta between nodes
+    with pytest.raises(InputError, match="grid style must be 'midpoint' or 'node'"):
+        models.KernelGrid(400, -2.0, 2.0, style)
 
 
 @pytest.mark.parametrize("kind", ["square_well", "barrier", "delta"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from phqm import metric, statespace
-from phqm.errors import InputError, NotPositiveDefiniteError
+from phqm.errors import InputError, NotHermitianError, NotPositiveDefiniteError
 from phqm.metric import MetricOperator, PseudoMetric
 from phqm.statespace import (
     BrachistochroneProblem,
@@ -116,6 +116,13 @@ def test_two_level_geometry_off_diagonal():
 def test_two_level_geometry_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         two_level_geometry(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("eta", [[[1.0, 0.0], [5.0, 1.0]], [[1.0, 0.5j], [0.0, 1.0]]])
+def test_two_level_geometry_rejects_a_non_hermitian_metric(eta):
+    # the coefficients read only eta[0, 1] and the real diagonal
+    with pytest.raises(NotHermitianError, match="eta must be Hermitian"):
+        two_level_geometry(np.array(eta))
 
 
 def test_two_level_geometry_requires_a_2x2_metric():

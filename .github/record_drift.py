@@ -1,9 +1,9 @@
 """Report scenario records that differ between two source trees.
 
-    python .github/record_drift.py BASE_TREE HEAD_TREE [SCENARIO_DIR]
+    python .github/record_drift.py BASE_TREE HEAD_TREE
 
-Each tree's ``src/phqm`` runs ``cli.run`` on every scenario in SCENARIO_DIR
-(default: HEAD_TREE/scenarios) in its own process.  The records are compared
+Each tree's ``src/phqm`` runs ``cli.run`` on every scenario in
+HEAD_TREE/scenarios in its own process.  The records are compared
 as parsed JSON, key by key, with ``timing_s`` left out; every scenario whose
 record differs is printed as a Markdown table row with the differing keys.
 This is a report, not a gate: a correctness fix changes records on purpose,
@@ -40,20 +40,18 @@ def records(tree: str, scenarios: list) -> dict:
 
 def differing_keys(base: list, head: list) -> list:
     """Keys whose JSON text differs, as ``[i].key`` for a batch; NaN equals NaN."""
-    if len(base) != len(head):
-        return [f"batch length {len(base)} -> {len(head)}"]
-    prefix = (lambda i: f"[{i}].") if len(head) > 1 else (lambda i: "")
     keys = []
     for i, (b, h) in enumerate(zip(base, head)):
+        prefix = f"[{i}]." if len(head) > 1 else ""
         for key in sorted(set(b) | set(h)):
             if json.dumps(b.get(key), sort_keys=True) != json.dumps(h.get(key), sort_keys=True):
-                keys.append(prefix(i) + key)
+                keys.append(prefix + key)
     return keys
 
 
 def main(argv: list) -> int:
     base_tree, head_tree = (os.path.abspath(p) for p in argv[:2])
-    scenario_dir = os.path.abspath(argv[2] if len(argv) > 2 else os.path.join(head_tree, "scenarios"))
+    scenario_dir = os.path.join(head_tree, "scenarios")
     scenarios = sorted(os.path.join(scenario_dir, name) for name in os.listdir(scenario_dir)
                        if name.endswith(".json"))
     base, head = records(base_tree, scenarios), records(head_tree, scenarios)

@@ -130,7 +130,7 @@ def _run_metric(out, tol, *, matrix: Matrix, sigma: list | None = None,
     else:
         eta = metric.metric_from_spectrum(bs, **options).eta
         out.matrices["eta_plus"] = encode_matrix(eta)
-        out.gate("eta_min_eigenvalue_margin", 0.0 if np.linalg.eigvalsh(eta).min() > 0 else 1.0, 0.5)
+        metric.positive_metric(eta)
     out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(matrix, eta), max(tol, 1e-9))
     completeness = linalg.opnorm(bs.psis @ np.conj(bs.phis.T) - np.eye(bs.dim))
     out.gate("biorthonormal_completeness", completeness, max(tol, 1e-9))
@@ -235,12 +235,10 @@ def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
     out.scalars["tau_min"] = opt.tau_min
     out.scalars["distance"] = opt.distance
     out.matrices["H_star"] = encode_matrix(opt.H_star)
-    evals = np.sort(np.linalg.eigvals(opt.H_star).real)
-    out.gate(
-        "eigenvalue_pinning",
-        float(np.max(np.abs(np.sort(np.abs(evals)) - prob.energy)) / prob.energy),
-        max(tol, 1e-9),
-    )
+    # H* has rank 2: |eigenvalues| (0, ..., 0, E, E)
+    levels = np.sort(np.abs(np.linalg.eigvals(opt.H_star).real))
+    levels[-2:] -= prob.energy
+    out.gate("eigenvalue_pinning", float(np.max(np.abs(levels)) / prob.energy), max(tol, 1e-9))
     # linspace ends exactly at tau_min, so the last sample is the final state
     times = np.linspace(0.0, opt.tau_min, 33)
     states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
@@ -261,7 +259,6 @@ def _run_geometry(out, tol, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
     rows = [[theta, phi, float(geo.conformal_factor(theta, phi))]
             for theta in np.linspace(0.0, np.pi, n_theta) for phi in np.linspace(0.0, 2.0 * np.pi, n_phi)]
     out.curves["line_element"] = {"columns": ["theta", "phi", "ds2_factor"], "rows": rows}
-    out.gate("k1_positive_margin", 0.0 if geo.k1 > 0 else 1.0, 0.5)
 
 
 # a potential is the pair (V, V')

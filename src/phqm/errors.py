@@ -30,6 +30,10 @@ class NotHermitianError(InputError):
     """A Hermitian matrix was required."""
 
 
+class NotPositiveDefiniteError(InputError):
+    """A positive-definite metric was required; eta has a negative eigenvalue."""
+
+
 class DegenerateStructureError(InputError):
     """Symplectic structure parameters are degenerate."""
 
@@ -84,10 +88,6 @@ class OutOfDomainError(DomainError):
 
 class NotPseudoHermitianError(ResidualError):
     """Pseudo-Hermiticity residual exceeds tolerance."""
-
-
-class NotPositiveDefiniteError(ResidualError):
-    """Positive-definite matrix required."""
 
 
 class NotPTSymmetricError(ResidualError):

@@ -35,9 +35,9 @@ CONDITION_THRESHOLD = 1e12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square, finite complex matrix."""
+    """Coerce to a non-empty square, finite complex matrix."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix has non-finite entries")

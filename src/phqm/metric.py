@@ -33,7 +33,8 @@ PSEUDO_HERMITICITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """Positive-definite Hermitian invertible matrix defining <.|eta .>."""
+    """Positive-definite Hermitian invertible matrix defining <.|eta .>, built
+    unchecked: ``positive_metric`` checks it where an inner product is used."""
 
     eta: np.ndarray
 
@@ -68,6 +69,30 @@ def metric_matrix(eta, dim: int | None = None) -> np.ndarray:
     if dim is not None and len(m) != dim:
         raise InputError(f"eta is {len(m)}x{len(m)}, expected {dim}x{dim}")
     return m
+
+
+def _rounding(eta_m: np.ndarray) -> float:
+    """4 n u |eta|_F: the rounding that eta's eigenvalues carry; |eta|_F is
+    summed at a power-of-2 scale, which is exact and keeps its squares finite."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(eta_m).max())[1] - 1)
+    return 4 * len(eta_m) * np.finfo(float).eps * scale * np.linalg.norm(eta_m / scale)
+
+
+def positive_metric(eta, dim: int | None = None):
+    """(matrix, eigenvalues, eigenvectors) of a metric argument whose matrix
+    is a metric: Hermitian, else NotHermitianError, with the Hermitian part's
+    lowest eigenvalue above the rounding s = 4 n u |eta|_F, else
+    NotPositiveDefiniteError below -s and SingularOperatorError within s."""
+    eta_m = metric_matrix(eta, dim)
+    if not is_hermitian(eta_m):
+        raise NotHermitianError("eta must be Hermitian")
+    evals, vecs = np.linalg.eigh(0.5 * (eta_m + dagger(eta_m)))
+    slack = _rounding(eta_m)
+    if evals[0] < -slack:
+        raise NotPositiveDefiniteError(f"eta has negative eigenvalue {evals[0]:.3e}")
+    if evals[0] <= slack:
+        raise SingularOperatorError(f"eta is numerically singular: eigenvalue {evals[0]:.3e}")
+    return eta_m, evals, vecs
 
 
 @dataclass(frozen=True)
@@ -192,27 +217,22 @@ def build_system(
 ) -> QuasiHermitianSystem:
     """Assemble (H, eta_+, rho, h) after certifying the inputs.
 
-    Raises NotPositiveDefiniteError unless eta is a metric and NotPseudoHermitianError
-    when |eta H eta^-1 - H^dagger|/|H| > tol; |eta H - H^dagger eta|_F / lambda_min(eta)
+    ``positive_metric`` certifies eta; NotPseudoHermitianError when
+    |eta H eta^-1 - H^dagger|/|H| > tol; |eta H - H^dagger eta|_F / lambda_min(eta)
     <= tol |H|_F / sqrt(n), rounding included, passes an exactly Hermitian eta uninverted.
     """
     H = as_matrix(h_op)
-    eta_m = metric_matrix(eta, len(H))
-    # one eigh of eta's Hermitian part gives the positivity check, rho and rho^-1
-    evals, vecs = np.linalg.eigh(0.5 * (eta_m + dagger(eta_m)))
-    if evals.min() <= 0:
-        raise NotPositiveDefiniteError(
-            f"eta has non-positive eigenvalue {evals.min():.3e}"
-        )
+    # one eigh of eta's Hermitian part gives the metric check, rho and rho^-1
+    eta_m, evals, vecs = positive_metric(eta, len(H))
     eta_h = eta_m @ H
     with np.errstate(over="ignore", under="ignore"):
         h_fro = np.linalg.norm(H)
         limit = (1 - 1e-9) * tol * h_fro / np.sqrt(len(H))
         # eta H and lambda_min each carry rounding of about n u |eta|_F (|H|_F)
-        slack = 4 * len(H) * np.finfo(float).eps * np.linalg.norm(eta_m)
-        lam = evals.min() - slack
-        certified = (1e-140 < limit < np.inf and lam > 0 and np.array_equal(eta_m, dagger(eta_m))
-                     and (np.linalg.norm(eta_h - dagger(eta_h)) + slack * h_fro) / lam <= limit)
+        slack = _rounding(eta_m)
+        certified = (1e-140 < limit < np.inf and np.array_equal(eta_m, dagger(eta_m))
+                     and (np.linalg.norm(eta_h - dagger(eta_h)) + slack * h_fro)
+                     / (evals[0] - slack) <= limit)
     # else eta's own LU inverse: near an exceptional point an eigh inverse may flip this gate
     residual = None if certified else norm_ratio_above(
         eta_h @ _inverse(eta_m) - dagger(H), H, tol)
@@ -220,8 +240,6 @@ def build_system(
         raise NotPseudoHermitianError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds tol {tol:.1e}"
         )
-    if not is_hermitian(eta_m):
-        raise NotHermitianError("input is not Hermitian within tolerance")
     root = np.sqrt(evals)
     rho = (vecs * root) @ dagger(vecs)
     rho_inv = (vecs / root) @ dagger(vecs)

@@ -11,20 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotHermitianError, NotPositiveDefiniteError
-from .linalg import as_matrix, eig_nonhermitian, is_hermitian
-from .metric import metric_matrix
+from .errors import InputError
+from .linalg import as_matrix, eig_nonhermitian
+from .metric import metric_matrix, positive_metric
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
 
 
 def _states(eta=None, **states):
-    """Each named state as a nonzero vector, then eta as a matrix (the
-    identity when None); InputError unless all share one size."""
+    """Each named state as a nonzero vector, then eta as a ``positive_metric``
+    (the identity when None); InputError unless all share one size."""
     vectors = [np.asarray(psi, dtype=complex).ravel() for psi in states.values()]
     if any(np.linalg.norm(v) == 0 for v in vectors):
         raise InputError("state vector must be nonzero")
-    eta_m = metric_matrix(eta, len(vectors[0]) if eta is None else None)
+    eta_m = metric_matrix(None, len(vectors[0])) if eta is None else positive_metric(eta)[0]
     if any(len(v) != len(eta_m) for v in vectors):
         raise InputError(f"{', '.join(states)} and eta sizes differ")
     return (*vectors, eta_m)
@@ -101,19 +101,13 @@ class TwoLevelLineElement:
 
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
-    eta_m = metric_matrix(eta, 2 if eta is None else None)
-    if eta_m.shape != (2, 2):
-        raise InputError("two_level_geometry requires a 2x2 metric")
-    if not is_hermitian(eta_m):
-        raise NotHermitianError("eta must be Hermitian")
+    eta_m = positive_metric(eta, 2)[0]
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)
     b2 = float(-eta_m[0, 1].imag)
     trace = a + c
     det = a * c - (b1**2 + b2**2)
-    if trace <= 0 or det <= 0:
-        raise NotPositiveDefiniteError("eta must be positive definite")
     k1 = det / trace**2
     k2 = (a - c) / trace
     k3 = 2.0 * np.hypot(b1, b2) / trace
@@ -137,13 +131,11 @@ class BrachistochroneProblem:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        psi_i, psi_f, eta = _states(self.eta, psi_i=self.psi_i, psi_f=self.psi_f)
+        psi_i, psi_f, _ = _states(self.eta, psi_i=self.psi_i, psi_f=self.psi_f)
         object.__setattr__(self, "psi_i", psi_i)
         object.__setattr__(self, "psi_f", psi_f)
         if self.energy <= 0:
             raise InputError("energy scale E must be positive")
-        if not (is_hermitian(eta) and np.linalg.eigvalsh(eta)[0] > 0):
-            raise InputError("eta must be Hermitian positive definite")
 
 
 @dataclass(frozen=True)
@@ -190,12 +182,14 @@ def three_stage_switching_demo(psi_i, psi_f, energy: float, k1: float,
     distance, and hence the stage time, arbitrarily small.  The report
     flags that the scheme requires switching the physical inner product
     midway, which is what invalidates it as a unitary evolution; no
-    unitarity claim is made.
+    unitarity claim is made.  A 2x2 metric has k1 = det/trace^2 in (0, 1/4].
     """
+    if not 0 < k1 <= 0.25:
+        raise InputError(f"k1 must lie in (0, 1/4], got {k1}")
     s_flat = geodesic_distance(psi_i, psi_f)
     tau_flat = hbar * s_flat / energy
     trace_target = 1.0 / np.sqrt(k1)
-    a = 0.5 * (trace_target + np.sqrt(max(trace_target**2 - 4.0, 0.0)))
+    a = 0.5 * (trace_target + np.sqrt(trace_target**2 - 4.0))
     eta = np.diag([a, 1.0 / a]).astype(complex)
     inter = optimal_hamiltonian(
         BrachistochroneProblem(psi_i, psi_f, energy, hbar, eta)

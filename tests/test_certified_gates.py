@@ -25,6 +25,7 @@ from phqm.errors import (
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
     PhqmError,
+    SingularOperatorError,
     SpectrumOutOfDomainError,
 )
 from phqm.linalg import (
@@ -94,9 +95,15 @@ def exact_sqrtm_pd(h, tol=DEFAULT_TOL):
 def exact_build_system(h_op, eta, tol=metric.PSEUDO_HERMITICITY_TOL):
     H = as_matrix(h_op)
     eta_m = eta.eta if isinstance(eta, metric.MetricOperator) else as_matrix(eta)
-    evals = np.linalg.eigvalsh(0.5 * (eta_m + dagger(eta_m)))
-    if evals.min() <= 0:
+    if not exact_is_hermitian(eta_m):
+        raise NotHermitianError("Hermiticity")
+    # lambda_min against the band +-4 n u |eta|_F that its rounding spans
+    lam = np.linalg.eigvalsh(0.5 * (eta_m + dagger(eta_m))).min()
+    band = 4 * len(eta_m) * np.finfo(float).eps * np.linalg.norm(eta_m)
+    if lam < -band:
         raise NotPositiveDefiniteError("positivity")
+    if lam <= band:
+        raise SingularOperatorError("singular")
     if metric.pseudo_hermiticity_residual(H, eta_m) > tol:
         raise NotPseudoHermitianError("residual")
     rho = exact_sqrtm_pd(eta_m)
@@ -255,24 +262,26 @@ def test_real_jordan_block_perturbations_match_exact(n):
 @pytest.mark.parametrize(
     "h,eta,expected",
     [
-        # eta not Hermitian; H = 2I commutes with it, so the residual passes
+        # eta not Hermitian, whether the residual passes (H = 2I commutes
+        # with it) or fails: Hermiticity is decided first
         (2.0 * np.eye(2), [[1.0, 0.3], [0.0, 1.0]], NotHermitianError),
-        # eta not Hermitian and the residual fails first
-        (np.diag([1.0, 2.0]), [[1.0, 0.3], [0.0, 1.0]], NotPseudoHermitianError),
+        (np.diag([1.0, 2.0]), [[1.0, 0.3], [0.0, 1.0]], NotHermitianError),
         # eta Hermitian within 1e-10 but not exactly
         (np.diag([1.0, 2.0]), [[1.0, 1e-12], [0.0, 1.0]], "ok"),
         # eta not positive
         (np.eye(2), SIGMA3, NotPositiveDefiniteError),
         (np.eye(2), -np.eye(2), NotPositiveDefiniteError),
-        (np.eye(2), np.diag([1.0, 0.0]), NotPositiveDefiniteError),
+        # eta singular: lambda_min within the rounding band
+        (np.eye(2), np.diag([1.0, 0.0]), SingularOperatorError),
         # (H, eta) not pseudo-Hermitian
         ([[0.0, 1.0], [0.0, 0.0]], np.eye(2), NotPseudoHermitianError),
         ([[1.0, 2.0], [0.0, -1.0]], [[2.0, 0.5], [0.5, 1.0]], NotPseudoHermitianError),
         # pseudo-Hermitian with a nontrivial metric
         (two_level_matrix(4.0), [[1.25, 0.75], [0.75, 1.25]], "ok"),
         # eta H is exactly Hermitian but eta is not, so eta H - (eta H)^dagger
-        # is 0 while the residual is about 0.1: the certificate must not apply
-        (np.diag([1.0, 2.0]), [[1.0, 0.1], [0.2, 1.0]], NotPseudoHermitianError),
+        # is 0 while the residual is about 0.1: eta is rejected before any
+        # certificate
+        (np.diag([1.0, 2.0]), [[1.0, 0.1], [0.2, 1.0]], NotHermitianError),
     ],
 )
 def test_metric_inputs_raise_as_exact(h, eta, expected):
@@ -518,15 +527,18 @@ def paired_toward_exceptional_point(n, delta):
 @pytest.mark.parametrize("real", [False, True])
 def test_paired_spectrum_verdicts_match_exact(n, real):
     # cond(V) crosses CONDITION_THRESHOLD at delta = 1e-24, so the sweep
-    # passes the kappa bound, its margin and the SVD fallback
+    # passes the kappa bound, its margin and the SVD fallback; where the pair
+    # counts as real, build_system must decide as the oracle does
     rng = np.random.default_rng([n, 3])
     s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-    verdicts = set()
+    verdicts, routes = set(), set()
     for delta in np.append(10.0 ** -np.arange(0.0, 32.5, 0.5), 0.0):
         b = paired_toward_exceptional_point(n, delta)
         for a in (b, s @ b @ np.linalg.inv(s)):
-            verdicts.add(assert_same_eig_verdicts(a if real else a.astype(complex)))
-    assert verdicts == {True, False}
+            a = a if real else a.astype(complex)
+            verdicts.add(assert_same_eig_verdicts(a))
+            routes.add(assert_same_route(a))
+    assert verdicts == {True, False} and "build" in routes
 
 
 @pytest.mark.parametrize("n", [9, 32, 96])

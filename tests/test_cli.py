@@ -242,8 +242,6 @@ def test_sampled_profile_fdtd_scenario():
          "sigma": [1]},
         {"command": "em", "profile": {"preset": "nope"},
          "init": {"kind": "gaussian"}, "t": 1.0},
-        {"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]], "psi_F": [[0, 0], [1, 0]],
-         "E": 1.0, "eta": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
     ],
 )
 def test_degenerate_inputs_exit_as_input_errors(config, tmp_path, capsys):
@@ -282,6 +280,47 @@ def test_valid_inputs_outside_the_domain_exit_as_domain_errors(config, error_typ
     assert list(record) == ["command", "inputs", "error", "warnings", "all_pass", "timing_s"]
     assert record["error"]["class"] == "domain" and record["error"]["type"] == error_type
     assert record["inputs"] == config and record["all_pass"] is False
+
+
+NON_HERMITIAN_ETA = [[[1, 0], [0.3, 0]], [[0, 0], [1, 0]]]
+INDEFINITE_ETA = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+SINGULAR_ETA = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "eta, code, error",
+    [
+        (NON_HERMITIAN_ETA, cli.EXIT_INPUT, {"class": "input", "type": "NotHermitianError"}),
+        (INDEFINITE_ETA, cli.EXIT_INPUT, {"class": "input", "type": "NotPositiveDefiniteError"}),
+        (SINGULAR_ETA, cli.EXIT_DOMAIN, {"class": "domain", "type": "SingularOperatorError"}),
+    ],
+    ids=["non-hermitian", "indefinite", "singular"],
+)
+def test_every_command_that_reads_a_metric_rejects_it_alike(eta, code, error, tmp_path):
+    configs = [
+        {"command": "geometry", "eta": eta},
+        {"command": "hermitize", "matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]], "eta": eta},
+        {"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]], "psi_F": [[0, 0], [1, 0]],
+         "E": 1.0, "eta": eta},
+    ]
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    for config in configs:
+        path.write_text(json.dumps(config))
+        assert cli.main(["--scenario", str(path), "--out", str(out)]) == code, config["command"]
+        record_error = json.loads(out.read_text())["error"]
+        assert {key: record_error[key] for key in error} == error, config["command"]
+
+
+def test_brachistochrone_of_three_levels_passes_its_gates(tmp_path):
+    # H* has rank 2, so its third eigenvalue is 0, not E
+    config = {"command": "brachistochrone", "psi_I": [[1, 0], [0, 0], [0, 0]],
+              "psi_F": [[0, 0], [0, 0], [1, 0]], "E": 1.0}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_OK
+    record = cli.run(config)
+    assert [e["name"] for e in record["residuals"] if not e["pass"]] == []
+    assert record["scalars"]["tau_min"] == pytest.approx(np.pi / 2)
 
 
 def test_failed_gate_exits_as_residual_error(tmp_path, capsys):
@@ -449,7 +488,7 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
                                        "mu": [1.0, 1.0, 1.0]},
           "init": {"kind": "gaussian"}, "t": 0.1},
          "InputError: eps and mu samples must be strictly positive"),
-        ({"command": "geometry", "eta": EYE3}, "InputError: two_level_geometry requires a 2x2"),
+        ({"command": "geometry", "eta": EYE3}, "InputError: eta is 3x3, expected 2x2"),
         ({"command": "metric", "matrix": TWO_LEVEL_A, "sigma": [1, 2]},
          "InputError: sigma entries must be +1 or -1"),
         ({**CUBIC_FLOW, "dt": 0.0}, "InputError: dt must be positive"),
@@ -480,7 +519,7 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
           "E": 1.0, "eta": EYE3}, "InputError: psi_i, psi_f and eta sizes differ"),
         ({"command": "brachistochrone", "psi_I": [[1, 0], [0, 0]], "psi_F": [[0, 0], [1, 0]],
           "E": 1.0, "eta": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
-         "InputError: eta must be Hermitian positive definite"),
+         "NotPositiveDefiniteError: eta has negative eigenvalue"),
         ({"command": "geometry", "eta": EYE2, "n_theta": 0},
          "InputError: n_theta and n_phi must be at least 1"),
         ({"command": "geometry", "eta": EYE2, "n_phi": -2},

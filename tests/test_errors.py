@@ -20,15 +20,15 @@ from hypothesis import strategies as st  # noqa: E402
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 BASES = (errors.InputError, errors.DomainError, errors.ResidualError)
 CLASSES = {
-    errors.InputError: {"SchemaError", "NotHermitianError", "DegenerateStructureError"},
+    errors.InputError: {"SchemaError", "NotHermitianError", "NotPositiveDefiniteError",
+                        "DegenerateStructureError"},
     errors.DomainError: {
         "DefectiveOperatorError", "NonPositiveDError", "RealityViolatedError",
         "ComplexSpectrumError", "UnpairedComplexEigenvalueError", "SpectrumOutOfDomainError",
         "SingularOperatorError", "UnsolvableCommutatorError", "EigenpairsNotConvergedError",
         "GridTooSmallError", "StepOverflowError", "OutOfDomainError",
     },
-    errors.ResidualError: {"NotPseudoHermitianError", "NotPositiveDefiniteError",
-                           "NotPTSymmetricError"},
+    errors.ResidualError: {"NotPseudoHermitianError", "NotPTSymmetricError"},
 }
 # fixed seeds, so a failure reproduces; each property takes a second or two
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)

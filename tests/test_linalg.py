@@ -130,7 +130,7 @@ def test_canonical_commutator_on_oscillator_truncation():
     np.testing.assert_allclose(interior, 1j * hbar * np.eye(n_max - 1), atol=1e-12)
 
 
-@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))])
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.ones((0, 0))])
 def test_as_matrix_rejects_non_square_input(a):
     with pytest.raises(InputError, match="square matrix"):
         linalg.as_matrix(a)

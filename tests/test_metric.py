@@ -8,6 +8,7 @@ from phqm.errors import (
     NotHermitianError,
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
+    SingularOperatorError,
 )
 
 RNG = np.random.default_rng(424242)
@@ -203,6 +204,19 @@ def test_build_system_rejects_bad_inputs():
                             metric.MetricOperator(np.eye(2)))
     with pytest.raises(NotPositiveDefiniteError):
         metric.build_system(np.eye(2, dtype=complex), SIGMA3)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_positive_metric_classifies_alike_at_every_scale(scale):
+    # |eta|_F's sum of squares under- or overflows at the extreme scales
+    eta, evals, _ = metric.positive_metric(scale * np.diag([1.0, 2.0]))
+    np.testing.assert_array_equal(evals, scale * np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(metric.build_system(np.diag([1.0, 2.0]), eta).h,
+                                  np.diag([1.0, 2.0]))
+    with pytest.raises(NotPositiveDefiniteError):
+        metric.positive_metric(scale * SIGMA3)
+    with pytest.raises(SingularOperatorError):
+        metric.positive_metric(scale * np.diag([1.0, 0.0]))
 
 
 def test_observable_map_two_level():

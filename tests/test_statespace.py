@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from phqm import metric, statespace
-from phqm.errors import InputError, NotHermitianError, NotPositiveDefiniteError
+from phqm.errors import (
+    InputError,
+    NotHermitianError,
+    NotPositiveDefiniteError,
+    SingularOperatorError,
+)
 from phqm.metric import MetricOperator, PseudoMetric
 from phqm.statespace import (
     BrachistochroneProblem,
@@ -163,6 +168,34 @@ def test_a_metric_operator_acts_as_its_matrix():
         for e in _forms(np.eye(3)):
             with pytest.raises(InputError):
                 read(e)
+
+
+# readers that accept any invertible Hermitian eta: eta-pseudo-Hermiticity
+# needs no positivity
+PSEUDO_METRIC_READERS = {"pseudo_adjoint"}
+
+
+@pytest.mark.parametrize("eta,error", [
+    ([[1.0, 0.3], [0.0, 1.0]], NotHermitianError),
+    (np.diag([1.0, -1.0]), NotPositiveDefiniteError),
+    (np.diag([1.0, 0.0]), SingularOperatorError),
+], ids=["non_hermitian", "indefinite", "singular"])
+def test_every_positive_metric_reader_rejects_a_bad_eta_alike(eta, error):
+    readers = _metric_readers(random_state(), np.diag([1.0, 2.0]))
+    for name, read in readers.items():
+        if name in PSEUDO_METRIC_READERS:
+            continue
+        for e in _forms(np.asarray(eta, dtype=complex)):
+            with pytest.raises(error):
+                read(e)
+
+
+def test_pseudo_adjoint_accepts_an_indefinite_eta():
+    sigma = np.diag([1.0, -1.0]).astype(complex)
+    h_op = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    read = _metric_readers(random_state(), h_op)["pseudo_adjoint"]
+    for e in _forms(sigma):
+        np.testing.assert_array_equal(read(e), sigma @ h_op.conj().T @ sigma)
 
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -337,6 +370,19 @@ def test_three_stage_switching_demo():
     assert demo["requires_metric_switching"]
     assert demo["violates_hermitian_bound"]
     assert demo["stage_time_deformed"] < demo["tau_min_hermitian"]
+
+
+def test_three_stage_switching_demo_at_the_euclidean_k1():
+    # k1 = 1/4 is eta = I: the deformed stage takes the Hermitian time
+    demo = statespace.three_stage_switching_demo(E1, PLUS, 1.0, 0.25)
+    assert demo["stage_time_deformed"] == pytest.approx(demo["tau_min_hermitian"])
+
+
+@pytest.mark.parametrize("k1", [0.5, 0.25 + 1e-12, 0.0, -0.1, float("nan")])
+def test_three_stage_switching_demo_rejects_k1_no_metric_has(k1):
+    # every 2x2 metric has k1 = det / trace^2 in (0, 1/4]
+    with pytest.raises(InputError, match="k1 must lie in"):
+        statespace.three_stage_switching_demo(E1, PLUS, 1.0, k1)
 
 
 def test_evolve_rejects_defective_generator():

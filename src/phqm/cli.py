@@ -210,16 +210,16 @@ def _kernel_case(kind_detail: str, zeta: float, length: float | None = None,
                  kappa: float | None = None, mass: float | None = None,
                  hbar: float | None = None, n: int | None = None,
                  x_min: float | None = None, x_max: float | None = None):
-    """Kernel potential and its grid."""
-    spec = models.KernelPotentialSpec(
-        kind_detail, zeta, **_given(length=length, kappa=kappa, mass=mass, hbar=hbar)
-    )
-    return spec, models.kernel_grid(spec, **_given(n=n, x_min=x_min, x_max=x_max))
+    """Kernel potential on its grid; the record fits the order in zeta,
+    which a zero coupling leaves undefined."""
+    if zeta == 0.0:
+        raise InputError("a kernel record fits the residual order in zeta, so zeta must be nonzero")
+    return models.KernelPotentialSpec(kind_detail, zeta, **_given(
+        length=length, kappa=kappa, mass=mass, hbar=hbar, n=n, x_min=x_min, x_max=x_max))
 
 
-def _kernel(case, out, tol):
-    spec, grid = case
-    result = models.kernel_metric(spec, grid)
+def _kernel(spec, out, tol):
+    result = models.kernel_metric(spec)
     out.scalars.update(result.residual_report)
     out.matrices["eta"] = encode_matrix(result.eta_matrix)
     herm = float(np.max(np.abs(result.eta_matrix - np.conj(result.eta_matrix.T))))

@@ -71,28 +71,24 @@ def metric_matrix(eta, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def _rounding(eta_m: np.ndarray) -> float:
-    """4 n u |eta|_F: the rounding that eta's eigenvalues carry; |eta|_F is
-    summed at a power-of-2 scale, which is exact and keeps its squares finite."""
-    scale = np.ldexp(1.0, np.frexp(np.abs(eta_m).max())[1] - 1)
-    return 4 * len(eta_m) * np.finfo(float).eps * scale * np.linalg.norm(eta_m / scale)
-
-
 def positive_metric(eta, dim: int | None = None):
-    """(matrix, eigenvalues, eigenvectors) of a metric argument whose matrix
-    is a metric: Hermitian, else NotHermitianError, with the Hermitian part's
-    lowest eigenvalue above the rounding s = 4 n u |eta|_F, else
+    """(matrix, eigenvalues, eigenvectors, s) of a metric argument whose
+    matrix is a metric: Hermitian, else NotHermitianError, with the Hermitian
+    part's lowest eigenvalue above the rounding s = 4 n u |eta|_F, else
     NotPositiveDefiniteError below -s and SingularOperatorError within s."""
     eta_m = metric_matrix(eta, dim)
     if not is_hermitian(eta_m):
         raise NotHermitianError("eta must be Hermitian")
     evals, vecs = np.linalg.eigh(0.5 * (eta_m + dagger(eta_m)))
-    slack = _rounding(eta_m)
+    # the rounding eta's eigenvalues carry; |eta|_F is summed at a power-of-2
+    # scale, which is exact and keeps its squares finite
+    scale = np.ldexp(1.0, np.frexp(np.abs(eta_m).max())[1] - 1)
+    slack = 4 * len(eta_m) * np.finfo(float).eps * scale * np.linalg.norm(eta_m / scale)
     if evals[0] < -slack:
         raise NotPositiveDefiniteError(f"eta has negative eigenvalue {evals[0]:.3e}")
     if evals[0] <= slack:
         raise SingularOperatorError(f"eta is numerically singular: eigenvalue {evals[0]:.3e}")
-    return eta_m, evals, vecs
+    return eta_m, evals, vecs, slack
 
 
 @dataclass(frozen=True)
@@ -223,13 +219,12 @@ def build_system(
     """
     H = as_matrix(h_op)
     # one eigh of eta's Hermitian part gives the metric check, rho and rho^-1
-    eta_m, evals, vecs = positive_metric(eta, len(H))
+    eta_m, evals, vecs, slack = positive_metric(eta, len(H))
     eta_h = eta_m @ H
     with np.errstate(over="ignore", under="ignore"):
         h_fro = np.linalg.norm(H)
         limit = (1 - 1e-9) * tol * h_fro / np.sqrt(len(H))
         # eta H and lambda_min each carry rounding of about n u |eta|_F (|H|_F)
-        slack = _rounding(eta_m)
         certified = (1e-140 < limit < np.inf and np.array_equal(eta_m, dagger(eta_m))
                      and (np.linalg.norm(eta_h - dagger(eta_h)) + slack * h_fro)
                      / (evals[0] - slack) <= limit)

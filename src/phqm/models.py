@@ -517,10 +517,18 @@ KG_EXCLUSION = 3.5  # grid spacings klein_gordon_residual leaves out around each
 
 @dataclass(frozen=True)
 class KernelPotentialSpec:
-    """Imaginary-coupling potential with a first-order metric kernel.
+    """Imaginary-coupling potential with a first-order metric kernel, and
+    its uniform grid of ``n`` points over [x_min, x_max].
 
     kind       'square_well', 'barrier' (width L, strength zeta), or
                'delta' (Im coupling zeta, kappa = m Re(coupling)/hbar^2).
+
+    An unset box end takes the kind's box: the square well's Dirichlet box
+    [-L/2, L/2], the barrier's [-2L, 2L], the delta's [-h, h] with
+    h = max(2, 2/kappa).  The well and barrier sit on midpoints, which puts
+    their sgn-potential jumps between nodes; the delta sits on nodes with
+    x = 0 on one, so the lumped delta lies on the kernel kink line and the
+    box must contain 0.
     """
 
     kind: str
@@ -529,6 +537,9 @@ class KernelPotentialSpec:
     kappa: float = 1.0
     mass: float = 1.0
     hbar: float = 1.0
+    n: int = 400
+    x_min: float | None = None
+    x_max: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("square_well", "barrier", "delta"):
@@ -539,57 +550,29 @@ class KernelPotentialSpec:
             raise InputError("kappa must be positive (spectral singularity otherwise)")
         if self.mass <= 0 or self.hbar <= 0:
             raise InputError("mass and hbar must be positive")
-
-
-@dataclass(frozen=True)
-class KernelGrid:
-    """Uniform grid; ``style`` places potential singularities consistently.
-
-    'midpoint' puts the sgn-potential jumps of the well/barrier between
-    nodes; 'node' puts x = 0 on a node so the lumped delta coincides with
-    the kernel kink line, so its box must contain 0.
-    """
-
-    n: int = 400
-    x_min: float = -2.0
-    x_max: float = 2.0
-    style: str = "midpoint"
-
-    def __post_init__(self):
+        if self.kind == "delta":
+            half = max(2.0, 2.0 / self.kappa)
+        else:
+            half = self.length / 2.0 if self.kind == "square_well" else 2.0 * self.length
+        if self.x_min is None:
+            object.__setattr__(self, "x_min", -half)
+        if self.x_max is None:
+            object.__setattr__(self, "x_max", half)
         if self.n < 2 or not self.x_min < self.x_max:
             raise InputError("a kernel grid needs n >= 2 and x_min < x_max")
-        if self.style not in ("midpoint", "node"):
-            raise InputError(f"grid style must be 'midpoint' or 'node', not {self.style!r}")
-        if self.style == "node" and not self.x_min <= 0.0 <= self.x_max:
+        if self.kind == "delta" and not self.x_min <= 0.0 <= self.x_max:
             raise InputError("a node grid's box must contain 0")
-
-    def points(self) -> np.ndarray:
-        dx = self.dx
-        if self.style == "node":
-            # x = 0 on a node, every node within dx/2 of [x_min, x_max]
-            return (np.arange(self.n) - math.ceil(-self.x_min / dx - 0.5)) * dx
-        return self.x_min + dx * (np.arange(self.n) + 0.5)
 
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
-
-def kernel_grid(spec: KernelPotentialSpec, **overrides) -> KernelGrid:
-    """Default grid of a kernel potential, with ``overrides`` applied.
-
-    The square well gets its Dirichlet box [-L/2, L/2], the barrier
-    [-2L, 2L], both midpoint; the delta a node grid over [-h, h] with
-    h = max(2, 2/kappa).  ``overrides`` sets any KernelGrid field.
-    """
-    if spec.kind == "square_well":
-        grid = KernelGrid(x_min=-spec.length / 2.0, x_max=spec.length / 2.0)
-    elif spec.kind == "barrier":
-        grid = KernelGrid(x_min=-2.0 * spec.length, x_max=2.0 * spec.length)
-    else:
-        half = max(2.0, 2.0 / spec.kappa)
-        grid = KernelGrid(x_min=-half, x_max=half, style="node")
-    return replace(grid, **overrides)
+    def points(self) -> np.ndarray:
+        dx = self.dx
+        if self.kind == "delta":
+            # x = 0 on a node, every node within dx/2 of [x_min, x_max]
+            return (np.arange(self.n) - math.ceil(-self.x_min / dx - 0.5)) * dx
+        return self.x_min + dx * (np.arange(self.n) + 0.5)
 
 
 def kernel_first_order(spec: KernelPotentialSpec, x: np.ndarray) -> np.ndarray:
@@ -616,29 +599,28 @@ def kernel_first_order(spec: KernelPotentialSpec, x: np.ndarray) -> np.ndarray:
     return 0.5j * pref * (same + cross) * np.sign(yy**2 - xx**2)
 
 
-def potential_on_grid(spec: KernelPotentialSpec, x: np.ndarray, dx: float) -> np.ndarray:
+def potential_on_grid(spec: KernelPotentialSpec) -> np.ndarray:
     """Model potential sampled on the grid (delta -> 1/dx at nearest node)."""
+    x = spec.points()
     if spec.kind in ("square_well", "barrier"):
         inside = np.abs(x) < spec.length / 2.0
         return np.where(inside, -1j * spec.zeta * np.sign(x), 0.0)
     v = np.zeros(len(x), dtype=complex)
     j = int(np.argmin(np.abs(x)))
     re_coupling = spec.kappa * spec.hbar**2 / spec.mass
-    v[j] = (re_coupling + 1j * spec.zeta) / dx
+    v[j] = (re_coupling + 1j * spec.zeta) / spec.dx
     return v
 
 
-def hamiltonian_on_grid(spec: KernelPotentialSpec, grid: KernelGrid) -> np.ndarray:
+def hamiltonian_on_grid(spec: KernelPotentialSpec) -> np.ndarray:
     """Central-difference H = -hbar^2/(2m) d^2/dx^2 + v(x).
 
     Dirichlet walls for the square well (domain fixed to [-L/2, L/2]);
     the scattering models use the grid box as-is.
     """
-    x = grid.points()
-    dx = grid.dx
-    n = len(x)
+    n, dx = spec.n, spec.dx
     d2 = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / dx**2
-    H = -(spec.hbar**2 / (2.0 * spec.mass)) * d2 + np.diag(potential_on_grid(spec, x, dx))
+    H = -(spec.hbar**2 / (2.0 * spec.mass)) * d2 + np.diag(potential_on_grid(spec))
     return H.astype(complex)
 
 
@@ -649,11 +631,12 @@ class KernelMetricResult:
     residual_report: dict
 
 
-def _packet_family(x: np.ndarray) -> np.ndarray:
-    """Normalized Gaussian wave packets concentrated in the grid interior."""
+def _packet_family(spec: KernelPotentialSpec) -> np.ndarray:
+    """Normalized Gaussian wave packets concentrated in the box interior."""
+    x = spec.points()
     span = x[-1] - x[0]
     sigma = span / 12.0
-    centers = np.linspace(-span / 8.0, span / 8.0, 5)
+    centers = 0.5 * (spec.x_min + spec.x_max) + np.linspace(-span / 8.0, span / 8.0, 5)
     momenta = np.array([0.0, 0.75, 1.5]) / sigma
     cols = []
     for c in centers:
@@ -663,8 +646,8 @@ def _packet_family(x: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _weak_residual(eta: np.ndarray, H: np.ndarray, x: np.ndarray) -> float:
-    """Weak pseudo-Hermiticity residual of the collocated kernel identity.
+def _weak_residual(eta: np.ndarray, spec: KernelPotentialSpec) -> float:
+    """Weak pseudo-Hermiticity residual of eta against spec's discretized H.
 
     The kernels are distributions: their identity with H holds in the
     bilinear-form sense.  eta H - H^dag eta is therefore measured as
@@ -673,36 +656,31 @@ def _weak_residual(eta: np.ndarray, H: np.ndarray, x: np.ndarray) -> float:
     O(zeta) band at the diagonal and the box-truncation rows at the grid
     walls, neither of which is part of the continuum statement.
     """
+    H = hamiltonian_on_grid(spec)
     c = eta @ H - dagger(H) @ eta
-    tests = _packet_family(x)
+    tests = _packet_family(spec)
     num = float(np.max(np.abs(dagger(tests) @ c @ tests)))
     den = float(np.max(np.abs(dagger(tests) @ H @ tests)))
     return num / max(den, 1e-300)
 
 
-def kernel_metric(
-    spec: KernelPotentialSpec,
-    grid: KernelGrid | None = None,
-) -> KernelMetricResult:
-    """First-order metric matrix, its grid and residuals against the
-    discretized Hamiltonian (hamiltonian_on_grid rebuilds it).
+def kernel_metric(spec: KernelPotentialSpec) -> KernelMetricResult:
+    """First-order metric matrix on spec's grid, the grid and residuals
+    against the discretized Hamiltonian (hamiltonian_on_grid rebuilds it).
 
     The residual report carries the weak pseudo-Hermiticity residual at
     zeta and zeta/2 with the fitted order in zeta (2.0 for a correct
     first-order kernel), plus a first-order-regime ratio diagnostic.
     """
-    if grid is None:
-        grid = kernel_grid(spec)
-    x = grid.points()
-    dx = grid.dx
+    x = spec.points()
+    dx = spec.dx
     # the kernel is linear in zeta and halving is exact, so eta(zeta/2) is
     # I + (dx/2) k(zeta) to the bit
     kernel = kernel_first_order(spec, x)
     eye = np.eye(len(x), dtype=complex)
     eta_full = eye + dx * kernel
-    r_full = _weak_residual(eta_full, hamiltonian_on_grid(spec, grid), x)
-    half = replace(spec, zeta=spec.zeta / 2.0)
-    r_half = _weak_residual(eye + 0.5 * dx * kernel, hamiltonian_on_grid(half, grid), x)
+    r_full = _weak_residual(eta_full, spec)
+    r_half = _weak_residual(eye + 0.5 * dx * kernel, replace(spec, zeta=spec.zeta / 2.0))
     order = float(np.log2(r_full / r_half)) if r_half > 0 else float("nan")
 
     # first-order-regime diagnostic: size of the O(zeta) kernel correction
@@ -723,20 +701,20 @@ def kernel_metric(
     return KernelMetricResult(eta_full, x, report)
 
 
-def klein_gordon_residual(spec: KernelPotentialSpec, grid: KernelGrid) -> float:
+def klein_gordon_residual(spec: KernelPotentialSpec) -> float:
     """Max |(-d_x^2 + d_y^2 + mu^2) eta(x,y)| away from kernel kinks.
 
     mu^2(x, y) = 2m/hbar^2 (v(x)* - v(y)); kink lines (x = +-y, the
     potential edges and delta axes) are excluded with a band of
     KG_EXCLUSION grid spacings.
     """
-    x = grid.points()
-    dx = grid.dx
+    x = spec.points()
+    dx = spec.dx
     eta = kernel_first_order(spec, x)  # smooth part only; delta part drops out
     d2x = (np.roll(eta, -1, axis=0) - 2 * eta + np.roll(eta, 1, axis=0)) / dx**2
     d2y = (np.roll(eta, -1, axis=1) - 2 * eta + np.roll(eta, 1, axis=1)) / dx**2
 
-    v = potential_on_grid(spec, x, dx)
+    v = potential_on_grid(spec)
     mu2 = (2.0 * spec.mass / spec.hbar**2) * (np.conj(v)[:, None] - v[None, :])
     residual = -d2x + d2y + mu2 * eta
 

@@ -153,18 +153,13 @@ def test_criterion_5_kernel_metrics():
         print(f"    {kind}: order {order:.3f}, kernel hermiticity dev {herm:.1e}")
         ok &= abs(order - 2.0) <= 0.3 and herm == 0.0
     # Klein-Gordon residual O(zeta^2) away from kinks
-    grid_b = models.KernelGrid(400, -2.0, 2.0, "midpoint")
+    box = {"n": 400, "x_min": -2.0, "x_max": 2.0}
     kg = {
-        z: models.klein_gordon_residual(
-            models.KernelPotentialSpec("barrier", z), grid_b
-        )
+        z: models.klein_gordon_residual(models.KernelPotentialSpec("barrier", z, **box))
         for z in (0.1, 0.05)
     }
     ratio = kg[0.1] / kg[0.05]
-    grid_d = models.KernelGrid(400, -2.0, 2.0, "node")
-    kg_delta = models.klein_gordon_residual(
-        models.KernelPotentialSpec("delta", 0.1), grid_d
-    )
+    kg_delta = models.klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
     print(f"    KG barrier ratio {ratio:.2f}, delta residual {kg_delta:.1e}")
     ok &= abs(ratio - 4.0) <= 0.4 and kg[0.1] <= 10.0 * 0.1**2 and kg_delta <= 10.0 * 0.1**2
     _report(5, "kernel residual order 2.0 +- 0.3; Hermitian; KG O(zeta^2)", ok)

@@ -875,6 +875,30 @@ def test_kernel_default_grid_size_is_the_default(model):
         assert explicit_record[key] == implicit_record[key], key
 
 
+@pytest.mark.parametrize("kind_detail, zeta", [("delta", 0.3), ("barrier", 0.08)])
+def test_kernel_order_holds_on_an_off_centre_box(kind_detail, zeta):
+    # packets centred on 0 instead of the box centre fitted order 1.00 on [-1, 3]
+    record = cli.run({"command": "model", "model": {
+        "kind": "kernel", "kind_detail": kind_detail, "zeta": zeta, "x_min": -1.0, "x_max": 3.0}})
+    assert abs(record["scalars"]["fitted_order"] - 2.0) <= 0.3
+    assert record["all_pass"] is True
+
+
+def _no_constant(name):
+    raise ValueError(f"record holds a bare {name}")
+
+
+def test_zero_coupling_kernel_exits_as_input_error_with_valid_json(tmp_path, capsys):
+    # the order fit divided 0 by 0, wrote a bare NaN and exited 2
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"command": "model", "model": {
+        "kind": "kernel", "kind_detail": "barrier", "zeta": 0.0}}))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+    record = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert record["error"]["class"] == "input"
+    assert "zeta must be nonzero" in capsys.readouterr().err
+
+
 def _stated_defaults(kind):
     """Every optional model field of ``kind`` at its library default."""
     if kind == "quartic":
@@ -888,9 +912,8 @@ def _stated_defaults(kind):
                        if p.default is not inspect.Parameter.empty}
         return stated
     spec = models.KernelPotentialSpec("delta", 0.05)
-    grid = models.kernel_grid(spec)
     return {"length": spec.length, "kappa": spec.kappa, "mass": spec.mass,
-            "hbar": spec.hbar, "n": grid.n, "x_min": grid.x_min, "x_max": grid.x_max}
+            "hbar": spec.hbar, "n": spec.n, "x_min": spec.x_min, "x_max": spec.x_max}
 
 
 @pytest.mark.parametrize(

@@ -209,7 +209,7 @@ def test_build_system_rejects_bad_inputs():
 @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
 def test_positive_metric_classifies_alike_at_every_scale(scale):
     # |eta|_F's sum of squares under- or overflows at the extreme scales
-    eta, evals, _ = metric.positive_metric(scale * np.diag([1.0, 2.0]))
+    eta, evals, _, _ = metric.positive_metric(scale * np.diag([1.0, 2.0]))
     np.testing.assert_array_equal(evals, scale * np.array([1.0, 2.0]))
     np.testing.assert_array_equal(metric.build_system(np.diag([1.0, 2.0]), eta).h,
                                   np.diag([1.0, 2.0]))

@@ -545,8 +545,8 @@ def test_kernel_unknown_kind():
 @pytest.mark.parametrize("x_min, x_max", [(0.0, 4.0), (-1.0, 3.0), (-0.37, 2.9), (-2.0, 2.0)])
 def test_node_grid_spans_its_box(x_min, x_max):
     # the node grid ran on [-2, 1.99] whatever its box, e.g. for [0, 4]
-    grid = models.KernelGrid(400, x_min, x_max, "node")
-    x, dx = grid.points(), grid.dx
+    spec = models.KernelPotentialSpec("delta", 0.1, n=400, x_min=x_min, x_max=x_max)
+    x, dx = spec.points(), spec.dx
     assert 0.0 in x
     np.testing.assert_allclose(np.diff(x), dx, rtol=1e-12)
     assert x[0] > x_min - 0.5 * dx and x[-1] < x_max + 0.5 * dx
@@ -555,31 +555,23 @@ def test_node_grid_spans_its_box(x_min, x_max):
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
 def test_default_delta_grid_is_centred(kappa):
-    grid = models.kernel_grid(models.KernelPotentialSpec("delta", 0.1, kappa=kappa))
-    np.testing.assert_array_equal(grid.points(), (np.arange(grid.n) - grid.n // 2) * grid.dx)
+    spec = models.KernelPotentialSpec("delta", 0.1, kappa=kappa)
+    np.testing.assert_array_equal(spec.points(), (np.arange(spec.n) - spec.n // 2) * spec.dx)
 
 
 @pytest.mark.parametrize("x_min, x_max", [(0.5, 4.0), (-4.0, -0.1)])
 def test_node_grid_box_must_hold_the_origin(x_min, x_max):
     with pytest.raises(InputError, match="must contain 0"):
-        models.KernelGrid(400, x_min, x_max, "node")
-
-
-@pytest.mark.parametrize("style", ["nodes", "Node", "", None])
-def test_kernel_grid_rejects_an_unknown_style(style):
-    # a misspelt "node" would silently place the delta between nodes
-    with pytest.raises(InputError, match="grid style must be 'midpoint' or 'node'"):
-        models.KernelGrid(400, -2.0, 2.0, style)
+        models.KernelPotentialSpec("delta", 0.1, n=400, x_min=x_min, x_max=x_max)
 
 
 @pytest.mark.parametrize("kind", ["square_well", "barrier", "delta"])
 def test_kernel_half_coupling_residual_is_the_rebuilt_one(kind):
     spec = models.KernelPotentialSpec(kind, 0.05)
     out = models.kernel_metric(spec)
-    grid = models.kernel_grid(spec)
     half = models.KernelPotentialSpec(kind, 0.025)
-    eta = np.eye(grid.n) + grid.dx * models.kernel_first_order(half, out.x)
-    r_half = models._weak_residual(eta, models.hamiltonian_on_grid(half, grid), out.x)
+    eta = np.eye(half.n) + half.dx * models.kernel_first_order(half, out.x)
+    r_half = models._weak_residual(eta, half)
     assert out.residual_report["residual_half_zeta"] == r_half
 
 
@@ -599,17 +591,16 @@ def test_kernel_first_order_warning():
 
 
 def test_klein_gordon_residual_scaling():
-    grid = models.KernelGrid(400, -2.0, 2.0, "midpoint")
-    r1 = models.klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.1), grid)
-    r2 = models.klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.05), grid)
+    box = {"n": 400, "x_min": -2.0, "x_max": 2.0}
+    r1 = models.klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.1, **box))
+    r2 = models.klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.05, **box))
     assert r1 / r2 == pytest.approx(4.0, rel=0.05)
-    grid_w = models.KernelGrid(400, -1.0, 1.0, "midpoint")
-    w1 = models.klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.1, length=2.0), grid_w)
-    w2 = models.klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.05, length=2.0), grid_w)
+    box_w = {"length": 2.0, "n": 400, "x_min": -1.0, "x_max": 1.0}
+    w1 = models.klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.1, **box_w))
+    w2 = models.klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.05, **box_w))
     assert w1 / w2 == pytest.approx(4.0, rel=0.05)
     # the delta kernel solves the off-axis equation exactly
-    grid_d = models.KernelGrid(400, -2.0, 2.0, "node")
-    rd = models.klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1), grid_d)
+    rd = models.klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
     assert rd <= 10.0 * 0.1**2
 
 

@@ -8,10 +8,9 @@ pseudo-metric construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DefectiveOperatorError
 from .linalg import EigenDecomposition, dagger
 
@@ -19,8 +18,7 @@ PAIR_TOL = 1e-8          # |Im a| / scale below which an eigenvalue counts as re
 DEGENERACY_TOL = 1e-10   # |a_m - a_n| / scale below which a block is orthonormalized
 
 
-@dataclass(frozen=True)
-class BiorthonormalSystem:
+class BiorthonormalSystem(Record):
     """Eigenvalues with right vectors psi_n and left-system vectors phi_n.
 
     reality_mask[n] is True when a_n is treated as real.  conj_partner[n]

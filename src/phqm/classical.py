@@ -8,10 +8,9 @@ the H_i-generated symmetry flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DegenerateStructureError, InputError, StepOverflowError
 
 OVERFLOW_GUARD = 1e12
@@ -29,8 +28,7 @@ J_STANDARD = np.array(
 )
 
 
-@dataclass(frozen=True)
-class SymplecticParams:
+class SymplecticParams(Record):
     """Parameters (a, b, c, d) of the dynamically compatible structures."""
 
     a: float = 0.0
@@ -52,14 +50,12 @@ class SymplecticParams:
         )
 
 
-@dataclass(frozen=True)
-class ComplexPhasePoint:
+class ComplexPhasePoint(Record):
     z: complex
     p: complex
 
 
-@dataclass(frozen=True)
-class DarbouxPoint:
+class DarbouxPoint(Record):
     """Canonical chart for the a=b=c=d=0 structure."""
 
     x1: float
@@ -83,8 +79,7 @@ def to_darboux(pt: ComplexPhasePoint) -> DarbouxPoint:
     return DarbouxPoint(s * pt.z.real, s * pt.p.real, s * pt.p.imag, s * pt.z.imag)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     times: np.ndarray
     z: np.ndarray
     p: np.ndarray

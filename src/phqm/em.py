@@ -9,10 +9,9 @@ vacuum speed to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import InputError, OutOfDomainError
 
 DIAGNOSTIC_SAMPLES = 400  # points of the slow-variation scan
@@ -20,8 +19,7 @@ TABLE_POINTS = 20001      # nodes of the optical-path and E0_dot antiderivative 
 CFL = 0.5                 # leapfrog step over dz * min(sqrt(eps mu)); stable up to 1
 
 
-@dataclass(frozen=True)
-class MediumProfile:
+class MediumProfile(Record):
     """Relative permittivity and permeability as functions of z.
 
     Outside [z_min, z_max] the profile is extended by its boundary values
@@ -89,8 +87,7 @@ def sampled_profile(z: list, eps: list, mu: list) -> MediumProfile:
     )
 
 
-@dataclass(frozen=True)
-class InitialFields:
+class InitialFields(Record):
     """Initial transverse field E0(z), its time derivative and, where
     known, the length over which E0 varies."""
 
@@ -216,8 +213,7 @@ def wave_operator(profile: MediumProfile, z: np.ndarray) -> np.ndarray:
     return np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
-@dataclass(frozen=True)
-class FdtdResult:
+class FdtdResult(Record):
     z: np.ndarray
     field: np.ndarray           # E(z, t_end)
 

@@ -18,11 +18,11 @@ cond(V) < 1e12 is decided by the kappa bound sqrt(n) |V^-1|_F, then by an SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     DefectiveOperatorError,
     InputError,
@@ -82,8 +82,7 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.divide(size, pivots, out=np.ones_like(pivots), where=size > 0)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(Record):
     """Eigenpairs of a general complex matrix.
 
     values sorted by (real, imag); right_vectors V with unit, phase-fixed columns;

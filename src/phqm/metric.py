@@ -12,10 +12,9 @@ and the similarity bundle (H, eta_+, rho = sqrt(eta_+), h = rho H rho^-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .biortho import BiorthonormalSystem
 from .errors import (
     ComplexSpectrumError,
@@ -31,8 +30,7 @@ from .linalg import as_matrix, dagger, is_hermitian, norm_ratio_above, opnorm
 PSEUDO_HERMITICITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MetricOperator:
+class MetricOperator(Record):
     """Positive-definite Hermitian invertible matrix defining <.|eta .>, built
     unchecked: ``positive_metric`` checks it where an inner product is used."""
 
@@ -51,8 +49,7 @@ class MetricOperator:
         return complex(np.conj(x) @ (self.eta @ y))
 
 
-@dataclass(frozen=True)
-class PseudoMetric:
+class PseudoMetric(Record):
     """Hermitian invertible eta with its sign sequence on the real sector."""
 
     eta: np.ndarray
@@ -91,8 +88,7 @@ def positive_metric(eta, dim: int | None = None):
     return eta_m, evals, vecs, slack
 
 
-@dataclass(frozen=True)
-class AntilinearSymmetry:
+class AntilinearSymmetry(Record):
     """Antilinear involution acting as S zeta = M conj(zeta)."""
 
     M: np.ndarray
@@ -101,8 +97,7 @@ class AntilinearSymmetry:
         return self.M @ np.conj(np.asarray(zeta, dtype=complex))
 
 
-@dataclass(frozen=True)
-class QuasiHermitianSystem:
+class QuasiHermitianSystem(Record):
     """Bundle (H, eta_+, rho, h) realizing the Hermitian representation."""
 
     H: np.ndarray

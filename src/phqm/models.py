@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     DefectiveOperatorError,
     EigenpairsNotConvergedError,
@@ -45,8 +45,7 @@ SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # two-level toy model
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoLevelParams:
+class TwoLevelParams(Record):
     D: float
     r: float = 1.0
     s: float = 0.0
@@ -58,8 +57,7 @@ class TwoLevelParams:
             raise InputError("s must lie in (-1, 1)")
 
 
-@dataclass(frozen=True)
-class TwoLevelModel:
+class TwoLevelModel(Record):
     A: np.ndarray
     eta_plus: np.ndarray
     eta_general: np.ndarray
@@ -134,8 +132,7 @@ K_PLUS_2x2 = np.array([[0.0, 1j], [0.0, 0.0]], dtype=complex)
 K_MINUS_2x2 = np.array([[0.0, 0.0], [1j, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class SwansonParams:
+class SwansonParams(Record):
     """Couplings of H = hbar w (a^dag a + 1/2) + alpha (a^dag)^2 + beta a^2.
 
     alpha multiplies the raising pair and beta the lowering pair, matching
@@ -165,8 +162,7 @@ class SwansonParams:
         return self.beta / (self.hbar * self.omega)
 
 
-@dataclass(frozen=True)
-class SwansonMetric:
+class SwansonMetric(Record):
     z: complex
     w: float
     eta_2x2: np.ndarray
@@ -242,8 +238,7 @@ def _sqrtm_2x2(m: np.ndarray) -> np.ndarray:
     return (m + s * np.eye(2)) / np.sqrt(np.trace(m) + 2.0 * s)
 
 
-@dataclass(frozen=True)
-class TruncatedSwanson:
+class TruncatedSwanson(Record):
     """H, eta_+ and h; h is lifted from the 2x2 transport, so no similarity
     of the truncated space maps H to it (only the low spectra agree): no rho."""
 
@@ -316,8 +311,7 @@ def swanson_truncated(params: SwansonParams, r: float = 0.0, n_max: int = 60,
 TAIL_TOL = 1e-8  # largest eigenfunction tail quartic_pair accepts at the s-grid edges
 
 
-@dataclass(frozen=True)
-class QuarticParams:
+class QuarticParams(Record):
     lam: float
     omega: float = 0.0
     n: int = 576
@@ -360,8 +354,7 @@ def fourier_wavenumber_operator(n: int, half_width: float, power: int = 1) -> np
     return _circulant(_wavenumber_column(n, half_width, power)).copy()
 
 
-@dataclass(frozen=True)
-class QuarticPair:
+class QuarticPair(Record):
     """Both low spectra, the partner h and the grids; the n x n contour
     Hamiltonian is not kept (contour_hamiltonian rebuilds it)."""
 
@@ -515,8 +508,7 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 5) -> QuarticPair:
 KG_EXCLUSION = 3.5  # grid spacings klein_gordon_residual leaves out around each kink
 
 
-@dataclass(frozen=True)
-class KernelPotentialSpec:
+class KernelPotentialSpec(Record):
     """Imaginary-coupling potential with a first-order metric kernel, and
     its uniform grid of ``n`` points over [x_min, x_max].
 
@@ -624,8 +616,7 @@ def hamiltonian_on_grid(spec: KernelPotentialSpec) -> np.ndarray:
     return H.astype(complex)
 
 
-@dataclass(frozen=True)
-class KernelMetricResult:
+class KernelMetricResult(Record):
     eta_matrix: np.ndarray
     x: np.ndarray
     residual_report: dict
@@ -680,7 +671,7 @@ def kernel_metric(spec: KernelPotentialSpec) -> KernelMetricResult:
     eye = np.eye(len(x), dtype=complex)
     eta_full = eye + dx * kernel
     r_full = _weak_residual(eta_full, spec)
-    r_half = _weak_residual(eye + 0.5 * dx * kernel, replace(spec, zeta=spec.zeta / 2.0))
+    r_half = _weak_residual(eye + 0.5 * dx * kernel, spec.replace(zeta=spec.zeta / 2.0))
     order = float(np.log2(r_full / r_half)) if r_half > 0 else float("nan")
 
     # first-order-regime diagnostic: size of the O(zeta) kernel correction

@@ -9,13 +9,13 @@ finite matrix truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
+from ._record import Record
 from .linalg import as_matrix, commutator, hermitian_function, is_hermitian, opnorm
 from .metric import MetricOperator
 from .errors import InputError, NotHermitianError, UnsolvableCommutatorError
@@ -24,8 +24,7 @@ DEGENERACY_TOL = 1e-9
 HERMITICITY_TOL = 1e-9  # how far H0 and i H1 may be from Hermitian
 
 
-@dataclass(frozen=True)
-class PerturbationProblem:
+class PerturbationProblem(Record):
     """H0 Hermitian, H1 anti-Hermitian, expansion parameter and max order."""
 
     H0: np.ndarray
@@ -48,8 +47,7 @@ class PerturbationProblem:
         object.__setattr__(self, "H1", H1)
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Record):
     """Map j -> Hermitian Q_j; even orders are stored as zero matrices."""
 
     terms: dict

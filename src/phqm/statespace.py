@@ -7,10 +7,9 @@ tau_min = hbar * s / E, and a spectral propagator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import InputError
 from .linalg import as_matrix, eig_nonhermitian
 from .metric import metric_matrix, positive_metric
@@ -43,8 +42,7 @@ def _hamiltonian(h_op, v) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
-class ProjectiveState:
+class ProjectiveState(Record):
     """Rank-1 projector onto the ray of a state vector."""
 
     Lambda: np.ndarray
@@ -73,8 +71,7 @@ def fs_metric(psi, eta=None) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class TwoLevelLineElement:
+class TwoLevelLineElement(Record):
     """Coefficients of the two-level eta-deformed line element.
 
     ds^2 = k1 (dtheta^2 + sin^2 theta dphi^2)
@@ -122,8 +119,7 @@ def geodesic_distance(psi_i, psi_f, eta=None) -> float:
     return float(np.arccos(cos_s))
 
 
-@dataclass(frozen=True)
-class BrachistochroneProblem:
+class BrachistochroneProblem(Record):
     psi_i: np.ndarray
     psi_f: np.ndarray
     energy: float
@@ -138,8 +134,7 @@ class BrachistochroneProblem:
             raise InputError("energy scale E must be positive")
 
 
-@dataclass(frozen=True)
-class OptimalEvolution:
+class OptimalEvolution(Record):
     H_star: np.ndarray
     tau_min: float
     distance: float

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import os
@@ -903,7 +902,7 @@ def _stated_defaults(kind):
     """Every optional model field of ``kind`` at its library default."""
     if kind == "quartic":
         params = models.QuarticParams(0.0625)
-        return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+        return {name: getattr(params, name) for name in params._fields}
     if kind == "swanson":
         params = models.SwansonParams(alpha=0.1, beta=0.05)
         stated = {"hbar": params.hbar, "omega": params.omega}
@@ -926,7 +925,7 @@ def _stated_defaults(kind):
     ids=["quartic", "swanson", "kernel"],
 )
 def test_stating_the_defaults_changes_nothing(model):
-    # the defaults live in the model dataclasses and signatures alone
+    # the defaults live in the model records and signatures alone
     stated = {"command": "model", "model": {**model, **_stated_defaults(model["kind"])}}
     assert len(stated["model"]) > len(model)
     cli.validate_scenario(stated)
@@ -935,6 +934,21 @@ def test_stating_the_defaults_changes_nothing(model):
     for key in ("scalars", "matrices", "residuals", "all_pass"):
         assert explicit_record[key] == implicit_record[key], key
 
+
+
+@pytest.mark.parametrize("lowest, passes", [(0.5, True), (1e-17, False), (0.0, False), (-0.5, False)])
+def test_quartic_positivity_gate_is_the_margin_of_the_lowest_level(lowest, passes, monkeypatch):
+    # the gate recorded 0 or 1; it now records how far h's lowest level
+    # sits above 0, relative to the largest, and fails at or below rounding
+    levels = np.array([lowest, 1.0, 2.0])
+    pair = models.QuarticPair(np.eye(3), np.zeros(3), np.zeros(3), levels.astype(complex),
+                              levels, 0.0)
+    monkeypatch.setattr(models, "quartic_pair", lambda params: pair)
+    record = cli.run({"command": "model", "model": {"kind": "quartic", "lam": 0.0625}})
+    gate = {r["name"]: r for r in record["residuals"]}["negated_positivity_margin"]
+    assert gate["value"] == -lowest / 2.0
+    assert gate["pass"] is passes
+    assert record["all_pass"] is passes
 
 _RUN_WITHOUT_SCIPY = """
 import json, os, sys

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -135,6 +133,10 @@ def test_two_level_geometry_requires_a_2x2_metric():
         two_level_geometry(np.eye(3))
 
 
+def _field_values(record) -> tuple:
+    return tuple(getattr(record, name) for name in record._fields)
+
+
 def _metric_readers(psi, h_op):
     """name -> output of each metric-taking function for a metric argument."""
     return {
@@ -143,7 +145,7 @@ def _metric_readers(psi, h_op):
         "geodesic_distance": lambda e: geodesic_distance(psi, PLUS, e),
         "projective_fidelity": lambda e: projective_fidelity(psi, PLUS, e),
         "energy_uncertainty": lambda e: energy_uncertainty(h_op, psi, e),
-        "two_level_geometry": lambda e: dataclasses.astuple(two_level_geometry(e)),
+        "two_level_geometry": lambda e: _field_values(two_level_geometry(e)),
         "optimal_hamiltonian": lambda e: optimal_hamiltonian(
             BrachistochroneProblem(psi, PLUS, 1.0, 1.0, e)).H_star,
         "build_system": lambda e: metric.build_system(h_op, e).h,

@@ -21,16 +21,14 @@ DEGENERACY_TOL = 1e-10   # |a_m - a_n| / scale below which a block is orthonorma
 class BiorthonormalSystem(Record):
     """Eigenvalues with right vectors psi_n and left-system vectors phi_n.
 
-    reality_mask[n] is True when a_n is treated as real.  conj_partner[n]
-    is the index of the conjugate-pair partner for nonreal eigenvalues,
-    -1 for real ones, and -2 when no partner could be matched.
+    partner[n] is n when a_n is treated as real, the index of its
+    conjugate-pair partner for a nonreal a_n, and -1 when none was matched.
     """
 
     values: np.ndarray
     psis: np.ndarray
     phis: np.ndarray
-    reality_mask: np.ndarray
-    conj_partner: np.ndarray
+    partner: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -38,22 +36,18 @@ class BiorthonormalSystem(Record):
 
     @property
     def all_real(self) -> bool:
-        return bool(np.all(self.reality_mask))
+        return bool(np.all(self.partner == np.arange(self.dim)))
 
     def real_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.reality_mask)
+        return np.flatnonzero(self.partner == np.arange(self.dim))
 
     def pair_indices(self) -> list[tuple[int, int]]:
         """Conjugate pairs (nu, -nu), each listed once with Im a_nu > 0."""
-        pairs = []
-        for n in np.flatnonzero(~self.reality_mask):
-            p = self.conj_partner[n]
-            if p >= 0 and self.values[n].imag > 0:
-                pairs.append((int(n), int(p)))
-        return pairs
+        return [(int(n), int(p)) for n, p in enumerate(self.partner)
+                if p >= 0 and p != n and self.values[n].imag > 0]
 
     def unpaired_indices(self) -> np.ndarray:
-        return np.flatnonzero((~self.reality_mask) & (self.conj_partner == -2))
+        return np.flatnonzero(self.partner == -1)
 
 
 def _scale(values: np.ndarray) -> float:
@@ -61,47 +55,35 @@ def _scale(values: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
 
 
-def reality_mask(values: np.ndarray) -> np.ndarray:
-    """True where |Im a| <= PAIR_TOL max(1, max |a|): the eigenvalues treated as real."""
-    return np.abs(values.imag) <= PAIR_TOL * _scale(values)
-
-
-def _match_conjugate_pairs(values: np.ndarray):
-    """Reality mask, then greedy nearest-conjugate matching; ties broken by index order."""
-    real_mask = reality_mask(values)
+def _match_conjugate_pairs(values: np.ndarray) -> np.ndarray:
+    """partner: n where |Im a_n| <= PAIR_TOL max(1, max |a|), else greedy
+    nearest-conjugate matching, ties broken by index order, and -1 unmatched."""
     tol = PAIR_TOL * _scale(values)
-    partner = np.full(len(values), -1, dtype=int)
-    nonreal = [int(i) for i in np.flatnonzero(~real_mask)]
-    unused = set(nonreal)
-    for i in nonreal:
+    real = np.abs(values.imag) <= tol
+    partner = np.where(real, np.arange(len(values)), -1)
+    unused = set(np.flatnonzero(~real).tolist())
+    for i in np.flatnonzero(~real).tolist():
         if i not in unused:
             continue
+        unused.discard(i)
         target = np.conj(values[i])
         best, best_dist = -1, np.inf
         for j in sorted(unused):
-            if j == i:
-                continue
             d = abs(values[j] - target)
             if d < best_dist - 1e-15:
                 best, best_dist = j, d
         if best >= 0 and best_dist <= tol:
-            partner[i] = best
-            partner[best] = i
-            unused.discard(i)
+            partner[i], partner[best] = best, i
             unused.discard(best)
-        else:
-            partner[i] = -2
-            unused.discard(i)
-    return real_mask, partner
+    return partner
 
 
 def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol: float):
     """Gram-Schmidt (QR) within numerically degenerate eigenvalue clusters.
 
     Gauge choice for repeated eigenvalues; leaves nondegenerate columns
-    untouched.
+    untouched.  Returns ``psis`` itself when no cluster exists, else a new array.
     """
-    psis = psis.copy()
     n = len(values)
     scale = _scale(values)
     # no cluster at all (the usual case): skip the O(n^2) Python scan
@@ -109,6 +91,7 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
     np.fill_diagonal(gaps, np.inf)
     if not np.any(gaps <= tol * scale):
         return psis
+    psis = psis.copy()
     used = np.zeros(n, dtype=bool)
     for i in range(n):
         if used[i]:
@@ -130,9 +113,8 @@ def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
     the decomposition's V^-1 unless a degenerate block was re-orthonormalized."""
     if not eig.diagonalizable:
         raise DefectiveOperatorError("cannot extend a defective eigendecomposition")
-    values = eig.values.copy()
-    psis = _orthonormalize_degenerate_blocks(values, eig.right_vectors, DEGENERACY_TOL)
-    return _system(values, psis, eig.inverse if np.array_equal(psis, eig.right_vectors) else None)
+    psis = _orthonormalize_degenerate_blocks(eig.values, eig.right_vectors, DEGENERACY_TOL)
+    return _system(eig.values, psis, eig.inverse if psis is eig.right_vectors else None)
 
 
 def from_right_vectors(values, psis) -> BiorthonormalSystem:
@@ -148,7 +130,7 @@ def _system(values, psis, inverse) -> BiorthonormalSystem:
     values = np.asarray(values, dtype=complex)
     psis = np.asarray(psis, dtype=complex)
     phis = dagger(np.linalg.inv(psis) if inverse is None else inverse)
-    return BiorthonormalSystem(values, psis, phis, *_match_conjugate_pairs(values))
+    return BiorthonormalSystem(values, psis, phis, _match_conjugate_pairs(values))
 
 
 def spectral_assembly(bs: BiorthonormalSystem) -> np.ndarray:

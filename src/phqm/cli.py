@@ -117,7 +117,8 @@ def _run_diagnose(out, tol, *, matrix: Matrix):
     out.matrices["right_vectors"] = encode_matrix(dec.right_vectors)
     residual = linalg.opnorm(matrix @ dec.right_vectors - dec.right_vectors * dec.values[None, :])
     out.gate("eigenpair_residual", residual / max(linalg.opnorm(matrix), 1e-300), 100 * tol)
-    out.scalars["spectrum_real"] = bool(np.all(biortho.reality_mask(dec.values)))
+    real = biortho._match_conjugate_pairs(dec.values) == np.arange(dec.dim)
+    out.scalars["spectrum_real"] = bool(np.all(real))
 
 
 def _run_metric(out, tol, *, matrix: Matrix, sigma: list | None = None,
@@ -140,7 +141,7 @@ def _run_hermitize(out, tol, *, matrix: Matrix, eta: Matrix | None = None):
     if eta is None:
         dec = linalg.eig_nonhermitian(matrix)
         eta = metric.metric_from_spectrum(biortho.biorthonormal_extension(dec)).eta
-    sys_ = metric.build_system(matrix, metric.MetricOperator(eta), tol=max(tol, 1e-8))
+    sys_ = metric.build_system(matrix, eta, tol=max(tol, 1e-8))
     out.matrices["eta_plus"] = encode_matrix(eta)
     out.matrices["rho"] = encode_matrix(sys_.rho)
     out.matrices["h"] = encode_matrix(sys_.h)
@@ -213,22 +214,25 @@ def _kernel_case(kind_detail: str, zeta: float, length: float | None = None,
                  kappa: float | None = None, mass: float | None = None,
                  hbar: float | None = None, n: int | None = None,
                  x_min: float | None = None, x_max: float | None = None):
-    """Kernel potential on its grid; the record fits the order in zeta,
-    which a zero coupling leaves undefined."""
-    if zeta == 0.0:
-        raise InputError("a kernel record fits the residual order in zeta, so zeta must be nonzero")
+    """Kernel potential on its grid."""
     return models.KernelPotentialSpec(kind_detail, zeta, **_given(
         length=length, kappa=kappa, mass=mass, hbar=hbar, n=n, x_min=x_min, x_max=x_max))
 
 
 def _kernel(spec, out, tol):
     result = models.kernel_metric(spec)
-    out.scalars.update(result.residual_report)
+    report = result.residual_report
+    if not np.isfinite(report["fitted_order"]):
+        raise InputError(
+            f"residuals {report['residual_zeta']:.3e} at zeta and {report['residual_half_zeta']:.3e} "
+            "at zeta/2 leave the order in zeta undefined: zeta must be nonzero and the grid "
+            "fine enough to resolve the potential")
+    out.scalars.update(report)
     out.matrices["eta"] = encode_matrix(result.eta_matrix)
     herm = float(np.max(np.abs(result.eta_matrix - np.conj(result.eta_matrix.T))))
     out.gate("kernel_hermiticity", herm, 1e-14)
     if spec.kind in ("barrier", "delta"):
-        out.gate("residual_order_deviation", abs(result.residual_report["fitted_order"] - 2.0), 0.3)
+        out.gate("residual_order_deviation", abs(report["fitted_order"] - 2.0), 0.3)
 
 
 def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
@@ -242,15 +246,15 @@ def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
     levels = np.sort(np.abs(np.linalg.eigvals(opt.H_star).real))
     levels[-2:] -= prob.energy
     out.gate("eigenvalue_pinning", float(np.max(np.abs(levels)) / prob.energy), max(tol, 1e-9))
-    # linspace ends exactly at tau_min, so the last sample is the final state
+    # linspace ends exactly at tau_min, so the last row is the final state's
     times = np.linspace(0.0, opt.tau_min, 33)
     states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
-    fidelity = statespace.projective_fidelity(states[-1], psi_F, eta)
+    rows = [[t, statespace.projective_fidelity(psi_t, psi_F, eta)] for t, psi_t in zip(times, states)]
+    fidelity = rows[-1][1]
     out.scalars["fidelity"] = fidelity
     out.gate("fidelity_deficit", 1.0 - fidelity, 1e-8)
     de = statespace.energy_uncertainty(opt.H_star, psi_I, eta)
     out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, max(tol, 1e-9))
-    rows = [[t, statespace.projective_fidelity(psi_t, psi_F, eta)] for t, psi_t in zip(times, states)]
     out.curves["trajectory"] = {"columns": ["t", "fidelity"], "rows": rows}
 
 
@@ -434,8 +438,8 @@ def run(config: dict) -> dict:
     """Execute one scenario and return its result record.
 
     A failed scenario's record carries ``error``: the class (input, domain
-    or residual), type and message of the failure; LAPACK failing on a
-    validated input is domain.
+    or residual), type and message of the failure; LAPACK failing, a float
+    overflow or a division by zero on a validated input is domain.
     """
     started = time.perf_counter()
     out, error = _Output(), None
@@ -448,7 +452,7 @@ def run(config: dict) -> dict:
         try:
             handler, kwargs = validate_scenario(config)
             handler(out, **kwargs)
-        except (PhqmError, np.linalg.LinAlgError) as exc:
+        except (PhqmError, ArithmeticError, np.linalg.LinAlgError) as exc:
             error = {"class": getattr(exc, "category", "domain"), "type": type(exc).__name__,
                      "message": str(exc)}
     record = {

@@ -31,8 +31,9 @@ PSEUDO_HERMITICITY_TOL = 1e-8
 
 
 class MetricOperator(Record):
-    """Positive-definite Hermitian invertible matrix defining <.|eta .>, built
-    unchecked: ``positive_metric`` checks it where an inner product is used."""
+    """Hermitian invertible eta of a metric <.|eta .> or a pseudo-metric,
+    built unchecked: ``positive_metric`` decides whether it is a metric where
+    an inner product is used."""
 
     eta: np.ndarray
 
@@ -49,20 +50,13 @@ class MetricOperator(Record):
         return complex(np.conj(x) @ (self.eta @ y))
 
 
-class PseudoMetric(Record):
-    """Hermitian invertible eta with its sign sequence on the real sector."""
-
-    eta: np.ndarray
-    sigma: np.ndarray
-
-
 def metric_matrix(eta, dim: int | None = None) -> np.ndarray:
     """The matrix of a metric argument: the identity of size ``dim`` for
-    None, the ``eta`` of a MetricOperator or PseudoMetric, else the matrix
-    itself; InputError when ``dim`` is given and the sizes differ."""
+    None, the ``eta`` of a MetricOperator, else the matrix itself;
+    InputError when ``dim`` is given and the sizes differ."""
     if eta is None:
         return np.eye(dim, dtype=complex)
-    m = as_matrix(getattr(eta, "eta", eta))
+    m = as_matrix(eta.eta if isinstance(eta, MetricOperator) else eta)
     if dim is not None and len(m) != dim:
         raise InputError(f"eta is {len(m)}x{len(m)}, expected {dim}x{dim}")
     return m
@@ -134,32 +128,31 @@ def metric_from_spectrum(bs: BiorthonormalSystem, normalize: bool = False) -> Me
         raise ComplexSpectrumError(
             "spectrum has nonreal eigenvalues; no positive-definite metric exists"
         )
-    return MetricOperator(pseudo_metric_family(bs, np.ones(bs.dim), normalize).eta)
+    return pseudo_metric_family(bs, np.ones(bs.dim), normalize)
 
 
 def pseudo_metric_family(
     bs: BiorthonormalSystem, sigma, normalize: bool = False
-) -> PseudoMetric:
+) -> MetricOperator:
     """Pseudo-metric with arbitrary signs on the real sector and the
     off-diagonal pairing |phi_nu><phi_-nu| + h.c. on conjugate pairs."""
-    if len(bs.unpaired_indices()) > 0:
+    unpaired = bs.unpaired_indices()
+    if len(unpaired) > 0:
         raise UnpairedComplexEigenvalueError(
-            f"eigenvalues at indices {bs.unpaired_indices().tolist()} have no "
-            "conjugate partner"
+            f"eigenvalues at indices {unpaired.tolist()} have no conjugate partner"
         )
     real_idx = bs.real_indices()
     sigma = _check_sigma(sigma, len(real_idx))
 
     # eta = phis @ w^dagger, w = phis with sigma on the real columns and
     # each conjugate pair's columns swapped
-    partner = np.where(bs.reality_mask, np.arange(bs.dim), bs.conj_partner)
     signs = np.ones(bs.dim)
     signs[real_idx] = sigma
-    eta = bs.phis @ dagger(bs.phis[:, partner] * signs[None, :])
+    eta = bs.phis @ dagger(bs.phis[:, bs.partner] * signs[None, :])
     eta = 0.5 * (eta + dagger(eta))
     if normalize:
         eta = _normalized(eta)
-    return PseudoMetric(eta, sigma)
+    return MetricOperator(eta)
 
 
 def charge_operator(bs: BiorthonormalSystem, sigma) -> np.ndarray:

@@ -42,19 +42,13 @@ def _hamiltonian(h_op, v) -> np.ndarray:
     return H
 
 
-class ProjectiveState(Record):
-    """Rank-1 projector onto the ray of a state vector."""
-
-    Lambda: np.ndarray
-
-
-def projector(psi, eta=None) -> ProjectiveState:
-    """Lambda = |psi><psi| eta / <psi|eta psi> (eta = I when omitted)."""
+def projector(psi, eta=None) -> np.ndarray:
+    """Rank-1 projector Lambda = |psi><psi| eta / <psi|eta psi> onto the ray
+    of psi (eta = I when omitted)."""
     v, eta_m = _states(eta, psi=psi)
     w = eta_m @ v
     norm = complex(np.conj(v) @ w)
-    lam = np.outer(v, np.conj(w)) / norm
-    return ProjectiveState(lam)
+    return np.outer(v, np.conj(w)) / norm
 
 
 def fs_metric(psi, eta=None) -> np.ndarray:
@@ -99,6 +93,9 @@ class TwoLevelLineElement(Record):
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
     eta_m = positive_metric(eta, 2)[0]
+    # every coefficient has degree 0 in eta: a power-of-two scale is exact
+    # and keeps det and trace^2 finite at any size of eta
+    eta_m = eta_m / np.ldexp(1.0, np.frexp(np.abs(eta_m).max())[1])
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)
@@ -130,8 +127,11 @@ class BrachistochroneProblem(Record):
         psi_i, psi_f, _ = _states(self.eta, psi_i=self.psi_i, psi_f=self.psi_f)
         object.__setattr__(self, "psi_i", psi_i)
         object.__setattr__(self, "psi_f", psi_f)
-        if self.energy <= 0:
-            raise InputError("energy scale E must be positive")
+        if self.energy <= 0 or self.hbar <= 0:
+            raise InputError("E and hbar must be positive")
+        if not np.isfinite(self.hbar * np.pi / (2.0 * self.energy)):
+            raise InputError(f"the time bound hbar pi / (2 E) is not finite at "
+                             f"E = {self.energy:g}, hbar = {self.hbar:g}")
 
 
 class OptimalEvolution(Record):

@@ -79,11 +79,36 @@ def test_conjugate_pair_matching_on_real_matrix():
     a = RNG.standard_normal((6, 6))
     bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(a))
     pairs = bs.pair_indices()
-    n_nonreal = int(np.sum(~bs.reality_mask))
+    n_nonreal = bs.dim - len(bs.real_indices())
     assert 2 * len(pairs) == n_nonreal
     assert len(bs.unpaired_indices()) == 0
     for nu, mnu in pairs:
         assert abs(bs.values[nu] - np.conj(bs.values[mnu])) < 1e-8
+
+
+def _check_partner(bs):
+    """partner is an involution that fixes exactly the real eigenvalues and
+    maps each matched one to its conjugate; -1 marks the unmatched."""
+    n = np.arange(bs.dim)
+    matched = bs.partner >= 0
+    np.testing.assert_array_equal(bs.partner[bs.partner[matched]], n[matched])
+    real = np.abs(bs.values.imag) <= biortho.PAIR_TOL * max(1.0, np.abs(bs.values).max())
+    np.testing.assert_array_equal(bs.partner == n, real)
+    np.testing.assert_array_equal(n[bs.partner == -1], bs.unpaired_indices())
+    for i in n[matched & ~real]:
+        assert abs(bs.values[bs.partner[i]] - np.conj(bs.values[i])) < 1e-8
+    return matched
+
+
+def test_partner_maps_pairs_and_fixes_real_eigenvalues():
+    paired = biortho.biorthonormal_extension(
+        linalg.eig_nonhermitian(np.random.default_rng(0).standard_normal((6, 6))))
+    assert np.all(_check_partner(paired))
+    assert paired.real_indices().tolist() == [0, 3] and paired.pair_indices() == [(2, 1), (5, 4)]
+    unpaired = biortho.biorthonormal_extension(
+        linalg.eig_nonhermitian(np.diag([1.0, 2.0 + 1.0j, 3.0])))
+    assert _check_partner(unpaired).tolist() == [True, False, True]
+    np.testing.assert_array_equal(unpaired.partner, [0, -1, 2])
 
 
 def test_degenerate_block_is_orthonormalized():

@@ -599,6 +599,9 @@ def test_degenerate_block_scan_matches_loop(clustered):
         values[10:13] = values[10]
         values[30] = values[29] + 1e-12
     psis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    before = psis.copy()
     new = biortho._orthonormalize_degenerate_blocks(values, psis, 1e-10)
     np.testing.assert_array_equal(new, degenerate_blocks_loop(values, psis, 1e-10))
-    assert new is not psis
+    # the input itself when nothing is degenerate, else a new array; never altered
+    assert (new is psis) is not clustered
+    np.testing.assert_array_equal(psis, before)

@@ -343,6 +343,58 @@ def test_batch_runs_every_scenario_past_a_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, error_type",
+    [
+        ({"command": "model", "model": {
+            "kind": "swanson", "hbar": 1e160, "alpha": 1e159, "beta": 1e158}}, "OverflowError"),
+        # the norms of the states underflow to 0
+        ({"command": "brachistochrone", "psi_I": [[1e-100, 0], [0, 0]],
+          "psi_F": [[0, 0], [1e-100, 0]], "E": 1.0}, "ZeroDivisionError"),
+    ],
+    ids=["swanson-overflow", "tiny-states"],
+)
+def test_batch_runs_past_an_arithmetic_failure(config, error_type, tmp_path):
+    # each ended the batch in a traceback, exit 1, with no record written
+    path, out = tmp_path / "batch.json", tmp_path / "out.json"
+    path.write_text(json.dumps([config, load("two_level.json")]))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_DOMAIN
+    failed, passed = json.loads(out.read_text())
+    assert failed["error"]["class"] == "domain" and failed["error"]["type"] == error_type
+    assert passed["all_pass"] is True
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e200])
+def test_geometry_of_a_metric_at_any_scale_passes(scale, tmp_path):
+    # det and trace^2 of the unscaled eta overflowed or vanished
+    eta = [[[scale, 0], [0, 0]], [[0, 0], [scale, 0]]]
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"command": "geometry", "eta": eta}))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    scalars = json.loads(out.read_text())["scalars"]
+    assert (scalars["k1"], scalars["k2"], scalars["k3"]) == (0.25, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "model", "model": {"kind": "kernel", "kind_detail": "barrier",
+                                       "zeta": 0.08, "length": 1.0, "n": 2}},
+        {**load("brachistochrone_antipodal.json"), "hbar": 0.0},
+        {**load("brachistochrone_antipodal.json"), "hbar": -1.0},
+        {**load("brachistochrone_antipodal.json"), "E": 1e-320},
+    ],
+    ids=["barrier-n2", "hbar-zero", "hbar-negative", "E-1e-320"],
+)
+def test_values_without_a_finite_record_exit_as_input_errors(config, tmp_path):
+    # each wrote a bare NaN or Infinity, or passed with a negative tau_min
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+    record = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert record["error"]["class"] == "input"
+
+
+@pytest.mark.parametrize(
     "batch, code",
     [
         ([{"command": "metric", "matrix": JORDAN}, {"command": "metric"}], cli.EXIT_INPUT),
@@ -602,6 +654,7 @@ def test_brachistochrone_trajectory_takes_one_evolve_call(name, monkeypatch):
     config = load(name)
     record = cli.run(config)
     assert calls == [(33,)]           # all 33 samples at once; the last is the final state
+    assert record["scalars"]["fidelity"] == record["curves"]["trajectory"]["rows"][-1][1]
     psi_i, psi_f = cli.parse_vector(config["psi_I"]), cli.parse_vector(config["psi_F"])
     eta = cli.parse_matrix(config["eta"]) if "eta" in config else None
     h_star = np.array(record["matrices"]["H_star"])

@@ -82,6 +82,14 @@ def test_pseudo_metric_all_plus_matches_metric():
     np.testing.assert_allclose(pm.eta, metric.metric_from_spectrum(bs).eta, atol=1e-12)
 
 
+def test_metric_is_the_all_plus_member_of_the_family():
+    bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(quasi_hermitian_pair(6)))
+    plus = metric.metric_from_spectrum(bs)
+    member = metric.pseudo_metric_family(bs, np.ones(bs.dim))
+    assert isinstance(plus, metric.MetricOperator) and isinstance(member, metric.MetricOperator)
+    np.testing.assert_array_equal(plus.eta, member.eta)
+
+
 def test_pseudo_metric_mixed_signs_gives_sigma3():
     _, bs = two_level_system(4.0)
     pm = metric.pseudo_metric_family(bs, [1, -1])

@@ -9,7 +9,7 @@ from phqm.errors import (
     NotPositiveDefiniteError,
     SingularOperatorError,
 )
-from phqm.metric import MetricOperator, PseudoMetric
+from phqm.metric import MetricOperator
 from phqm.statespace import (
     BrachistochroneProblem,
     energy_uncertainty,
@@ -39,21 +39,21 @@ def random_metric_2x2():
 
 
 def test_projector_basic():
-    np.testing.assert_allclose(projector(E1).Lambda, np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(projector(E1), np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(
-        projector([1.0, 1.0]).Lambda, 0.5 * np.ones((2, 2)), atol=1e-14
+        projector([1.0, 1.0]), 0.5 * np.ones((2, 2)), atol=1e-14
     )
 
 
 def test_projector_eta_aligned_basis_vector():
-    lam = projector(E1, eta=np.diag([2.0, 1.0])).Lambda
+    lam = projector(E1, eta=np.diag([2.0, 1.0]))
     np.testing.assert_allclose(lam, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_projector_invariants():
     eta = random_metric_2x2()
     psi = random_state()
-    lam = projector(psi, eta).Lambda
+    lam = projector(psi, eta)
     np.testing.assert_allclose(lam @ lam, lam, atol=1e-12)
     assert abs(np.trace(lam) - 1.0) < 1e-12
     # eta-pseudo-Hermitian projector
@@ -128,6 +128,15 @@ def test_two_level_geometry_rejects_a_non_hermitian_metric(eta):
         two_level_geometry(np.array(eta))
 
 
+@pytest.mark.parametrize("power", [600, -600])
+def test_two_level_geometry_is_scale_free_to_the_bit(power):
+    # k1 = det / trace^2 overflowed at 2^600 and flushed to 0 at 2^-600
+    for _ in range(20):
+        eta = random_metric_2x2()
+        assert (_field_values(two_level_geometry(eta * 2.0**power))
+                == _field_values(two_level_geometry(eta)))
+
+
 def test_two_level_geometry_requires_a_2x2_metric():
     with pytest.raises(ValueError, match="2x2"):
         two_level_geometry(np.eye(3))
@@ -140,7 +149,7 @@ def _field_values(record) -> tuple:
 def _metric_readers(psi, h_op):
     """name -> output of each metric-taking function for a metric argument."""
     return {
-        "projector": lambda e: projector(psi, e).Lambda,
+        "projector": lambda e: projector(psi, e),
         "fs_metric": lambda e: fs_metric(psi, e),
         "geodesic_distance": lambda e: geodesic_distance(psi, PLUS, e),
         "projective_fidelity": lambda e: projective_fidelity(psi, PLUS, e),
@@ -154,7 +163,7 @@ def _metric_readers(psi, h_op):
 
 
 def _forms(eta):
-    return [eta, MetricOperator(eta), PseudoMetric(eta, np.ones(len(eta)))]
+    return [eta, MetricOperator(eta)]
 
 
 def test_a_metric_operator_acts_as_its_matrix():

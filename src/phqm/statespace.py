@@ -18,19 +18,27 @@ ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogon
 
 
 def _states(eta=None, **states):
-    """Each named state as a nonzero vector, then eta as a ``positive_metric``
-    (the identity when None); InputError unless all share one size."""
+    """Each state as a vector whose largest entry is normal, then eta as a
+    ``positive_metric`` (the identity when None); InputError unless all share one size."""
     vectors = [np.asarray(psi, dtype=complex).ravel() for psi in states.values()]
-    if any(np.linalg.norm(v) == 0 for v in vectors):
-        raise InputError("state vector must be nonzero")
+    peak = min(np.abs(v).max(initial=0.0) for v in vectors)
+    if peak < np.finfo(float).tiny:
+        raise InputError(f"state vector must be nonzero, its largest entry normal; got {peak:.3e}")
     eta_m = metric_matrix(None, len(vectors[0])) if eta is None else positive_metric(eta)[0]
     if any(len(v) != len(eta_m) for v in vectors):
         raise InputError(f"{', '.join(states)} and eta sizes differ")
     return (*vectors, eta_m)
 
 
+def _binade(a) -> float:
+    """The power of two above max |a|: dividing by it is exact, so a quantity
+    of degree 0 in ``a`` keeps every bit while its products stay finite."""
+    return np.ldexp(1.0, np.frexp(np.abs(a).max())[1])
+
+
 def _overlaps(v, w, eta_m):
-    """<v|eta w>, <v|eta v> and <w|eta w>."""
+    """<v|eta w>, <v|eta v> and <w|eta w> of v and w over their ``_binade``."""
+    v, w = v / _binade(v), w / _binade(w)
     return (complex(np.conj(v) @ eta_m @ w), float(np.real(np.conj(v) @ eta_m @ v)),
             float(np.real(np.conj(w) @ eta_m @ w)))
 
@@ -46,6 +54,7 @@ def projector(psi, eta=None) -> np.ndarray:
     """Rank-1 projector Lambda = |psi><psi| eta / <psi|eta psi> onto the ray
     of psi (eta = I when omitted)."""
     v, eta_m = _states(eta, psi=psi)
+    v = v / _binade(v)
     w = eta_m @ v
     norm = complex(np.conj(v) @ w)
     return np.outer(v, np.conj(w)) / norm
@@ -93,9 +102,7 @@ class TwoLevelLineElement(Record):
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
     eta_m = positive_metric(eta, 2)[0]
-    # every coefficient has degree 0 in eta: a power-of-two scale is exact
-    # and keeps det and trace^2 finite at any size of eta
-    eta_m = eta_m / np.ldexp(1.0, np.frexp(np.abs(eta_m).max())[1])
+    eta_m = eta_m / _binade(eta_m)  # the coefficients have degree 0 in eta
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)
@@ -148,7 +155,7 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     pre-limit form with unit representatives (any relative phase is
     optimal; this takes 0) is used instead.
     """
-    vi, vf = prob.psi_i, prob.psi_f
+    vi, vf = prob.psi_i / _binade(prob.psi_i), prob.psi_f / _binade(prob.psi_f)
     eta_m = metric_matrix(prob.eta, len(vi))
     p, ni, nf = _overlaps(vi, vf, eta_m)
     ui = vi / np.sqrt(ni)
@@ -223,9 +230,12 @@ def energy_uncertainty(h_op, psi, eta=None) -> float:
     """Delta E = sqrt(<H^2> - <H>^2) in the eta inner product."""
     v, eta_m = _states(eta, psi=psi)
     H = _hamiltonian(h_op, v)
+    # degree 0 in psi and 1 in H: <H^2> is formed at unit scale, exactly
+    scale = _binade(H)
+    v, H = v / _binade(v), H / scale
     norm = complex(np.conj(v) @ eta_m @ v)
     hv = H @ v
     mean = complex(np.conj(v) @ eta_m @ hv) / norm
     mean2 = complex(np.conj(v) @ eta_m @ (H @ hv)) / norm
     variance = float(np.real(mean2 - mean**2))
-    return float(np.sqrt(max(variance, 0.0)))
+    return scale * float(np.sqrt(max(variance, 0.0)))

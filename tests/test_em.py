@@ -220,6 +220,20 @@ def test_wave_operator_eps_pseudo_hermitian():
     assert evals.min() >= -1e-10 * abs(evals).max()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_eps_omega2_is_symmetric_to_rounding_for_any_medium(seed):
+    # eps Omega^2 has -c_i eps_i / eps_i+1 and -c_i eps_i / eps_i on its two
+    # off-diagonals, each -c_i to within three roundings, so the record gates
+    # no symmetry
+    rng = np.random.default_rng(seed)
+    z = np.sort(rng.uniform(-5.0, 5.0, 12))
+    eps, mu = (np.exp(rng.uniform(-3.0, 3.0, 12)) for _ in range(2))
+    prof = em.sampled_profile(z, eps, mu)
+    grid = np.linspace(z[0], z[-1], int(rng.integers(3, 300)))
+    lhs = prof.eps_at(grid)[:, None] * em.wave_operator(prof, grid)
+    assert opnorm(lhs - lhs.T) <= 64 * np.finfo(float).eps * opnorm(lhs)
+
+
 def test_fdtd_standing_mode():
     # vacuum eigenmode sin(pi z / L) cos(pi t / L) with clamped walls
     length = 10.0

@@ -183,6 +183,16 @@ def test_swanson_truncated_spectrum_and_hermiticity():
     np.testing.assert_allclose(spacing, expected, atol=1e-8)
 
 
+@pytest.mark.parametrize("n_max", [16, 17, 40, 61])
+def test_swanson_truncated_h_is_exactly_hermitian(n_max):
+    # h ends as (h + h^dagger) / 2, whose (i, j) and (j, i) entries are exact
+    # conjugates, so the record carries no Hermiticity gate for it
+    for alpha, beta in [(0.1, 0.05), (0.2, -0.1), (-0.15, 0.3), (0.45, 0.5)]:
+        for r in (-0.5, 0.0, 0.7):
+            h = models.swanson_truncated(models.SwansonParams(alpha=alpha, beta=beta), r, n_max).h
+            assert np.array_equal(h, dagger(h)), (alpha, beta, r)
+
+
 def test_swanson_truncated_returns_what_it_builds():
     # h is lifted from the 2x2 transport and no similarity of the truncated
     # space maps H to it, so the result carries H, eta_+ and h and no rho
@@ -534,6 +544,21 @@ def test_kernel_hermiticity(kind):
     spec = models.KernelPotentialSpec(kind, 0.05, length=1.0, kappa=1.0)
     out = models.kernel_metric(spec)
     assert np.max(np.abs(out.eta_matrix - dagger(out.eta_matrix))) == 0.0
+
+
+# the symmetry holds at any size of the first-order correction
+@pytest.mark.filterwarnings("ignore:first-order kernel correction")
+@pytest.mark.parametrize("kind", ["square_well", "barrier", "delta"])
+@pytest.mark.parametrize("box", [{}, {"x_min": -1.0, "x_max": 3.0}, {"n": 301},
+                                 {"n": 257, "x_min": -0.37, "x_max": 2.9}],
+                         ids=["default", "off-centre", "odd-n", "odd-n-off-centre"])
+def test_kernel_eta_is_exactly_hermitian_on_any_box(kind, box):
+    # k = i c f(x, y) s(x, y) with f symmetric and s antisymmetric to the bit,
+    # so eta = I + dx k is Hermitian to the bit and the record gates no symmetry
+    for zeta in (0.01, 0.08, -0.05):
+        spec = models.KernelPotentialSpec(kind, zeta, length=1.0, kappa=1.0, **box)
+        eta = models.kernel_metric(spec).eta_matrix
+        assert np.array_equal(eta, dagger(eta)), zeta
 
 
 def test_kernel_unknown_kind():

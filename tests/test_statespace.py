@@ -67,6 +67,29 @@ def test_projector_rejects_zero():
         projector(np.zeros(2))
 
 
+@pytest.mark.parametrize("power", [600, -600])
+def test_ray_quantities_are_scale_free_to_the_bit(power):
+    # the overlaps of states x 2^600 overflowed and of states x 2^-600
+    # flushed to 0; <H^2> overflowed for H x 2^600
+    for _ in range(20):
+        v, w, eta = random_state(3), random_state(3), random_state(3)
+        eta = np.outer(eta, eta.conj()) + np.eye(3)
+        h = np.outer(w, w.conj()) - np.diag([1.0, 0.5, 0.0])
+        f = 2.0**power
+        assert geodesic_distance(v * f, w * f, eta) == geodesic_distance(v, w, eta)
+        assert projective_fidelity(v * f, w / f, eta) == projective_fidelity(v, w, eta)
+        np.testing.assert_array_equal(projector(v * f, eta), projector(v, eta))
+        assert energy_uncertainty(h, v * f, eta) == energy_uncertainty(h, v, eta)
+        assert energy_uncertainty(h * f, v, eta) == f * energy_uncertainty(h, v, eta)
+
+
+def test_a_state_whose_largest_entry_is_subnormal_is_rejected():
+    # its norm underflowed to 0, which read as "state vector must be nonzero"
+    assert projective_fidelity([1e-300, 0], [1, 1]) == 0.5
+    with pytest.raises(InputError, match="largest entry normal; got 1.000e-310"):
+        projective_fidelity([1e-310, 0], [1, 1])
+
+
 def test_fs_metric_basis_state():
     g = fs_metric(E1)
     np.testing.assert_allclose(g, np.diag([0.0, 1.0]), atol=1e-14)

@@ -505,11 +505,12 @@ def main(argv=None) -> int:
     if args.format == "json":
         text = json.dumps(output, indent=2)
     else:
-        try:
-            text = "".join(emit_plotdata(r) for r in records if "error" not in r)
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        # failed records and records without curves are left out
+        done = [r for r in records if "error" not in r]
+        if done and not any(r["curves"] for r in done):
+            print("error: record contains no sampled curves", file=sys.stderr)
             return EXIT_INPUT
+        text = "".join(emit_plotdata(r) for r in done if r["curves"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -71,6 +71,15 @@ def norm_ratio_above(x: np.ndarray, m: np.ndarray, bound: float) -> float | None
     return x_norm / scale if x_norm > bound * scale else None
 
 
+def binade(a) -> float:
+    """The greatest power of four at or below max |a| > 0: dividing by it, or
+    by its square root, is exact and leaves max |a| in [1, 4), so a quantity
+    of degree 0 in ``a`` keeps every bit while its products stay finite.  A
+    power of four above max |a| would not exist for max |a| >= 4**511."""
+    e = np.frexp(np.abs(a).max())[1] - 1
+    return np.ldexp(1.0, e - e % 2)
+
+
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return norm_ratio_above(a - dagger(a), a, tol) is None
 
@@ -167,11 +176,6 @@ def hermitian_function(h, f) -> np.ndarray:
     if np.isrealobj(fvals) or np.all(np.abs(fvals.imag) == 0):
         result = 0.5 * (result + dagger(result))
     return result
-
-
-def sqrtm_pd(h) -> np.ndarray:
-    """Positive square root of a positive-definite Hermitian matrix."""
-    return hermitian_function(h, np.sqrt)
 
 
 def commutator(a, b) -> np.ndarray:

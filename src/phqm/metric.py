@@ -25,7 +25,7 @@ from .errors import (
     SingularOperatorError,
     UnpairedComplexEigenvalueError,
 )
-from .linalg import as_matrix, dagger, is_hermitian, norm_ratio_above, opnorm
+from .linalg import as_matrix, binade, dagger, is_hermitian, norm_ratio_above, opnorm
 
 PSEUDO_HERMITICITY_TOL = 1e-8
 
@@ -71,9 +71,9 @@ def positive_metric(eta, dim: int | None = None):
     if not is_hermitian(eta_m):
         raise NotHermitianError("eta must be Hermitian")
     evals, vecs = np.linalg.eigh(0.5 * (eta_m + dagger(eta_m)))
-    # the rounding eta's eigenvalues carry; |eta|_F is summed at a power-of-2
-    # scale, which is exact and keeps its squares finite
-    scale = np.ldexp(1.0, np.frexp(np.abs(eta_m).max())[1] - 1)
+    # the rounding eta's eigenvalues carry; |eta|_F is summed at the exact
+    # scale ``binade``, which keeps its squares finite
+    scale = binade(eta_m)
     slack = 4 * len(eta_m) * np.finfo(float).eps * scale * np.linalg.norm(eta_m / scale)
     if evals[0] < -slack:
         raise NotPositiveDefiniteError(f"eta has negative eigenvalue {evals[0]:.3e}")
@@ -183,9 +183,9 @@ def antilinear_symmetry(bs: BiorthonormalSystem, phases=None) -> AntilinearSymme
 
 
 def pseudo_hermiticity_residual(h, eta) -> float:
-    """Relative residual |eta H eta^-1 - H^dagger| / |H|."""
+    """Relative residual |eta H eta^-1 - H^dagger| / |H| of a metric argument eta."""
     h = as_matrix(h)
-    eta = as_matrix(eta)
+    eta = metric_matrix(eta, len(h))
     return opnorm(eta @ h @ _inverse(eta) - dagger(h)) / max(opnorm(h), 1e-300)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._record import Record
 from .linalg import as_matrix, commutator, hermitian_function, is_hermitian, opnorm
-from .metric import MetricOperator
+from .metric import MetricOperator, pseudo_hermiticity_residual
 from .errors import InputError, NotHermitianError, UnsolvableCommutatorError
 
 DEGENERACY_TOL = 1e-9
@@ -155,11 +155,7 @@ def metric_from_q(qs: QSeries, epsilon: float) -> MetricOperator:
 
 def metric_residual(prob: PerturbationProblem, qs: QSeries, epsilon: float) -> float:
     """|e^-Q H e^Q - H^dagger| / |H| at the given epsilon."""
-    q_total = qs.exponent(epsilon)
-    e_minus = hermitian_function(q_total, lambda x: np.exp(-x))
-    e_plus = hermitian_function(q_total, np.exp)
-    H = prob.H0 + epsilon * prob.H1
-    return opnorm(e_minus @ H @ e_plus - np.conj(H.T)) / max(opnorm(H), 1e-300)
+    return pseudo_hermiticity_residual(prob.H0 + epsilon * prob.H1, metric_from_q(qs, epsilon))
 
 
 def oscillator_basis(n_max: int, mass: float = 1.0, hbar: float = 1.0, omega: float = 1.0):

@@ -11,34 +11,29 @@ import numpy as np
 
 from ._record import Record
 from .errors import InputError
-from .linalg import as_matrix, eig_nonhermitian
-from .metric import metric_matrix, positive_metric
+from .linalg import as_matrix, binade, eig_nonhermitian
+from .metric import positive_metric
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
 
 
 def _states(eta=None, **states):
     """Each state as a vector whose largest entry is normal, then eta as a
-    ``positive_metric`` (the identity when None); InputError unless all share one size."""
+    ``positive_metric`` (the identity when None) over its ``binade``: every
+    quantity here has degree 0 in eta.  InputError unless all share one size."""
     vectors = [np.asarray(psi, dtype=complex).ravel() for psi in states.values()]
     peak = min(np.abs(v).max(initial=0.0) for v in vectors)
     if peak < np.finfo(float).tiny:
         raise InputError(f"state vector must be nonzero, its largest entry normal; got {peak:.3e}")
-    eta_m = metric_matrix(None, len(vectors[0])) if eta is None else positive_metric(eta)[0]
+    eta_m = np.eye(len(vectors[0]), dtype=complex) if eta is None else positive_metric(eta)[0]
     if any(len(v) != len(eta_m) for v in vectors):
         raise InputError(f"{', '.join(states)} and eta sizes differ")
-    return (*vectors, eta_m)
-
-
-def _binade(a) -> float:
-    """The power of two above max |a|: dividing by it is exact, so a quantity
-    of degree 0 in ``a`` keeps every bit while its products stay finite."""
-    return np.ldexp(1.0, np.frexp(np.abs(a).max())[1])
+    return (*vectors, eta_m / binade(eta_m))
 
 
 def _overlaps(v, w, eta_m):
-    """<v|eta w>, <v|eta v> and <w|eta w> of v and w over their ``_binade``."""
-    v, w = v / _binade(v), w / _binade(w)
+    """<v|eta w>, <v|eta v> and <w|eta w> of v and w over their ``binade``."""
+    v, w = v / binade(v), w / binade(w)
     return (complex(np.conj(v) @ eta_m @ w), float(np.real(np.conj(v) @ eta_m @ v)),
             float(np.real(np.conj(w) @ eta_m @ w)))
 
@@ -54,7 +49,7 @@ def projector(psi, eta=None) -> np.ndarray:
     """Rank-1 projector Lambda = |psi><psi| eta / <psi|eta psi> onto the ray
     of psi (eta = I when omitted)."""
     v, eta_m = _states(eta, psi=psi)
-    v = v / _binade(v)
+    v = v / binade(v)
     w = eta_m @ v
     norm = complex(np.conj(v) @ w)
     return np.outer(v, np.conj(w)) / norm
@@ -102,7 +97,7 @@ class TwoLevelLineElement(Record):
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
     eta_m = positive_metric(eta, 2)[0]
-    eta_m = eta_m / _binade(eta_m)  # the coefficients have degree 0 in eta
+    eta_m = eta_m / binade(eta_m)  # the coefficients have degree 0 in eta
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)
@@ -131,9 +126,10 @@ class BrachistochroneProblem(Record):
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        psi_i, psi_f, _ = _states(self.eta, psi_i=self.psi_i, psi_f=self.psi_f)
+        psi_i, psi_f, eta_m = _states(self.eta, psi_i=self.psi_i, psi_f=self.psi_f)
         object.__setattr__(self, "psi_i", psi_i)
         object.__setattr__(self, "psi_f", psi_f)
+        object.__setattr__(self, "eta", eta_m)
         if self.energy <= 0 or self.hbar <= 0:
             raise InputError("E and hbar must be positive")
         if not np.isfinite(self.hbar * np.pi / (2.0 * self.energy)):
@@ -155,8 +151,8 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     pre-limit form with unit representatives (any relative phase is
     optimal; this takes 0) is used instead.
     """
-    vi, vf = prob.psi_i / _binade(prob.psi_i), prob.psi_f / _binade(prob.psi_f)
-    eta_m = metric_matrix(prob.eta, len(vi))
+    vi, vf = prob.psi_i / binade(prob.psi_i), prob.psi_f / binade(prob.psi_f)
+    eta_m = prob.eta
     p, ni, nf = _overlaps(vi, vf, eta_m)
     ui = vi / np.sqrt(ni)
     uf = vf / np.sqrt(nf)
@@ -231,8 +227,8 @@ def energy_uncertainty(h_op, psi, eta=None) -> float:
     v, eta_m = _states(eta, psi=psi)
     H = _hamiltonian(h_op, v)
     # degree 0 in psi and 1 in H: <H^2> is formed at unit scale, exactly
-    scale = _binade(H)
-    v, H = v / _binade(v), H / scale
+    scale = binade(H)
+    v, H = v / binade(v), H / scale
     norm = complex(np.conj(v) @ eta_m @ v)
     hv = H @ v
     mean = complex(np.conj(v) @ eta_m @ hv) / norm

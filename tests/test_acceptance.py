@@ -39,7 +39,7 @@ def test_criterion_1_two_level_closed_forms():
         [[np.cosh(theta), np.sinh(theta)], [-np.sinh(theta), -np.cosh(theta)]]
     )
     c_ok = np.max(np.abs(m.C - c_expected)) <= 1e-12
-    root = linalg.sqrtm_pd(m.A @ m.A)
+    root = linalg.hermitian_function(m.A @ m.A, np.sqrt)
     c_from_a = m.A @ np.linalg.inv(root)
     caa_ok = np.max(np.abs(m.C - c_from_a)) <= 1e-12
     _report(1, "two-level eta_+, h, C and C = A/sqrt(A^2) at 1e-12",
@@ -226,7 +226,7 @@ def test_criterion_8_geometry():
     for _ in range(100):
         b = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
         eta = b @ b.conj().T + 0.2 * np.eye(2)
-        rho = linalg.sqrtm_pd(eta)
+        rho = linalg.hermitian_function(eta, np.sqrt)
         pi = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         pf = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         d1 = statespace.geodesic_distance(pi, pf, eta)

@@ -79,7 +79,7 @@ def exact_eig_nonhermitian(a, tol=DEFAULT_TOL, condition_threshold=CONDITION_THR
                            diagonalizable=diagonalizable)
 
 
-def exact_sqrtm_pd(h, tol=DEFAULT_TOL):
+def exact_positive_root(h, tol=DEFAULT_TOL):
     m = as_matrix(h)
     if not exact_is_hermitian(m, tol):
         raise NotHermitianError("not Hermitian")
@@ -106,7 +106,7 @@ def exact_build_system(h_op, eta, tol=metric.PSEUDO_HERMITICITY_TOL):
         raise SingularOperatorError("singular")
     if metric.pseudo_hermiticity_residual(H, eta_m) > tol:
         raise NotPseudoHermitianError("residual")
-    rho = exact_sqrtm_pd(eta_m)
+    rho = exact_positive_root(eta_m)
     rho_inv = np.linalg.inv(rho)
     rho_inv = 0.5 * (rho_inv + dagger(rho_inv))
     return metric.QuasiHermitianSystem(H, metric.MetricOperator(eta_m), rho, rho_inv,

@@ -776,6 +776,15 @@ def test_csv_of_a_record_without_curves_exits_as_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_csv_of_a_batch_leaves_out_records_without_curves(tmp_path):
+    # batch_small's diagnose record has no curve: the batch exited 3 and wrote nothing
+    out = tmp_path / "curves.csv"
+    code = cli.main(["--scenario", os.path.join(SCENARIO_DIR, "batch_small.json"),
+                     "--out", str(out), "--format", "csv"])
+    assert code == cli.EXIT_OK
+    assert out.read_text() == cli.emit_plotdata(cli.run(load("batch_small.json")[0]))
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
 def test_every_committed_scenario_validates(name):
     payload = load(name)

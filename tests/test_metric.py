@@ -115,6 +115,19 @@ def test_pseudo_metric_residual_conjugate_pairs():
         assert metric.pseudo_hermiticity_residual(a, pm.eta) <= 1e-9
 
 
+def test_residual_reads_a_metric_operator_as_its_matrix():
+    # a MetricOperator raised TypeError from as_matrix
+    a, bs = two_level_system(4.0)
+    mo = metric.metric_from_spectrum(bs)
+    assert metric.pseudo_hermiticity_residual(a, mo) == metric.pseudo_hermiticity_residual(a, mo.eta)
+
+
+def test_residual_rejects_a_metric_of_another_size():
+    # numpy's matmul raised a bare ValueError
+    with pytest.raises(InputError, match="eta is 3x3, expected 2x2"):
+        metric.pseudo_hermiticity_residual(np.eye(2), np.eye(3))
+
+
 def test_pseudo_metric_sigma_length_checked():
     _, bs = two_level_system(4.0)
     with pytest.raises(InputError, match="one per real eigenvalue"):
@@ -145,7 +158,7 @@ def test_charge_operator_properties():
 def test_charge_equals_a_over_sqrt_a_squared():
     a, bs = two_level_system(4.0)
     c = metric.charge_operator(bs, [1, -1])
-    root = linalg.sqrtm_pd(a @ a)  # A^2 = 4 I
+    root = linalg.hermitian_function(a @ a, np.sqrt)  # A^2 = 4 I
     np.testing.assert_allclose(c, a @ np.linalg.inv(root), atol=1e-12)
 
 

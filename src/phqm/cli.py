@@ -1,13 +1,14 @@
 """Command-line front end: scenario ingestion, dispatch, result records.
 
 Scenario files are JSON (single object or list for a batch).  A scenario
-names its ``command`` and may set ``tol``; its other fields are the
-annotated keyword parameters of the command's handler below, and a nested
-object's fields are those of the builder its tag (``kind``, ``preset``)
-selects.  Complex scalars are serialized as [re, im] pairs and matrices
-row-major, so the records round-trip bit-for-bit through json.  Exit
-codes, first match wins: 3 an input error, 4 a domain error, 2 a failed
-residual check, 0 all pass.
+names its ``command``; its other fields are the annotated keyword
+parameters of the command's handler below, and a nested object's fields
+are those of the builder its tag (``kind``, ``preset``) selects.  Each
+gate's tolerance is a constant of that gate, recorded with its value in
+the record's ``residuals``.  Complex scalars are serialized as [re, im]
+pairs and matrices row-major, so the records round-trip bit-for-bit
+through json.  Exit codes, first match wins: 3 an input error, 4 a domain
+error, 2 a failed residual check, 0 all pass.
 """
 
 from __future__ import annotations
@@ -104,64 +105,62 @@ def _given(**fields) -> dict:
     return {name: value for name, value in fields.items() if value is not None}
 
 
-def _run_diagnose(out, tol, *, matrix: Matrix):
-    dec = linalg.eig_nonhermitian(matrix, tol=tol, check=False)
+def _run_diagnose(out, *, matrix: Matrix):
+    dec = linalg.eig_nonhermitian(matrix, check=False)
     out.scalars["condition"] = dec.condition
     out.scalars["diagonalizable"] = dec.diagonalizable
     out.matrices["eigenvalues"] = encode_vector(dec.values)
     out.matrices["right_vectors"] = encode_matrix(dec.right_vectors)
     residual = linalg.opnorm(matrix @ dec.right_vectors - dec.right_vectors * dec.values[None, :])
-    out.gate("eigenpair_residual", residual / max(linalg.opnorm(matrix), 1e-300), 100 * tol)
+    out.gate("eigenpair_residual", residual / max(linalg.opnorm(matrix), 1e-300), 1e-8)
     real = biortho._match_conjugate_pairs(dec.values) == np.arange(dec.dim)
     out.scalars["spectrum_real"] = bool(np.all(real))
 
 
-def _run_metric(out, tol, *, matrix: Matrix, sigma: list | None = None,
-                normalize: bool | None = None):
+def _run_metric(out, *, matrix: Matrix, sigma: list | None = None):
     bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(matrix))
-    options = _given(normalize=normalize)
     if sigma is not None:
-        eta = metric.pseudo_metric_family(bs, sigma, **options).eta
+        eta = metric.pseudo_metric_family(bs, sigma).eta
         out.matrices["eta"] = encode_matrix(eta)
     else:
-        eta = metric.metric_from_spectrum(bs, **options).eta
+        eta = metric.metric_from_spectrum(bs).eta
         out.matrices["eta_plus"] = encode_matrix(eta)
         metric.positive_metric(eta)
-    out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(matrix, eta), max(tol, 1e-9))
+    out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(matrix, eta), 1e-9)
     completeness = linalg.opnorm(bs.psis @ np.conj(bs.phis.T) - np.eye(bs.dim))
-    out.gate("biorthonormal_completeness", completeness, max(tol, 1e-9))
+    out.gate("biorthonormal_completeness", completeness, 1e-9)
 
 
-def _run_hermitize(out, tol, *, matrix: Matrix, eta: Matrix | None = None):
+def _run_hermitize(out, *, matrix: Matrix, eta: Matrix | None = None):
     if eta is None:
         dec = linalg.eig_nonhermitian(matrix)
         eta = metric.metric_from_spectrum(biortho.biorthonormal_extension(dec)).eta
-    sys_ = metric.build_system(matrix, eta, tol=max(tol, 1e-8))
+    sys_ = metric.build_system(matrix, eta)
     out.matrices["eta_plus"] = encode_matrix(eta)
     out.matrices["rho"] = encode_matrix(sys_.rho)
     out.matrices["h"] = encode_matrix(sys_.h)
     # h = rho A rho^-1 is not symmetrized, so its Hermiticity can fail
     h_anti = linalg.opnorm(sys_.h - np.conj(sys_.h.T)) / max(linalg.opnorm(sys_.h), 1e-300)
-    out.gate("h_hermiticity", h_anti, max(tol, 1e-9))
+    out.gate("h_hermiticity", h_anti, 1e-9)
     spec_h = np.sort(np.linalg.eigvalsh(sys_.h))
     spec_a = np.sort(np.linalg.eigvals(matrix).real)
     out.gate(
         "isospectrality",
         float(np.max(np.abs(spec_h - spec_a)) / max(np.abs(spec_a).max(), 1e-300)),
-        max(tol, 1e-8),
+        1e-8,
     )
 
 
-def _run_model(out, tol, *, model: Model):
-    model(out, tol)
+def _run_model(out, *, model: Model):
+    model(out)
 
 
-def _two_level(params, out, tol):
+def _two_level(params, out):
     m = models.two_level(params)
     for name in ("A", "eta_plus", "eta_general", "h", "C", "S"):
         out.matrices[name] = encode_matrix(getattr(m, name))
-    out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), max(tol, 1e-10))
-    out.gate("charge_squares_to_identity", linalg.opnorm(m.C @ m.C - np.eye(2)), max(tol, 1e-10))
+    out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), 1e-10)
+    out.gate("charge_squares_to_identity", linalg.opnorm(m.C @ m.C - np.eye(2)), 1e-10)
 
 
 def _swanson_case(alpha: float, beta: float, hbar: float | None = None,
@@ -176,7 +175,7 @@ def _swanson_case(alpha: float, beta: float, hbar: float | None = None,
     return params, _given(r=r, branch=branch), _given(n_max=n_max) if truncated else None
 
 
-def _swanson(case, out, tol):
+def _swanson(case, out):
     params, call, truncation = case
     sm = models.swanson_metric(params, **call)
     out.scalars["z"] = encode_complex(sm.z)
@@ -192,7 +191,7 @@ def _swanson(case, out, tol):
         out.gate("low_spectrum_match", float(np.max(np.abs(eH - eh) / np.abs(eH))), 1e-6)
 
 
-def _quartic(params, out, tol):
+def _quartic(params, out):
     qp = models.quartic_pair(params)
     out.matrices["spectrum_H"] = encode_vector(qp.spectrum_H)
     out.matrices["spectrum_h"] = encode_vector(qp.spectrum_h.astype(complex))
@@ -215,7 +214,7 @@ def _kernel_case(kind_detail: str, zeta: float, length: float | None = None,
         length=length, kappa=kappa, mass=mass, hbar=hbar, n=n, x_min=x_min, x_max=x_max))
 
 
-def _kernel(spec, out, tol):
+def _kernel(spec, out):
     result = models.kernel_metric(spec)
     report = result.residual_report
     if not np.isfinite(report["fitted_order"]):
@@ -229,7 +228,7 @@ def _kernel(spec, out, tol):
         out.gate("residual_order_deviation", abs(report["fitted_order"] - 2.0), 0.3)
 
 
-def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
+def _run_brachistochrone(out, *, psi_I: Vector, psi_F: Vector, E: float,
                          hbar: float | None = None, eta: Matrix | None = None):
     prob = statespace.BrachistochroneProblem(psi_I, psi_F, E, eta=eta, **_given(hbar=hbar))
     opt = statespace.optimal_hamiltonian(prob)
@@ -239,7 +238,7 @@ def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
     # H* has rank 2: |eigenvalues| (0, ..., 0, E, E)
     levels = np.sort(np.abs(np.linalg.eigvals(opt.H_star).real))
     levels[-2:] -= prob.energy
-    out.gate("eigenvalue_pinning", float(np.max(np.abs(levels)) / prob.energy), max(tol, 1e-9))
+    out.gate("eigenvalue_pinning", float(np.max(np.abs(levels)) / prob.energy), 1e-9)
     # linspace ends exactly at tau_min, so the last row is the final state's
     times = np.linspace(0.0, opt.tau_min, 33)
     states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
@@ -248,11 +247,11 @@ def _run_brachistochrone(out, tol, *, psi_I: Vector, psi_F: Vector, E: float,
     out.scalars["fidelity"] = fidelity
     out.gate("fidelity_deficit", 1.0 - fidelity, 1e-8)
     de = statespace.energy_uncertainty(opt.H_star, psi_I, eta)
-    out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, max(tol, 1e-9))
+    out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, 1e-9)
     out.curves["trajectory"] = {"columns": ["t", "fidelity"], "rows": rows}
 
 
-def _run_geometry(out, tol, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
+def _run_geometry(out, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
     if min(n_theta, n_phi) < 1:
         raise InputError("n_theta and n_phi must be at least 1")
     geo = statespace.two_level_geometry(eta)
@@ -277,7 +276,7 @@ def _free():
     return lambda z: 0.0 * z, lambda z: 0.0 * z
 
 
-def _run_classical(out, tol, *, potential: Potential, z0: complex, p0: complex,
+def _run_classical(out, *, potential: Potential, z0: complex, p0: complex,
                    t_end: float, dt: float, mass: float = 1.0, sample_every: int = 10):
     v, v_prime = potential
     traj = flow(v_prime, mass, ComplexPhasePoint(z0, p0), t_end, dt, sample_every=sample_every)
@@ -285,13 +284,13 @@ def _run_classical(out, tol, *, potential: Potential, z0: complex, p0: complex,
             for z, p in zip(traj.z, traj.p)]
     ks, his = (np.array([x[key] for x in vals]) for key in ("K", "H_i"))
     scale = max(np.abs(ks).max(), 1.0)
-    out.gate("K_drift", float(np.ptp(ks)) / scale, max(tol, 1e-8))
-    out.gate("H_i_drift", float(np.ptp(his)) / scale, max(tol, 1e-8))
+    out.gate("K_drift", float(np.ptp(ks)) / scale, 1e-8)
+    out.gate("H_i_drift", float(np.ptp(his)) / scale, 1e-8)
     rows = [[t, z.real, z.imag, k, hi] for t, z, k, hi in zip(traj.times, traj.z, ks, his)]
     out.curves["trajectory"] = {"columns": ["t", "re_z", "im_z", "K", "H_i"], "rows": rows}
 
 
-def _run_em(out, tol, *, profile: Profile, init: Init, t: float, n_eval: int = 400,
+def _run_em(out, *, profile: Profile, init: Init, t: float, n_eval: int = 400,
             fdtd_check: bool = False):
     if n_eval < 1:
         raise InputError("n_eval must be at least 1")
@@ -419,8 +418,7 @@ def validate_scenario(config: dict):
             f"unknown or missing command {command!r}; expected one of {sorted(_HANDLERS)}"
         )
     handler = _HANDLERS[command]
-    tol = _convert("tol", fields.pop("tol", linalg.DEFAULT_TOL), "float")
-    return handler, {"tol": tol, **_bind(handler, fields, f"command {command!r}")}
+    return handler, _bind(handler, fields, f"command {command!r}")
 
 
 def run(config: dict) -> dict:
@@ -460,15 +458,12 @@ def run(config: dict) -> dict:
     return {key: value for key, value in record.items() if key not in unset}
 
 
-def emit_plotdata(record: dict, kind: str | None = None) -> str:
-    """Render one of the record's sampled curves as headered CSV."""
+def emit_plotdata(record: dict) -> str:
+    """Render the record's sampled curve as headered CSV."""
     curves = record.get("curves") or {}
     if not curves:
         raise InputError("record contains no sampled curves")
-    kind = sorted(curves)[0] if kind is None else kind
-    if kind not in curves:
-        raise InputError(f"no curve named {kind!r}; have {sorted(curves)}")
-    curve = curves[kind]
+    (curve,) = curves.values()
     buf = io.StringIO()
     buf.write(",".join(curve["columns"]) + "\n")
     for row in curve["rows"]:
@@ -501,9 +496,8 @@ def main(argv=None) -> int:
             error = record["error"]
             kind = "invalid scenario" if error["type"] == SchemaError.__name__ else error["type"]
             print(f"error: {kind}: {error['message']}", file=sys.stderr)
-    output = records[0] if len(records) == 1 else records
     if args.format == "json":
-        text = json.dumps(output, indent=2)
+        text = json.dumps(records if isinstance(payload, list) else records[0], indent=2)
     else:
         # failed records and records without curves are left out
         done = [r for r in records if "error" not in r]

@@ -121,13 +121,14 @@ class EigenDecomposition(Record):
         return bool(certified) or self.condition < CONDITION_THRESHOLD
 
 
-def eig_nonhermitian(a, tol: float = DEFAULT_TOL, check: bool = True) -> EigenDecomposition:
+def eig_nonhermitian(a, check: bool = True) -> EigenDecomposition:
     """Eigendecomposition of a general matrix; real dtype goes to real LAPACK.
 
     Raises DefectiveOperatorError when the eigenvector matrix condition
     number exceeds CONDITION_THRESHOLD (a numerical exceptional point),
     unless ``check`` is False in which case the flag is recorded on the
-    result instead.
+    result instead, and when a diagonalizable result's eigenpair residual
+    exceeds 100 DEFAULT_TOL |A|.
     """
     m = as_matrix(a)
     values, vectors = np.linalg.eig(m.real if np.isrealobj(a) else m)
@@ -146,7 +147,7 @@ def eig_nonhermitian(a, tol: float = DEFAULT_TOL, check: bool = True) -> EigenDe
         )
 
     if dec.diagonalizable:
-        bound = 100 * max(tol, 1e-14)
+        bound = 100 * DEFAULT_TOL
         residual = norm_ratio_above(m @ vectors - vectors * values[None, :], m, bound)
         if residual is not None:
             raise DefectiveOperatorError(

@@ -116,24 +116,17 @@ def _check_sigma(sigma, n_real: int) -> np.ndarray:
     return sigma
 
 
-def _normalized(eta: np.ndarray) -> np.ndarray:
-    top = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (eta + dagger(eta))))))
-    return eta / top
-
-
-def metric_from_spectrum(bs: BiorthonormalSystem, normalize: bool = False) -> MetricOperator:
+def metric_from_spectrum(bs: BiorthonormalSystem) -> MetricOperator:
     """eta_+ = sum_n |phi_n><phi_n|, the sigma = (+1, ..., +1) pseudo-metric;
     needs an all-real spectrum."""
     if not bs.all_real:
         raise ComplexSpectrumError(
             "spectrum has nonreal eigenvalues; no positive-definite metric exists"
         )
-    return pseudo_metric_family(bs, np.ones(bs.dim), normalize)
+    return pseudo_metric_family(bs, np.ones(bs.dim))
 
 
-def pseudo_metric_family(
-    bs: BiorthonormalSystem, sigma, normalize: bool = False
-) -> MetricOperator:
+def pseudo_metric_family(bs: BiorthonormalSystem, sigma) -> MetricOperator:
     """Pseudo-metric with arbitrary signs on the real sector and the
     off-diagonal pairing |phi_nu><phi_-nu| + h.c. on conjugate pairs."""
     unpaired = bs.unpaired_indices()
@@ -149,10 +142,7 @@ def pseudo_metric_family(
     signs = np.ones(bs.dim)
     signs[real_idx] = sigma
     eta = bs.phis @ dagger(bs.phis[:, bs.partner] * signs[None, :])
-    eta = 0.5 * (eta + dagger(eta))
-    if normalize:
-        eta = _normalized(eta)
-    return MetricOperator(eta)
+    return MetricOperator(0.5 * (eta + dagger(eta)))
 
 
 def charge_operator(bs: BiorthonormalSystem, sigma) -> np.ndarray:

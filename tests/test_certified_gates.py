@@ -58,8 +58,7 @@ def exact_is_hermitian(a, tol=DEFAULT_TOL):
     return opnorm(a - dagger(a)) <= tol * scale
 
 
-def exact_eig_nonhermitian(a, tol=DEFAULT_TOL, condition_threshold=CONDITION_THRESHOLD,
-                           check=True):
+def exact_eig_nonhermitian(a, condition_threshold=CONDITION_THRESHOLD, check=True):
     m = as_matrix(a)
     # the same LAPACK routine as the code under test: dgeev for real dtype
     values, vectors = np.linalg.eig(np.asarray(a) if np.isrealobj(a) else m)
@@ -73,7 +72,7 @@ def exact_eig_nonhermitian(a, tol=DEFAULT_TOL, condition_threshold=CONDITION_THR
         raise DefectiveOperatorError("condition")
     scale = max(opnorm(m), 1e-300)
     residual = opnorm(m @ vectors - vectors * values[None, :])
-    if diagonalizable and residual > 100 * max(tol, 1e-14) * scale:
+    if diagonalizable and residual > 100 * DEFAULT_TOL * scale:
         raise DefectiveOperatorError("residual")
     return SimpleNamespace(values=values, right_vectors=vectors, condition=condition,
                            diagonalizable=diagonalizable)

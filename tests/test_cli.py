@@ -126,12 +126,24 @@ def test_schema_rejects_unknown_field():
         cli.validate_scenario({"command": "diagnose", "matrix": [], "bogus": 1})
 
 
+def coarse_cubic():
+    """classical_cubic at a step too coarse for the conserved quantities."""
+    return {**load("classical_cubic.json"), "dt": 0.05, "sample_every": 1}
+
+
 def test_residual_failure_exit_code(tmp_path):
-    config = load("diagnose_two_level.json")
-    config["tol"] = 1e-30  # unreachable tolerance: residual entries fail
-    path = tmp_path / "strict.json"
-    path.write_text(json.dumps(config))
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(coarse_cubic()))
     assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "o.json")]) == cli.EXIT_RESIDUAL
+
+
+def test_a_coarse_step_fails_both_drift_gates():
+    record = cli.run(coarse_cubic())
+    assert "error" not in record and not record["all_pass"]
+    assert {r["name"]: r["pass"] for r in record["residuals"]} == {"K_drift": False,
+                                                                  "H_i_drift": False}
+    # K drifts by about 6e-5 and H_i by about 3e-5 of max |K|
+    assert all(1e-6 < r["value"] < 1e-3 and r["tolerance"] == 1e-8 for r in record["residuals"])
 
 
 def test_batch_execution(tmp_path):
@@ -142,6 +154,20 @@ def test_batch_execution(tmp_path):
     assert code == cli.EXIT_OK
     records = json.loads(out.read_text())
     assert isinstance(records, list) and len(records) == 2
+
+
+def test_a_one_scenario_list_writes_a_one_record_list(tmp_path):
+    # a list of one wrote a bare record, as a single scenario does
+    path, out = tmp_path / "one.json", tmp_path / "out.json"
+    path.write_text(json.dumps([load("two_level.json")]))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    records = json.loads(out.read_text())
+    assert isinstance(records, list) and len(records) == 1
+    alone = json.loads(json.dumps(cli.run(load("two_level.json"))))
+    assert records[0]["matrices"] == alone["matrices"]
+    single = tmp_path / "single.json"
+    cli.main(["--scenario", os.path.join(SCENARIO_DIR, "two_level.json"), "--out", str(single)])
+    assert isinstance(json.loads(single.read_text()), dict)
 
 
 def test_batch_matches_single_runs(tmp_path):
@@ -180,15 +206,15 @@ def test_emit_plotdata_errors():
     record = cli.run(load("metric_identity.json"))
     with pytest.raises(InputError, match="no sampled curves"):
         cli.emit_plotdata(record)
-    record_g = cli.run(load("geometry_euclidean.json"))
-    with pytest.raises(InputError, match="no curve named"):
-        cli.emit_plotdata(record_g, "nonexistent")
+    failed = cli.run({"command": "metric"})
+    with pytest.raises(InputError, match="no sampled curves"):
+        cli.emit_plotdata(failed)
 
 
 def test_classical_curve_columns():
     record = cli.run(load("classical_cubic.json"))
     assert record["curves"]["trajectory"]["columns"] == ["t", "re_z", "im_z", "K", "H_i"]
-    csv = cli.emit_plotdata(record, "trajectory")
+    csv = cli.emit_plotdata(record)
     assert csv.startswith("t,re_z,im_z,K,H_i")
 
 
@@ -413,10 +439,8 @@ def test_values_without_a_finite_record_exit_as_input_errors(config, tmp_path):
     "batch, code",
     [
         ([{"command": "metric", "matrix": JORDAN}, {"command": "metric"}], cli.EXIT_INPUT),
-        ([{"command": "metric", "matrix": JORDAN}, {**load("diagnose_two_level.json"), "tol": 1e-30}],
-         cli.EXIT_DOMAIN),
-        ([load("two_level.json"), {**load("diagnose_two_level.json"), "tol": 1e-30}],
-         cli.EXIT_RESIDUAL),
+        ([{"command": "metric", "matrix": JORDAN}, coarse_cubic()], cli.EXIT_DOMAIN),
+        ([load("two_level.json"), coarse_cubic()], cli.EXIT_RESIDUAL),
     ],
     ids=["input-over-domain", "domain-over-residual", "residual-over-pass"],
 )
@@ -696,18 +720,6 @@ def test_metric_with_sigma_builds_the_indefinite_pseudo_metric():
     assert evals[0] < 0 < evals[1]
 
 
-def test_metric_normalize_scales_the_top_eigenvalue_to_one():
-    plain = cli.run({"command": "metric", "matrix": TWO_LEVEL_A})
-    scaled = cli.run({"command": "metric", "matrix": TWO_LEVEL_A, "normalize": True})
-    assert scaled["all_pass"]
-    eta = _real_matrix(plain["matrices"]["eta_plus"])
-    eta_n = _real_matrix(scaled["matrices"]["eta_plus"])
-    top = np.linalg.eigvalsh(eta).max()
-    assert top != pytest.approx(1.0)
-    np.testing.assert_allclose(eta_n, eta / top, atol=1e-14)
-    assert np.linalg.eigvalsh(eta_n).max() == pytest.approx(1.0, abs=1e-14)
-
-
 def test_hermitize_without_eta_uses_the_spectral_metric():
     record = cli.run({"command": "hermitize", "matrix": TWO_LEVEL_A})
     assert record["all_pass"]
@@ -740,14 +752,28 @@ def test_closed_form_potentials(potential, z_of_t, h_of_zp):
     assert (k, h_i) == pytest.approx((2 * h.real, h.imag), abs=1e-10)
 
 
-def test_scenario_tol_sets_the_residual_tolerance():
-    config = {**load("diagnose_two_level.json"), "tol": 1e-3}
-    default = cli.run(load("diagnose_two_level.json"))
-    loose = cli.run(config)
-    assert [r["tolerance"] for r in loose["residuals"]] == [0.1]
-    assert [r["tolerance"] for r in default["residuals"]] != [0.1]
-    assert loose["inputs"] == config
-    assert not cli.run({**config, "tol": 1e-30})["all_pass"]
+def test_a_wrong_eta_is_no_hermitian_partner_whatever_the_scenario_says():
+    # with tol 1.0 this passed every gate and wrote h = A, which is not Hermitian
+    config = {**load("hermitize_two_level.json"), "eta": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    assert cli.run(config)["error"]["type"] == "NotPseudoHermitianError"
+    error = cli.run({**config, "tol": 1.0})["error"]
+    assert (error["class"], error["type"]) == ("input", "SchemaError")
+
+
+def test_an_inexact_eigenpair_fails_the_diagnose_gate_or_the_eigensolve(monkeypatch):
+    # the gate and eig_nonhermitian share the bound 1e-8, so the gate alone
+    # decides only when V is too ill-conditioned for the library's own check
+    true_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (np.array([1.0, 5.0]),
+                                                     np.array([[1.0, 1.0], [0.0, 1e-13]])))
+    record = cli.run(load("diagnose_two_level.json"))
+    assert "error" not in record and record["scalars"]["diagonalizable"] is False
+    (gate,) = record["residuals"]
+    assert (gate["name"], gate["pass"], gate["tolerance"]) == ("eigenpair_residual", False, 1e-8)
+    assert gate["value"] == pytest.approx(0.75)
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (lambda w, v: (1.001 * w, v))(*true_eig(m)))
+    error = cli.run(load("diagnose_two_level.json"))["error"]
+    assert (error["class"], error["type"]) == ("domain", "DefectiveOperatorError")
 
 
 @pytest.mark.parametrize("flag", [["--strict"], ["--tol", "1e-3"]])
@@ -865,10 +891,17 @@ def _declared(fn):
                          if not required}}
 
 
+# (command, field) pairs of the frozen schema that are no longer fields
+REMOVED = {("metric", "normalize")}
+
+
 def test_signatures_declare_the_frozen_schema():
     assert set(SCHEMA_TYPE) == set(cli._TYPES)
-    assert {command: _declared(handler) for command, handler in cli._HANDLERS.items()} \
-        == FROZEN_SCHEMA["commands"]
+    frozen = {command: {part: {name: t for name, t in fields.items()
+                               if (command, name) not in REMOVED}
+                        for part, fields in spec.items()}
+              for command, spec in FROZEN_SCHEMA["commands"].items()}
+    assert {command: _declared(handler) for command, handler in cli._HANDLERS.items()} == frozen
     builders = {"model": {kind: build for kind, (build, _) in cli._MODELS.items()},
                 "profile": cli._PROFILES, "init": cli._INITS, "potential": cli._POTENTIALS}
     for name, spec in FROZEN_SCHEMA["objects"].items():
@@ -877,14 +910,17 @@ def test_signatures_declare_the_frozen_schema():
 
 
 def test_common_fields_match_the_frozen_schema():
-    # strict is no scenario field: strict em is a library argument only
-    assert FROZEN_SCHEMA["common"]["optional"].keys() - {"tol"} == {"strict"}
+    # each gate's tolerance is its own constant and strict em is a library
+    # argument only, so no common optional field of the frozen schema is left
+    assert FROZEN_SCHEMA["common"]["optional"].keys() == {"tol", "strict"}
     base = {"command": "geometry", "eta": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
-    _, kwargs = cli.validate_scenario({**base, "tol": 1e-9})
-    assert kwargs["tol"] == 1e-9
-    for bad in ({"tol": "1e-9"}, {"tol": True}, {"strict": True}):
-        with pytest.raises(SchemaError):
+    _, kwargs = cli.validate_scenario(base)
+    assert set(kwargs) == {"eta"}
+    for bad in ({"tol": 1e-9}, {"tol": "1e-9"}, {"strict": True}):
+        with pytest.raises(SchemaError, match=f"unexpected field {next(iter(bad))!r}"):
             cli.validate_scenario({**base, **bad})
+    with pytest.raises(SchemaError, match="unexpected field 'normalize'"):
+        cli.validate_scenario({"command": "metric", "matrix": TWO_LEVEL_A, "normalize": True})
     with pytest.raises(SchemaError):
         cli.validate_scenario({"eta": base["eta"]})
 

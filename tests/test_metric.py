@@ -63,12 +63,6 @@ def test_metric_requires_real_spectrum():
         metric.metric_from_spectrum(bs)
 
 
-def test_metric_normalize_flag():
-    _, bs = two_level_system(4.0)
-    eta = metric.metric_from_spectrum(bs, normalize=True).eta
-    assert abs(np.linalg.eigvalsh(eta).max() - 1.0) < 1e-12
-
-
 def test_metric_inverse_is_psi_sum():
     a, bs = two_level_system(2.5)
     eta = metric.metric_from_spectrum(bs).eta
@@ -418,11 +412,3 @@ def test_metric_inner_product_makes_h_self_adjoint():
     assert eta.inner(x, y) == pytest.approx(complex(np.conj(x) @ eta.eta @ y), rel=1e-14)
     assert eta.inner(x, h @ y) == pytest.approx(eta.inner(h @ x, y), rel=1e-9)
     assert metric.build_system(h, eta).dim == 4
-
-
-def test_pseudo_metric_normalize_scales_the_top_eigenvalue_to_one():
-    _, bs = two_level_system(4.0)
-    pm = metric.pseudo_metric_family(bs, [1, -1], normalize=True)
-    raw = metric.pseudo_metric_family(bs, [1, -1]).eta
-    assert np.abs(np.linalg.eigvalsh(pm.eta)).max() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(pm.eta * np.abs(np.linalg.eigvalsh(raw)).max(), raw, atol=1e-12)

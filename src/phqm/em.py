@@ -2,7 +2,8 @@
 
 The wave operator Omega^2 = -eps^-1 d_z mu^-1 d_z is eps-pseudo-Hermitian,
 which underwrites a WKB closed-form propagator in terms of the optical
-path u(z) = int_0^z sqrt(eps mu); a leapfrog finite-difference solver of
+path u(z) = int sqrt(eps mu), taken from the profile's lower end (only
+differences u(z) -+ t enter); a leapfrog finite-difference solver of
 E_tt + Omega^2 E = 0 serves as the independent oracle.  Units set the
 vacuum speed to 1.
 """
@@ -16,14 +17,14 @@ from .errors import InputError, OutOfDomainError
 
 DIAGNOSTIC_SAMPLES = 400  # points of the slow-variation scan
 TABLE_POINTS = 20001      # nodes of the optical-path and E0_dot antiderivative tables
+PATH_MARGIN = 1.0         # optical path the end nodes reach beyond the farthest foot
 CFL = 0.5                 # leapfrog step over dz * min(sqrt(eps mu)); stable up to 1
 
 
 class MediumProfile(Record):
     """Relative permittivity and permeability as functions of z.
 
-    Outside [z_min, z_max] the profile is extended by its boundary values
-    (strict callers may forbid that; see propagate).
+    Outside [z_min, z_max] the profile is extended by its boundary values.
     """
 
     eps: callable
@@ -117,45 +118,7 @@ def _antiderivative(f, lo: float, hi: float):
     return z, np.concatenate(([0.0], np.cumsum((fz[:-1] + 4.0 * mid + fz[1:]) * dz / 6.0)))
 
 
-class _PathTable:
-    """Dense optical-path table for fast u and u^-1 evaluation.
-
-    Cumulative Simpson on a fine grid; exact for index profiles that are
-    cubic on each panel, and far below the WKB error for smooth ones.
-    """
-
-    def __init__(self, profile: MediumProfile):
-        self.profile = profile
-        z, u = _antiderivative(profile.index, profile.z_min, profile.z_max)
-        # u(0) = 0, with the medium continued to the origin by its boundary value
-        z0 = min(max(0.0, profile.z_min), profile.z_max)
-        offset = float(np.interp(z0, z, u)) - z0 * float(profile.index(z0))
-        self.z = z
-        self.u = u - offset
-        self.u_min = float(self.u[0])
-        self.u_max = float(self.u[-1])
-
-    def forward(self, z):
-        return np.interp(z, self.z, self.u)
-
-    def inverse(self, s, strict: bool):
-        s = np.asarray(s, dtype=float)
-        if strict and (np.any(s < self.u_min) or np.any(s > self.u_max)):
-            raise OutOfDomainError("characteristics leave the profile domain")
-        core = np.interp(np.clip(s, self.u_min, self.u_max), self.u, self.z)
-        below = s < self.u_min
-        above = s > self.u_max
-        if np.any(below):
-            v = float(self.profile.index(self.profile.z_min))
-            core = np.where(below, self.profile.z_min + (s - self.u_min) / v, core)
-        if np.any(above):
-            v = float(self.profile.index(self.profile.z_max))
-            core = np.where(above, self.profile.z_max + (s - self.u_max) / v, core)
-        return core
-
-
-def propagate(profile: MediumProfile, init: InitialFields, z, t: float,
-              strict: bool = False) -> np.ndarray:
+def propagate(profile: MediumProfile, init: InitialFields, z, t: float) -> np.ndarray:
     """WKB closed-form field E(z, t).
 
     Quarter-power impedance factors multiply the two translated initial
@@ -167,10 +130,17 @@ def propagate(profile: MediumProfile, init: InitialFields, z, t: float,
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < profile.z_min) or np.any(z_arr > profile.z_max):
         raise OutOfDomainError("evaluation points outside the profile domain")
-    table = _PathTable(profile)
-    u_z = table.forward(z_arr)
-    w_minus = table.inverse(u_z - t, strict)
-    w_plus = table.inverse(u_z + t, strict)
+    # u on the profile and one node past each end, |t| + PATH_MARGIN out at
+    # the boundary index where u is linear: every foot u(z) -+ t lies inside
+    z_tab, u_tab = _antiderivative(profile.index, profile.z_min, profile.z_max)
+    reach = abs(t) + PATH_MARGIN
+    ends = profile.index(np.array([profile.z_min, profile.z_max]))
+    z_tab = np.concatenate(([profile.z_min - reach / ends[0]], z_tab,
+                            [profile.z_max + reach / ends[1]]))
+    u_tab = np.concatenate(([-reach], u_tab, [u_tab[-1] + reach]))
+    u_z = np.interp(z_arr, z_tab, u_tab)
+    w_minus = np.interp(u_z - t, u_tab, z_tab)
+    w_plus = np.interp(u_z + t, u_tab, z_tab)
     local = (np.asarray(profile.mu_at(z_arr)) / np.asarray(profile.eps_at(z_arr))) ** 0.25
     left = (np.asarray(profile.eps_at(w_minus)) / np.asarray(profile.mu_at(w_minus))) ** 0.25
     right = (np.asarray(profile.eps_at(w_plus)) / np.asarray(profile.mu_at(w_plus))) ** 0.25

@@ -88,7 +88,3 @@ class OutOfDomainError(DomainError):
 
 class NotPseudoHermitianError(ResidualError):
     """Pseudo-Hermiticity residual exceeds tolerance."""
-
-
-class NotPTSymmetricError(ResidualError):
-    """Operator is not invariant under grid reversal times conjugation."""

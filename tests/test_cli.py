@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phqm import cli, models, statespace
+from phqm import cli, em, models, statespace
 from phqm.errors import InputError, SchemaError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -776,6 +776,20 @@ def test_an_inexact_eigenpair_fails_the_diagnose_gate_or_the_eigensolve(monkeypa
     assert (error["class"], error["type"]) == ("domain", "DefectiveOperatorError")
 
 
+@pytest.mark.parametrize("scale, passes", [(1.005, True), (1.02, False)])
+def test_a_wrong_closed_form_fails_the_em_gate(scale, passes, monkeypatch):
+    # closed_form_vs_fdtd is em_sampled_fdtd's one gate: a closed form 0.5 %
+    # off reads fdtd_l2_error 8.5e-3 and passes, one 2 % off reads 2.3e-2
+    true_propagate = em.propagate
+    monkeypatch.setattr(em, "propagate", lambda *args: scale * true_propagate(*args))
+    record = cli.run(load("em_sampled_fdtd.json"))
+    (gate,) = record["residuals"]
+    assert (gate["name"], gate["tolerance"]) == ("closed_form_vs_fdtd", 1e-2)
+    assert gate["pass"] is passes and record["all_pass"] is passes
+    assert record["scalars"]["fdtd_l2_error"] == pytest.approx(8.5e-3 if passes else 2.3e-2,
+                                                               rel=0.05)
+
+
 @pytest.mark.parametrize("flag", [["--strict"], ["--tol", "1e-3"]])
 def test_removed_run_overrides_are_usage_errors(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -910,8 +924,8 @@ def test_signatures_declare_the_frozen_schema():
 
 
 def test_common_fields_match_the_frozen_schema():
-    # each gate's tolerance is its own constant and strict em is a library
-    # argument only, so no common optional field of the frozen schema is left
+    # each gate's tolerance is its own constant and em has no strict mode,
+    # so no common optional field of the frozen schema is left
     assert FROZEN_SCHEMA["common"]["optional"].keys() == {"tol", "strict"}
     base = {"command": "geometry", "eta": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     _, kwargs = cli.validate_scenario(base)

@@ -215,13 +215,14 @@ def _kernel_case(kind_detail: str, zeta: float, length: float | None = None,
 
 
 def _kernel(spec, out):
+    if not np.any(models.potential_on_grid(spec).imag):  # only rounding would be left to fit
+        raise InputError("the potential's imaginary part vanishes on every grid node: zeta must "
+                         "be nonzero and the grid fine enough to resolve the potential")
     result = models.kernel_metric(spec)
     report = result.residual_report
-    if not np.isfinite(report["fitted_order"]):
-        raise InputError(
-            f"residuals {report['residual_zeta']:.3e} at zeta and {report['residual_half_zeta']:.3e} "
-            "at zeta/2 leave the order in zeta undefined: zeta must be nonzero and the grid "
-            "fine enough to resolve the potential")
+    if not np.isfinite(report["fitted_order"]):  # the residuals overflow
+        raise InputError(f"residuals {report['residual_zeta']:.3e} at zeta and "
+                         f"{report['residual_half_zeta']:.3e} at zeta/2 leave the order undefined")
     out.scalars.update(report)
     out.matrices["eta"] = encode_matrix(result.eta_matrix)
     if spec.kind in ("barrier", "delta"):
@@ -371,7 +372,11 @@ def _convert(name: str, value, type_name: str):
     check, convert = _TYPES[type_name]
     if not check(value):
         raise SchemaError(f"field {name!r} must have type {type_name}")
-    return convert(value)
+    value = convert(value)
+    # json reads NaN and Infinity; matrix and vector entries meet as_matrix's check
+    if type_name in ("float", "complex", "list") and not np.isfinite(np.asarray(value, complex)).all():
+        raise SchemaError(f"field {name!r} must be finite")
+    return value
 
 
 def _bind(fn, fields: dict, owner: str) -> dict:

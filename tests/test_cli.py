@@ -621,7 +621,10 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
         ({"command": "model", "model": {"kind": "kernel", "kind_detail": "delta", "zeta": 0.1,
                                         "hbar": 0.0}}, "InputError: mass and hbar must be positive"),
         *(({**load("em_vacuum.json"), "init": {"kind": "gaussian", "width": width}},
-           "InputError: width must be positive") for width in (0.0, -0.5, float("nan"))),
+           "InputError: width must be positive") for width in (0.0, -0.5)),
+        # json reads NaN, and the schema rejects a non-finite scalar
+        ({**load("em_vacuum.json"), "init": {"kind": "gaussian", "width": float("nan")}},
+         "invalid scenario: field 'width' must be finite"),
         ({"command": "model", "model": {"kind": "swanson", "alpha": 0.1, "beta": 0.05,
                                         "n_max": 200}},
          "InputError: n_max sets the truncation, so it needs truncated: true"),
@@ -656,6 +659,41 @@ def test_non_finite_matrix_entries_exit_as_input_errors(tmp_path, capsys):
     path.write_text('{"command": "diagnose", "matrix": [[[NaN, 0]]]}')
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
     assert "error: InputError: matrix has non-finite entries" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({**load("em_sampled_fdtd.json"), "t": NAN}, "t"),
+        ({**load("em_vacuum.json"), "t": INF}, "t"),
+        ({**load("classical_cubic.json"), "dt": NAN}, "dt"),
+        ({**load("classical_cubic.json"), "t_end": NAN}, "t_end"),
+        ({**load("classical_cubic.json"), "z0": [-INF, 0.0]}, "z0"),
+        ({**SAMPLED_EM, "profile": {**SAMPLED, "eps": [1.0, NAN, 1.0]}}, "eps"),
+        ({"command": "model", "model": {"kind": "kernel", "kind_detail": "barrier", "zeta": NAN}},
+         "zeta"),
+        ({"command": "model", "model": {"kind": "swanson", "alpha": NAN, "beta": 0.05}}, "alpha"),
+        ({"command": "model", "model": {"kind": "quartic", "lam": NAN}}, "lam"),
+        ({**load("brachistochrone_antipodal.json"), "E": INF}, "E"),
+    ],
+    ids=["em-t-nan", "em-t-inf", "flow-dt-nan", "flow-t_end-nan", "flow-z0-inf", "profile-eps-nan",
+         "kernel-zeta-nan", "swanson-alpha-nan", "quartic-lam-nan", "brachistochrone-E-inf"],
+)
+def test_non_finite_scalars_exit_as_input_errors(config, field, tmp_path, capsys):
+    # json reads NaN and Infinity: a NaN em time or flow step raised ValueError
+    # out of run, an infinite em time passed with a NaN snapshot, and the model
+    # couplings and E were domain errors
+    path, out = tmp_path / "case.json", tmp_path / "out.json"
+    path.write_text(json.dumps([config, load("two_level.json")]))
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+    failed, after = json.loads(out.read_text())
+    assert failed["error"] == {"class": "input", "type": "SchemaError",
+                               "message": f"field {field!r} must be finite"}
+    assert after["all_pass"] is True
+    assert f"error: invalid scenario: field {field!r} must be finite" in capsys.readouterr().err
 
 
 def test_record_goes_to_stdout_without_out(capsys):
@@ -788,6 +826,24 @@ def test_a_wrong_closed_form_fails_the_em_gate(scale, passes, monkeypatch):
     assert gate["pass"] is passes and record["all_pass"] is passes
     assert record["scalars"]["fdtd_l2_error"] == pytest.approx(8.5e-3 if passes else 2.3e-2,
                                                                rel=0.05)
+
+
+@pytest.mark.parametrize("model", [{"kind_detail": "barrier", "zeta": 0.08},
+                                   {"kind_detail": "delta", "zeta": 0.3}],
+                         ids=["barrier", "delta"])
+@pytest.mark.parametrize("scale, passes", [(1.0, True), (1.1, False), (-1.0, False)],
+                         ids=["true", "x1.1", "negated"])
+def test_a_wrong_kernel_fails_the_order_gate(model, scale, passes, monkeypatch):
+    # residual_order_deviation is the barrier's and the delta's one gate: a
+    # kernel 10 % off fits order 0.95 or 1.05, a negated one 1.00
+    true_kernel = models.kernel_first_order
+    monkeypatch.setattr(models, "kernel_first_order", lambda *args: scale * true_kernel(*args))
+    record = cli.run({"command": "model", "model": {"kind": "kernel", **model}})
+    (gate,) = record["residuals"]
+    assert (gate["name"], gate["tolerance"]) == ("residual_order_deviation", 0.3)
+    assert gate["pass"] is passes and record["all_pass"] is passes
+    order = record["scalars"]["fitted_order"]
+    assert abs(order - 2.0) <= 0.3 if passes else abs(order - 1.0) <= 0.1
 
 
 @pytest.mark.parametrize("flag", [["--strict"], ["--tol", "1e-3"]])

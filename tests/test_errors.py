@@ -112,7 +112,8 @@ def test_mutated_scenarios_exit_with_a_class(tmp_path_factory, name, data):
     path = data.draw(st.sampled_from(list(_paths(payload))))
     *head, last = path
     parent = functools.reduce(operator.getitem, head, payload)
-    choices = ["drop"] + ([0, -1, -0.5] if _is_number(parent[last]) else [])
+    numbers = [0, -1, -0.5, float("nan"), float("inf"), -float("inf")]
+    choices = ["drop"] + (numbers if _is_number(parent[last]) else [])
     change = data.draw(st.sampled_from(choices))
     mutated = copy.deepcopy(payload)
     target = functools.reduce(operator.getitem, head, mutated)

@@ -610,6 +610,58 @@ def test_kernel_half_coupling_residual_is_the_rebuilt_one(kind):
     assert out.residual_report["residual_half_zeta"] == r_half
 
 
+def dense_hamiltonian(spec):
+    """Oracle: the central-difference H = -hbar^2/(2m) d^2/dx^2 + v(x) as a
+    dense matrix, with Dirichlet walls at the grid's ends."""
+    n, dx = spec.n, spec.dx
+    d2 = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / dx**2
+    H = -(spec.hbar**2 / (2.0 * spec.mass)) * d2 + np.diag(models.potential_on_grid(spec))
+    return H.astype(complex)
+
+
+def dense_weak_residual(eta, spec):
+    """Oracle: the weak residual from the whole commutator eta H - H^dag eta."""
+    H = dense_hamiltonian(spec)
+    tests = models._packet_family(spec)
+    num = np.max(np.abs(dagger(tests) @ (eta @ H - dagger(H) @ eta) @ tests))
+    return num / np.max(np.abs(dagger(tests) @ H @ tests))
+
+
+KERNEL_CASES = [("barrier", 0.08), ("barrier", 0.15), ("delta", 0.3), ("delta", 0.45),
+                ("square_well", 0.1)]
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+@pytest.mark.parametrize("kind, zeta", KERNEL_CASES)
+def test_the_stencil_is_the_dense_hamiltonian(kind, zeta, n):
+    spec = models.KernelPotentialSpec(kind, zeta, n=n)
+    H = dense_hamiltonian(spec)
+    assert np.array_equal(models.apply_hamiltonian(spec, np.eye(n)), H)
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    np.testing.assert_allclose(models.apply_hamiltonian(spec, psi), H @ psi,
+                               atol=1e-12 * np.abs(H).max())
+
+
+@pytest.mark.filterwarnings("ignore:first-order kernel correction")
+@pytest.mark.parametrize("n", [200, 400, 800])
+@pytest.mark.parametrize("kind, zeta", KERNEL_CASES)
+def test_packet_residuals_match_the_dense_commutator(kind, zeta, n):
+    spec = models.KernelPotentialSpec(kind, zeta, n=n)
+    out = models.kernel_metric(spec)
+    report = out.residual_report
+    half = spec.replace(zeta=zeta / 2.0)
+    eta_half = np.eye(n) + half.dx * models.kernel_first_order(half, out.x)
+    assert report["residual_zeta"] == pytest.approx(dense_weak_residual(out.eta_matrix, spec),
+                                                    rel=1e-9)
+    assert report["residual_half_zeta"] == pytest.approx(dense_weak_residual(eta_half, half),
+                                                         rel=1e-9)
+    if n == 200:
+        # the SVD norm of dx k, which the Hermitian eigenvalues give
+        assert report["first_order_kernel_scale"] == pytest.approx(
+            opnorm(out.eta_matrix - np.eye(n)), rel=1e-12)
+
+
 @pytest.mark.parametrize("kind,zeta", [("barrier", 0.1), ("delta", 0.2)])
 def test_kernel_residual_order(kind, zeta):
     import warnings

@@ -41,11 +41,6 @@ class BiorthonormalSystem(Record):
     def real_indices(self) -> np.ndarray:
         return np.flatnonzero(self.partner == np.arange(self.dim))
 
-    def pair_indices(self) -> list[tuple[int, int]]:
-        """Conjugate pairs (nu, -nu), each listed once with Im a_nu > 0."""
-        return [(int(n), int(p)) for n, p in enumerate(self.partner)
-                if p >= 0 and p != n and self.values[n].imag > 0]
-
     def unpaired_indices(self) -> np.ndarray:
         return np.flatnonzero(self.partner == -1)
 
@@ -117,22 +112,10 @@ def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
     return _system(eig.values, psis, eig.inverse if psis is eig.right_vectors else None)
 
 
-def from_right_vectors(values, psis) -> BiorthonormalSystem:
-    """Build a system from explicitly normalized right eigenvectors.
-
-    For callers that fix the normalization constants c_n themselves
-    instead of relying on the default phase convention.
-    """
-    return _system(values, psis, None)
-
-
-def _system(values, psis, inverse) -> BiorthonormalSystem:
+def _system(values, psis, inverse=None) -> BiorthonormalSystem:
+    """The system of the right eigenvectors ``psis``, normalized as given;
+    phi = (Psi^-1)^dagger from ``inverse`` when it holds Psi^-1."""
     values = np.asarray(values, dtype=complex)
     psis = np.asarray(psis, dtype=complex)
     phis = dagger(np.linalg.inv(psis) if inverse is None else inverse)
     return BiorthonormalSystem(values, psis, phis, _match_conjugate_pairs(values))
-
-
-def spectral_assembly(bs: BiorthonormalSystem) -> np.ndarray:
-    """Reassemble A = sum_n a_n |psi_n><phi_n| from the system."""
-    return (bs.psis * bs.values[None, :]) @ dagger(bs.phis)

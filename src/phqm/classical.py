@@ -2,8 +2,7 @@
 
 Flows of m dz/dt = p, dp/dt = -V'(z), generalized Poisson brackets on
 R^4 = C^2, the Darboux chart for the a=b=c=d=0 structure, the equivalent
-real Hamiltonian K = 2 Re(h) with its integral of motion H_i = Im(h), and
-the H_i-generated symmetry flow.
+real Hamiltonian K = 2 Re(h) and its integral of motion H_i = Im(h).
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from .errors import DegenerateStructureError, InputError, StepOverflowError
 
 OVERFLOW_GUARD = 1e12
 CR_TOL = 1e-4          # Cauchy-Riemann residual / |V| that real_hamiltonians accepts
-FD_STEP = 1e-5         # central-difference step of brackets, Cauchy-Riemann and Jacobian checks
-GRADIENT_STEP = 1e-6   # central-difference step of symmetry_flow
+FD_STEP = 1e-5         # central-difference step of brackets and Cauchy-Riemann checks
 
 J_STANDARD = np.array(
     [
@@ -68,9 +66,6 @@ class DarbouxPoint(Record):
             (self.x1 + 1j * self.p2) / np.sqrt(2.0),
             (self.p1 + 1j * self.x2) / np.sqrt(2.0),
         )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.p1, self.x2, self.p2])
 
 
 def to_darboux(pt: ComplexPhasePoint) -> DarbouxPoint:
@@ -196,41 +191,3 @@ def real_hamiltonians(potential, pt: DarbouxPoint, m: float) -> dict:
         )
     h_val = cpt.p**2 / (2.0 * m) + potential(cpt.z)
     return {"K": 2.0 * h_val.real, "H_i": h_val.imag}
-
-
-def integrability_report(potential, points, m: float) -> dict:
-    """Report (not assert) functional independence of K and H_i.
-
-    The Jacobian of (K, H_i) is sampled at the given Darboux points; rank
-    2 everywhere is the generic integrable situation, degenerate
-    potentials may lose it.
-    """
-
-    def k_plus_i_hi(w):
-        vals = real_hamiltonians(potential, DarbouxPoint(*w), m)
-        return complex(vals["K"], vals["H_i"])
-
-    ranks = []
-    for pt in points:
-        grad = _gradient(k_plus_i_hi, pt.as_array() if isinstance(pt, DarbouxPoint) else pt)
-        ranks.append(int(np.linalg.matrix_rank(np.array([grad.real, grad.imag]), tol=1e-8)))
-    return {"ranks": ranks, "independent_everywhere": all(r == 2 for r in ranks)}
-
-
-def symmetry_flow(potential, pt: DarbouxPoint, xi: float, m: float) -> DarbouxPoint:
-    """One explicit-Euler step of the H_i-generated flow.
-
-    delta x1 = xi x2 / 2m, delta p2 = -xi p1 / 2m, and the V_r-gradient
-    terms for x2, p1; K and H_i are invariant to O(xi^2).
-    """
-
-    def vr_tilde(w):
-        return potential((w[0] + 1j * w[1]) / np.sqrt(2.0)).real
-
-    dvr_dx1, dvr_dp2 = _gradient(vr_tilde, (pt.x1, pt.p2), GRADIENT_STEP).real
-    return DarbouxPoint(
-        pt.x1 + xi * pt.x2 / (2.0 * m),
-        pt.p1 + xi * dvr_dp2,
-        pt.x2 + xi * dvr_dx1,
-        pt.p2 - xi * pt.p1 / (2.0 * m),
-    )

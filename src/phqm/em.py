@@ -43,11 +43,12 @@ class MediumProfile(Record):
         return np.sqrt(self.eps_at(z) * self.mu_at(z))
 
     def slow_variation_diagnostic(self, scale: float) -> float:
-        """max |eps'| * scale / eps over the domain (finite differences)."""
+        """The larger of max |eps'| * scale / eps and max |mu'| * scale / mu
+        over the domain (finite differences)."""
         z = np.linspace(self.z_min, self.z_max, DIAGNOSTIC_SAMPLES)
         h = (self.z_max - self.z_min) / (4 * DIAGNOSTIC_SAMPLES)
-        deriv = (self.eps_at(z + h) - self.eps_at(z - h)) / (2 * h)
-        return float(np.max(np.abs(deriv) * scale / self.eps_at(z)))
+        return float(max(np.max(np.abs((f(z + h) - f(z - h)) / (2 * h)) * scale / f(z))
+                         for f in (self.eps_at, self.mu_at)))
 
 
 Z_MIN, Z_MAX = -10.0, 10.0  # domain of the analytic profiles
@@ -175,12 +176,6 @@ def _omega2_bands(profile: MediumProfile, z: np.ndarray):
     main[:-1] += coupling
     main[1:] += coupling
     return -coupling * inv_eps[1:], main * inv_eps, -coupling * inv_eps[:-1]
-
-
-def wave_operator(profile: MediumProfile, z: np.ndarray) -> np.ndarray:
-    """Dense matrix of the discretized Omega^2 (clamped boundaries)."""
-    lower, main, upper = _omega2_bands(profile, z)
-    return np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
 class FdtdResult(Record):

@@ -1,11 +1,10 @@
-"""Metric operators, symmetry generators, and Hermitian representations.
+"""Metric operators, the grading operator, and Hermitian representations.
 
 Spectral constructions from a biorthonormal system:
 
     eta_+      = sum_n |phi_n><phi_n|                 (positive metric)
     eta_sigma  = sum_n sigma_n |phi_n><phi_n| + conjugate-pair terms
     C_sigma    = sum_n sigma_n |psi_n><phi_n|
-    S zeta     = M zeta*,  M = sum_n psi_n phi_n^T    (antilinear symmetry)
 
 and the similarity bundle (H, eta_+, rho = sqrt(eta_+), h = rho H rho^-1).
 """
@@ -40,15 +39,6 @@ class MetricOperator(Record):
     def __post_init__(self):
         object.__setattr__(self, "eta", as_matrix(self.eta))
 
-    @property
-    def dim(self) -> int:
-        return self.eta.shape[0]
-
-    def inner(self, x, y) -> complex:
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        return complex(np.conj(x) @ (self.eta @ y))
-
 
 def metric_matrix(eta, dim: int | None = None) -> np.ndarray:
     """The matrix of a metric argument: the identity of size ``dim`` for
@@ -82,15 +72,6 @@ def positive_metric(eta, dim: int | None = None):
     return eta_m, evals, vecs, slack
 
 
-class AntilinearSymmetry(Record):
-    """Antilinear involution acting as S zeta = M conj(zeta)."""
-
-    M: np.ndarray
-
-    def __call__(self, zeta) -> np.ndarray:
-        return self.M @ np.conj(np.asarray(zeta, dtype=complex))
-
-
 class QuasiHermitianSystem(Record):
     """Bundle (H, eta_+, rho, h) realizing the Hermitian representation."""
 
@@ -99,10 +80,6 @@ class QuasiHermitianSystem(Record):
     rho: np.ndarray
     rho_inv: np.ndarray
     h: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
 
 
 def _check_sigma(sigma, n_real: int) -> np.ndarray:
@@ -151,25 +128,6 @@ def charge_operator(bs: BiorthonormalSystem, sigma) -> np.ndarray:
         raise ComplexSpectrumError("charge operator requires a real spectrum")
     sigma = _check_sigma(sigma, bs.dim)
     return (bs.psis * sigma[None, :]) @ dagger(bs.phis)
-
-
-def antilinear_symmetry(bs: BiorthonormalSystem, phases=None) -> AntilinearSymmetry:
-    """Antilinear generator S with S zeta = M conj(zeta), M = sum psi_n phi_n^T.
-
-    M depends on the eigenvector phases; ``phases`` (radians, one per
-    eigenvalue) rotates psi_n -> e^{i theta_n} psi_n with the compensating
-    phi rotation, exposing that freedom explicitly.
-    """
-    if not bs.all_real:
-        raise ComplexSpectrumError("exact antilinear symmetry requires a real spectrum")
-    psis, phis = bs.psis, bs.phis
-    if phases is not None:
-        rot = np.exp(1j * np.asarray(phases, dtype=float))
-        if len(rot) != bs.dim:
-            raise InputError("need one phase per eigenvalue")
-        psis = psis * rot[None, :]
-        phis = phis * rot[None, :]
-    return AntilinearSymmetry(psis @ phis.T)
 
 
 def pseudo_hermiticity_residual(h, eta) -> float:
@@ -227,10 +185,3 @@ def observable_map(o, sys: QuasiHermitianSystem) -> np.ndarray:
     if not is_hermitian(o):
         raise NotHermitianError("observable source must be Hermitian")
     return sys.rho_inv @ o @ sys.rho
-
-
-def pseudo_adjoint(l_op, eta) -> np.ndarray:
-    """eta-pseudo-adjoint L^# = eta^-1 L^dagger eta."""
-    L = as_matrix(l_op)
-    eta_m = metric_matrix(eta, len(L))
-    return _inverse(eta_m) @ dagger(L) @ eta_m

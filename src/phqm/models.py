@@ -35,8 +35,6 @@ from .linalg import dagger, opnorm
 from .metric import MetricOperator
 from .perturbation import ladder_operators
 
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -63,8 +61,6 @@ class TwoLevelModel(Record):
     h: np.ndarray
     C: np.ndarray
     S: np.ndarray
-    observables: tuple
-    theta: float
 
 
 def two_level(params: TwoLevelParams) -> TwoLevelModel:
@@ -88,38 +84,10 @@ def two_level(params: TwoLevelParams) -> TwoLevelModel:
     eta_general = params.r * np.array(
         [[ch + params.s, sh], [sh, ch - params.s]], dtype=complex
     )
-    h = np.sqrt(D) * SIGMA_3.copy()
+    h = np.sqrt(D) * SIGMA_3
     C = np.array([[ch, sh], [-sh, -ch]], dtype=complex)
     S = np.eye(2, dtype=complex)
-
-    # S_j = rho^-1 sigma_j rho with rho = e^{(theta/2) sigma_1}; sigma_2
-    # and sigma_3 anticommute with sigma_1, pulling in a full rho^2
-    s1 = SIGMA_1.copy()
-    s2 = ch * SIGMA_2 - 1j * sh * SIGMA_3
-    s3 = 1j * sh * SIGMA_2 + ch * SIGMA_3
-    return TwoLevelModel(A, eta_plus, eta_general, h, C, S, (s1, s2, s3), theta)
-
-
-def two_level_intertwiner(params: TwoLevelParams, phi1: float = 0.0, phi2: float = 0.0):
-    """Operator L with eta_general = L^dagger eta_plus L.
-
-    L = lambda_- C + lambda_+ I where lambda_+- are built from the
-    (r1, r2, phi1, phi2) parametrization of the metric family.
-    """
-    D = float(params.D)
-    theta = 0.5 * np.log(D)
-    r1 = (1.0 + params.s) * params.r * np.sqrt(D) / 4.0
-    r2 = (1.0 - params.s) * params.r * np.sqrt(D) / 4.0
-    lam_p = D ** (-0.25) * (np.sqrt(r1) * np.exp(1j * phi1) + np.sqrt(r2) * np.exp(1j * phi2))
-    lam_m = D ** (-0.25) * (np.sqrt(r1) * np.exp(1j * phi1) - np.sqrt(r2) * np.exp(1j * phi2))
-    ch, sh = np.cosh(theta), np.sinh(theta)
-    return np.array(
-        [
-            [lam_m * ch + lam_p, lam_m * sh],
-            [-lam_m * sh, -lam_m * ch + lam_p],
-        ],
-        dtype=complex,
-    )
+    return TwoLevelModel(A, eta_plus, eta_general, h, C, S)
 
 
 # ----------------------------------------------------------------------
@@ -358,12 +326,6 @@ class QuarticPair(Record):
     spectrum_H: np.ndarray
     spectrum_h: np.ndarray
     tail: float
-
-
-def quartic_exponent(params: QuarticParams, k):
-    """g(K) = K^3/(96 lam) - (1 + omega^2/(8 lam)) K, integration const 0."""
-    k = np.asarray(k, dtype=float)
-    return k**3 / (96.0 * params.lam) - (1.0 + params.omega**2 / (8.0 * params.lam)) * k
 
 
 def _s_grid(params: QuarticParams) -> np.ndarray:
@@ -685,13 +647,10 @@ def klein_gordon_residual(spec: KernelPotentialSpec) -> float:
     """
     x = spec.points()
     dx = spec.dx
-    eta = kernel_first_order(spec, x)  # smooth part only; delta part drops out
-    d2x = (np.roll(eta, -1, axis=0) - 2 * eta + np.roll(eta, 1, axis=0)) / dx**2
-    d2y = (np.roll(eta, -1, axis=1) - 2 * eta + np.roll(eta, 1, axis=1)) / dx**2
-
-    v = potential_on_grid(spec)
-    mu2 = (2.0 * spec.mass / spec.hbar**2) * (np.conj(v)[:, None] - v[None, :])
-    residual = -d2x + d2y + mu2 * eta
+    k = kernel_first_order(spec, x)  # smooth part only; delta part drops out
+    # (H_x^* - H_y) k scaled by 2m/hbar^2 is -d_x^2 k + d_y^2 k + mu^2 k
+    residual = (2.0 * spec.mass / spec.hbar**2) * (
+        np.conj(apply_hamiltonian(spec, np.conj(k))) - apply_hamiltonian(spec, k.T).T)
 
     xx = x[:, None]
     yy = x[None, :]
@@ -703,7 +662,7 @@ def klein_gordon_residual(spec: KernelPotentialSpec) -> float:
         mask &= (np.abs(np.abs(xx) - L / 2) > band) & (np.abs(np.abs(yy) - L / 2) > band)
     else:
         mask &= (np.abs(xx) > band) & (np.abs(yy) > band)
-    # one interior ring to keep the periodic-roll wrap rows out
+    # one interior ring to keep the wall rows out
     mask[:2, :] = mask[-2:, :] = False
     mask[:, :2] = mask[:, -2:] = False
     return float(np.max(np.abs(residual[mask])))

@@ -52,13 +52,6 @@ class QSeries(Record):
 
     terms: dict
 
-    def q(self, j: int) -> np.ndarray:
-        return self.terms[j]
-
-    @property
-    def order(self) -> int:
-        return max(self.terms)
-
     def exponent(self, epsilon: float) -> np.ndarray:
         """Q(eps) = sum_j eps^j Q_j."""
         dim = self.terms[1].shape[0]
@@ -156,16 +149,6 @@ def metric_from_q(qs: QSeries, epsilon: float) -> MetricOperator:
 def metric_residual(prob: PerturbationProblem, qs: QSeries, epsilon: float) -> float:
     """|e^-Q H e^Q - H^dagger| / |H| at the given epsilon."""
     return pseudo_hermiticity_residual(prob.H0 + epsilon * prob.H1, metric_from_q(qs, epsilon))
-
-
-def oscillator_basis(n_max: int, mass: float = 1.0, hbar: float = 1.0, omega: float = 1.0):
-    """Position and momentum matrices in the n_max-dim oscillator basis."""
-    if n_max < 2:
-        raise InputError("n_max must be at least 2")
-    lower, raise_ = ladder_operators(n_max)
-    x = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
-    p = 1j * np.sqrt(mass * hbar * omega / 2.0) * (raise_ - lower)
-    return x, p
 
 
 def ladder_operators(n_max: int):

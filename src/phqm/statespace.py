@@ -1,8 +1,9 @@
 """Projective state-space geometry and time-optimal evolutions.
 
-Covers rank-1 projectors, the (eta-deformed) Fubini-Study metric, geodesic
-distances, the optimal-speed Hamiltonian with its minimal travel time
-tau_min = hbar * s / E, and a spectral propagator.
+Covers the two-level line element of an eta-deformed Fubini-Study metric,
+the optimal-speed Hamiltonian with its minimal travel time
+tau_min = hbar * s / E, a spectral propagator, fidelities and the energy
+uncertainty.
 """
 
 from __future__ import annotations
@@ -45,30 +46,6 @@ def _hamiltonian(h_op, v) -> np.ndarray:
     return H
 
 
-def projector(psi, eta=None) -> np.ndarray:
-    """Rank-1 projector Lambda = |psi><psi| eta / <psi|eta psi> onto the ray
-    of psi (eta = I when omitted)."""
-    v, eta_m = _states(eta, psi=psi)
-    v = v / binade(v)
-    w = eta_m @ v
-    norm = complex(np.conj(v) @ w)
-    return np.outer(v, np.conj(w)) / norm
-
-
-def fs_metric(psi, eta=None) -> np.ndarray:
-    """Fubini-Study metric g[a, b] with ds^2 = sum g[a,b] dz_a conj(dz_b).
-
-    With eta supplied this is the physical-inner-product deformation; it
-    reduces to the standard Fubini-Study metric at eta = I.
-    """
-    v, eta_m = _states(eta, psi=psi)
-    w = eta_m @ v                     # (eta z)_b
-    wc = np.conj(v) @ eta_m           # sum_c eta_cb z*_c, row vector
-    norm = complex(wc @ v)
-    g = (norm * eta_m.T - np.outer(wc, w)) / norm**2
-    return g
-
-
 class TwoLevelLineElement(Record):
     """Coefficients of the two-level eta-deformed line element.
 
@@ -88,11 +65,6 @@ class TwoLevelLineElement(Record):
         denom = 1.0 + self.k2 * np.cos(theta) + self.k3 * np.cos(phi - self.beta) * np.sin(theta)
         return self.k1 / denom**2
 
-    def ds2(self, theta, phi, dtheta, dphi):
-        return self.conformal_factor(theta, phi) * (
-            np.asarray(dtheta) ** 2 + np.sin(theta) ** 2 * np.asarray(dphi) ** 2
-        )
-
 
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
@@ -109,13 +81,6 @@ def two_level_geometry(eta) -> TwoLevelLineElement:
     k3 = 2.0 * np.hypot(b1, b2) / trace
     beta = float(np.arctan2(b2, b1))
     return TwoLevelLineElement(k1, k2, k3, beta)
-
-
-def geodesic_distance(psi_i, psi_f, eta=None) -> float:
-    """Geodesic distance s in [0, pi/2] on the (eta-deformed) state space."""
-    p, ni, nf = _overlaps(*_states(eta, psi_i=psi_i, psi_f=psi_f))
-    cos_s = np.clip(abs(p) / np.sqrt(ni * nf), 0.0, 1.0)
-    return float(np.arccos(cos_s))
 
 
 class BrachistochroneProblem(Record):
@@ -169,35 +134,6 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     h_star = 1j * prob.energy * (outer_fi - outer_if) / np.sin(s)
     tau_min = prob.hbar * s / prob.energy
     return OptimalEvolution(h_star, tau_min, s)
-
-
-def three_stage_switching_demo(psi_i, psi_f, energy: float, k1: float,
-                               hbar: float = 1.0) -> dict:
-    """Demonstrate the apparent sub-bound travel time of metric switching.
-
-    Stage 2 evolves between two nearly antipodal intermediate states with
-    an eta-deformed optimal Hamiltonian whose k1 makes the deformed
-    distance, and hence the stage time, arbitrarily small.  The report
-    flags that the scheme requires switching the physical inner product
-    midway, which is what invalidates it as a unitary evolution; no
-    unitarity claim is made.  A 2x2 metric has k1 = det/trace^2 in (0, 1/4].
-    """
-    if not 0 < k1 <= 0.25:
-        raise InputError(f"k1 must lie in (0, 1/4], got {k1}")
-    s_flat = geodesic_distance(psi_i, psi_f)
-    tau_flat = hbar * s_flat / energy
-    trace_target = 1.0 / np.sqrt(k1)
-    a = 0.5 * (trace_target + np.sqrt(trace_target**2 - 4.0))
-    eta = np.diag([a, 1.0 / a]).astype(complex)
-    inter = optimal_hamiltonian(
-        BrachistochroneProblem(psi_i, psi_f, energy, hbar, eta)
-    )
-    return {
-        "tau_min_hermitian": tau_flat,
-        "stage_time_deformed": inter.tau_min,
-        "violates_hermitian_bound": bool(inter.tau_min < tau_flat),
-        "requires_metric_switching": True,
-    }
 
 
 def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:

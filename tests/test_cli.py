@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phqm import cli, em, models, statespace
+from phqm import cli, em, metric, models, statespace
 from phqm.errors import InputError, SchemaError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -846,6 +846,60 @@ def test_a_wrong_kernel_fails_the_order_gate(model, scale, passes, monkeypatch):
     assert abs(order - 2.0) <= 0.3 if passes else abs(order - 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("steep", ["eps", "mu"])
+def test_a_steep_medium_fails_the_em_gate_and_its_diagnostic_reads_it(steep):
+    # a steep eps read 4.39, skipped the gate and wrote all_pass true at
+    # fdtd_l2_error 0.40; a steep mu read 0.0, as only eps' / eps was read
+    z = np.linspace(-10.0, 10.0, 401)
+    profile = {"z": z.tolist(), "eps": [1.0] * 401, "mu": [1.0] * 401}
+    profile[steep] = (1.0 + 0.8 * np.tanh((z + 1.5) / 0.1)).tolist()
+    record = cli.run({"command": "em", "profile": profile, "t": 2.0, "fdtd_check": True,
+                      "init": {"kind": "gaussian", "center": -3.0, "width": 0.45}})
+    (gate,) = record["residuals"]
+    assert gate["name"] == "closed_form_vs_fdtd" and gate["value"] > 0.3
+    assert gate["pass"] is False and record["all_pass"] is False
+    assert record["scalars"]["slow_variation_diagnostic"] >= 1.0
+
+
+def _anti_hermitian(h, size):
+    return h + size * np.abs(h).max() * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+# gate -> (scenario, module, function, defect of its result, the gate's value with it)
+GATE_DEFECTS = {
+    "isospectrality": ("hermitize_two_level.json", metric, "build_system",
+                       lambda sys_: sys_.replace(h=sys_.h * (1 + 1e-6)), 1e-6),
+    "h_hermiticity": ("hermitize_two_level.json", metric, "build_system",
+                      lambda sys_: sys_.replace(h=_anti_hermitian(sys_.h, 1e-8)), 2e-8),
+    "charge_squares_to_identity": ("two_level.json", models, "two_level",
+                                   lambda m: m.replace(C=m.C * (1 + 1e-9)), 2e-9),
+    "pseudo_hermiticity": ("two_level.json", models, "two_level",
+                           lambda m: m.replace(eta_plus=m.eta_plus + 1e-9 * (1 - np.eye(2))),
+                           2.5e-9),
+    "matrix_identity_residual": ("swanson.json", models, "swanson_w",
+                                 lambda w: w * (1 + 1e-9), 2e-10),
+    "low_spectrum_match": ("swanson.json", models, "swanson_truncated",
+                           lambda sw: sw.replace(h=sw.h * (1 + 1e-5)), 1e-5),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_DEFECTS))
+@pytest.mark.parametrize("defect", [False, True], ids=["true", "defect"])
+def test_a_defect_fails_its_gate_and_no_other(gate, defect, monkeypatch):
+    name, module, function, change, value = GATE_DEFECTS[gate]
+    if defect:
+        true_function = getattr(module, function)
+        monkeypatch.setattr(module, function,
+                            lambda *args, **kwargs: change(true_function(*args, **kwargs)))
+    record = cli.run(load(name))
+    verdicts = {e["name"]: e["pass"] for e in record["residuals"]}
+    assert len(verdicts) == 2 and verdicts.pop(gate) is not defect
+    assert all(verdicts.values()) and record["all_pass"] is not defect
+    if defect:
+        (entry,) = (e for e in record["residuals"] if e["name"] == gate)
+        assert entry["value"] == pytest.approx(value, rel=0.1)
+
+
 @pytest.mark.parametrize("flag", [["--strict"], ["--tol", "1e-3"]])
 def test_removed_run_overrides_are_usage_errors(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1079,6 +1133,17 @@ def test_zero_coupling_kernel_exits_as_input_error_with_valid_json(tmp_path, cap
     record = json.loads(out.read_text(), parse_constant=_no_constant)
     assert record["error"]["class"] == "input"
     assert "zeta must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind_detail", ["barrier", "delta", "square_well"])
+def test_an_overflowing_kernel_residual_exits_as_input_error(kind_detail, tmp_path, capsys):
+    # at zeta = 1e300 the residuals are not finite on every kind
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"command": "model", "model": {
+        "kind": "kernel", "kind_detail": kind_detail, "zeta": 1e300}}))
+    code = cli.main(["--scenario", str(path), "--out", str(tmp_path / "out.json")])
+    assert code == cli.EXIT_INPUT
+    assert "leave the order undefined" in capsys.readouterr().err
 
 
 def _stated_defaults(kind):

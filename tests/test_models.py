@@ -16,6 +16,8 @@ from phqm.errors import (
 from phqm.linalg import dagger, opnorm
 from phqm.perturbation import ladder_operators
 
+from oracles import SIGMA_1, SIGMA_2, two_level_intertwiner, two_level_observables
+
 RNG = np.random.default_rng(112358)
 
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -26,10 +28,13 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 # ----------------------------------------------------------------------
 
 def test_two_level_hermitian_at_unity():
-    m = models.two_level(models.TwoLevelParams(1.0))
+    params = models.TwoLevelParams(1.0)
+    m = models.two_level(params)
     assert opnorm(m.A - dagger(m.A)) < 1e-14
     np.testing.assert_allclose(m.eta_plus, np.eye(2), atol=1e-14)
-    assert m.theta == 0.0
+    # theta = ln(D)/2 = 0: the observables are the Pauli matrices
+    for s, sigma in zip(two_level_observables(params), (SIGMA_1, SIGMA_2, models.SIGMA_3)):
+        np.testing.assert_array_equal(s, sigma)
 
 
 def test_two_level_closed_forms_d4():
@@ -56,7 +61,7 @@ def test_two_level_intertwiner_relation():
     for r, s in [(1.0, 0.0), (0.7, 0.3), (2.0, -0.6)]:
         params = models.TwoLevelParams(4.0, r=r, s=s)
         m = models.two_level(params)
-        l_op = models.two_level_intertwiner(params)
+        l_op = two_level_intertwiner(params)
         np.testing.assert_allclose(
             dagger(l_op) @ m.eta_plus @ l_op, m.eta_general, atol=1e-12
         )
@@ -74,8 +79,9 @@ def test_two_level_rejects_bad_d():
 
 
 def test_two_level_observables():
-    m = models.two_level(models.TwoLevelParams(4.0))
-    s1, s2, s3 = m.observables
+    params = models.TwoLevelParams(4.0)
+    m = models.two_level(params)
+    s1, s2, s3 = two_level_observables(params)
     eta = m.eta_plus
     for s in (s1, s2, s3):
         assert metric.pseudo_hermiticity_residual(s, eta) < 1e-12
@@ -532,14 +538,6 @@ def test_quartic_translation_identity():
     assert np.max(err[interior]) < 1e-9
 
 
-def test_quartic_exponent_matches_metric_form():
-    params = models.QuarticParams(1.0 / 16.0, 1.0)
-    k = np.linspace(-3, 3, 11)
-    g = models.quartic_exponent(params, k)
-    expected = k**3 / 6.0 - 3.0 * k  # 96 lam = 6, 1 + w^2/(8 lam) = 3
-    np.testing.assert_allclose(g, expected, atol=1e-12)
-
-
 # ----------------------------------------------------------------------
 # kernel metrics
 # ----------------------------------------------------------------------
@@ -689,6 +687,37 @@ def test_klein_gordon_residual_scaling():
     # the delta kernel solves the off-axis equation exactly
     rd = models.klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
     assert rd <= 10.0 * 0.1**2
+
+
+def direct_klein_gordon_residual(spec):
+    """Oracle: max |(-d_x^2 + d_y^2 + mu^2) k| with the differences taken by
+    np.roll, over klein_gordon_residual's mask."""
+    x, dx = spec.points(), spec.dx
+    k = models.kernel_first_order(spec, x)
+    d2x = (np.roll(k, -1, axis=0) - 2 * k + np.roll(k, 1, axis=0)) / dx**2
+    d2y = (np.roll(k, -1, axis=1) - 2 * k + np.roll(k, 1, axis=1)) / dx**2
+    v = models.potential_on_grid(spec)
+    mu2 = (2.0 * spec.mass / spec.hbar**2) * (np.conj(v)[:, None] - v[None, :])
+    xx, yy, band = x[:, None], x[None, :], models.KG_EXCLUSION * dx
+    mask = (np.abs(xx - yy) > band) & (np.abs(xx + yy) > band)
+    if spec.kind == "delta":
+        mask &= (np.abs(xx) > band) & (np.abs(yy) > band)
+    else:
+        mask &= np.abs(np.abs(xx + yy) - spec.length) > band
+        mask &= (np.abs(np.abs(xx) - spec.length / 2) > band)
+        mask &= (np.abs(np.abs(yy) - spec.length / 2) > band)
+    mask[:2, :] = mask[-2:, :] = mask[:, :2] = mask[:, -2:] = False
+    return float(np.max(np.abs((-d2x + d2y + mu2 * k)[mask])))
+
+
+@pytest.mark.parametrize("kind, zeta, box", [
+    ("barrier", 0.1, (-2.0, 2.0)), ("barrier", 0.05, (-2.0, 2.0)), ("delta", 0.1, (-2.0, 2.0)),
+    ("square_well", 0.1, (None, None)), ("square_well", 0.2, (-1.0, 1.0))])
+def test_klein_gordon_residual_is_the_direct_stencil(kind, zeta, box):
+    # the residual applies the one H, conjugated in x and transposed in y
+    spec = models.KernelPotentialSpec(kind, zeta, x_min=box[0], x_max=box[1])
+    assert models.klein_gordon_residual(spec) == pytest.approx(
+        direct_klein_gordon_residual(spec), rel=1e-12, abs=1e-15)
 
 
 def test_kernel_metric_positive_definite_at_small_zeta():

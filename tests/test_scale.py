@@ -14,6 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import fs_metric, geodesic_distance, projector  # noqa: E402
+
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SCENARIOS = ["brachistochrone_antipodal.json", "brachistochrone_deformed.json"]
 # fixed seeds, so a failure reproduces
@@ -121,10 +123,10 @@ H = np.array([[1.0, 2.0j], [0.5, -1.0]])
 def degree_zero_in_eta(eta) -> tuple:
     """The state-space quantities that a positive factor on eta leaves alone."""
     geo = statespace.two_level_geometry(eta)
-    return (statespace.geodesic_distance(PSI, TARGET, eta),
+    return (geodesic_distance(PSI, TARGET, eta),
             statespace.projective_fidelity(PSI, TARGET, eta),
-            statespace.projector(PSI, eta).tolist(),
-            statespace.fs_metric(PSI, eta).tolist(),
+            projector(PSI, eta).tolist(),
+            fs_metric(PSI, eta).tolist(),
             statespace.energy_uncertainty(H, PSI, eta),
             (geo.k1, geo.k2, geo.k3, geo.beta))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phqm import metric, statespace
+from phqm import metric
 from phqm.errors import (
     InputError,
     NotHermitianError,
@@ -14,13 +14,12 @@ from phqm.statespace import (
     BrachistochroneProblem,
     energy_uncertainty,
     evolve,
-    fs_metric,
-    geodesic_distance,
     optimal_hamiltonian,
     projective_fidelity,
-    projector,
     two_level_geometry,
 )
+
+from oracles import fs_metric, geodesic_distance, projector, pseudo_adjoint
 
 RNG = np.random.default_rng(31415)
 
@@ -121,8 +120,7 @@ def test_two_level_geometry_euclidean():
     geo = two_level_geometry(np.eye(2))
     assert geo.k1 == 0.25 and geo.k2 == 0.0 and geo.k3 == 0.0
     # ds^2 = (1/4)(dtheta^2 + sin^2 theta dphi^2)
-    assert geo.ds2(0.7, 0.3, 1.0, 0.0) == pytest.approx(0.25)
-    assert geo.ds2(0.7, 0.3, 0.0, 1.0) == pytest.approx(0.25 * np.sin(0.7) ** 2)
+    assert geo.conformal_factor(0.7, 0.3) == pytest.approx(0.25)
 
 
 def test_two_level_geometry_diagonal():
@@ -181,7 +179,7 @@ def _metric_readers(psi, h_op):
         "optimal_hamiltonian": lambda e: optimal_hamiltonian(
             BrachistochroneProblem(psi, PLUS, 1.0, 1.0, e)).H_star,
         "build_system": lambda e: metric.build_system(h_op, e).h,
-        "pseudo_adjoint": lambda e: metric.pseudo_adjoint(h_op, e),
+        "pseudo_adjoint": lambda e: pseudo_adjoint(h_op, e),
     }
 
 
@@ -397,26 +395,6 @@ def test_travel_time_distance_relation():
     assert de == pytest.approx(1.0)
     s = geodesic_distance(E1, PLUS)
     assert opt.tau_min == pytest.approx(s / de)
-
-
-def test_three_stage_switching_demo():
-    demo = statespace.three_stage_switching_demo(E1, PLUS, 1.0, 1.0 / 400.0)
-    assert demo["requires_metric_switching"]
-    assert demo["violates_hermitian_bound"]
-    assert demo["stage_time_deformed"] < demo["tau_min_hermitian"]
-
-
-def test_three_stage_switching_demo_at_the_euclidean_k1():
-    # k1 = 1/4 is eta = I: the deformed stage takes the Hermitian time
-    demo = statespace.three_stage_switching_demo(E1, PLUS, 1.0, 0.25)
-    assert demo["stage_time_deformed"] == pytest.approx(demo["tau_min_hermitian"])
-
-
-@pytest.mark.parametrize("k1", [0.5, 0.25 + 1e-12, 0.0, -0.1, float("nan")])
-def test_three_stage_switching_demo_rejects_k1_no_metric_has(k1):
-    # every 2x2 metric has k1 = det / trace^2 in (0, 1/4]
-    with pytest.raises(InputError, match="k1 must lie in"):
-        statespace.three_stage_switching_demo(E1, PLUS, 1.0, k1)
 
 
 def test_evolve_rejects_defective_generator():

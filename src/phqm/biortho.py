@@ -79,23 +79,17 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
     Gauge choice for repeated eigenvalues; leaves nondegenerate columns
     untouched.  Returns ``psis`` itself when no cluster exists, else a new array.
     """
-    n = len(values)
-    scale = _scale(values)
-    # no cluster at all (the usual case): skip the O(n^2) Python scan
-    gaps = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if not np.any(gaps <= tol * scale):
+    close = np.abs(values[:, None] - values[None, :]) <= tol * _scale(values)
+    np.fill_diagonal(close, False)
+    if not close.any():  # no cluster at all, the usual case
         return psis
     psis = psis.copy()
-    used = np.zeros(n, dtype=bool)
-    for i in range(n):
+    used = np.zeros(len(values), dtype=bool)
+    for i in range(len(values)):
         if used[i]:
             continue
-        block = [i] + [
-            j
-            for j in range(i + 1, n)
-            if not used[j] and abs(values[j] - values[i]) <= tol * scale
-        ]
+        # every j < i is used by now, so these are the later unused j close to i
+        block = [i, *np.flatnonzero(close[i] & ~used).tolist()]
         used[block] = True
         if len(block) > 1:
             q, _ = np.linalg.qr(psis[:, block])

@@ -135,6 +135,9 @@ def _run_hermitize(out, *, matrix: Matrix, eta: Matrix | None = None):
     if eta is None:
         dec = linalg.eig_nonhermitian(matrix)
         eta = metric.metric_from_spectrum(biortho.biorthonormal_extension(dec)).eta
+        values = dec.values
+    else:
+        values = np.linalg.eigvals(matrix)
     sys_ = metric.build_system(matrix, eta)
     out.matrices["eta_plus"] = encode_matrix(eta)
     out.matrices["rho"] = encode_matrix(sys_.rho)
@@ -143,7 +146,7 @@ def _run_hermitize(out, *, matrix: Matrix, eta: Matrix | None = None):
     h_anti = linalg.opnorm(sys_.h - np.conj(sys_.h.T)) / max(linalg.opnorm(sys_.h), 1e-300)
     out.gate("h_hermiticity", h_anti, 1e-9)
     spec_h = np.sort(np.linalg.eigvalsh(sys_.h))
-    spec_a = np.sort(np.linalg.eigvals(matrix).real)
+    spec_a = np.sort(values.real)
     out.gate(
         "isospectrality",
         float(np.max(np.abs(spec_h - spec_a)) / max(np.abs(spec_a).max(), 1e-300)),

@@ -55,6 +55,8 @@ def test_scaled_states_leave_the_record_bit_identical(name):
 
     @PROPERTY
     @given(POWERS)
+    @example(-600)
+    @example(600)
     def check(k):
         factor = 2.0**k
         record = cli.run({**base, "psi_I": scaled(base["psi_I"], factor),
@@ -72,6 +74,8 @@ def test_energy_sets_only_the_time_scale(name):
 
     @PROPERTY
     @given(POWERS)
+    @example(-600)
+    @example(600)
     def check(k):
         energy = 2.0**k
         record = cli.run({**base, "E": energy})

@@ -163,7 +163,8 @@ def _two_level(params, out):
     for name in ("A", "eta_plus", "eta_general", "h", "C", "S"):
         out.matrices[name] = encode_matrix(getattr(m, name))
     out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), 1e-10)
-    out.gate("charge_squares_to_identity", linalg.opnorm(m.C @ m.C - np.eye(2)), 1e-10)
+    out.gate("charge_squares_to_identity",
+             linalg.opnorm(m.C @ m.C - np.eye(2)) / linalg.opnorm(m.C) ** 2, 1e-10)
 
 
 def _swanson_case(alpha: float, beta: float, hbar: float | None = None,
@@ -243,6 +244,7 @@ def _run_brachistochrone(out, *, psi_I: Vector, psi_F: Vector, E: float,
     levels = np.sort(np.abs(np.linalg.eigvals(opt.H_star).real))
     levels[-2:] -= prob.energy
     out.gate("eigenvalue_pinning", float(np.max(np.abs(levels)) / prob.energy), 1e-9)
+    out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(opt.H_star, prob.eta), 1e-9)
     # linspace ends exactly at tau_min, so the last row is the final state's
     times = np.linspace(0.0, opt.tau_min, 33)
     states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)

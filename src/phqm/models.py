@@ -153,8 +153,9 @@ def _swanson_2x2(params: SwansonParams) -> np.ndarray:
 
 
 def swanson_metric(params: SwansonParams, r: float = 0.0, branch: int = +1) -> SwansonMetric:
-    """Metric factors (z, r) and the 2x2 matrix identity residual: eta H eta^-1
-    against H^dagger, whose avatar is the transpose of H's."""
+    """Metric factors (z, r) and the 2x2 matrix identity's backward error
+    |eta H - H^T eta|_2 / (|eta|_2 |H|_2): H^T stands for H^dagger in the
+    standard representation."""
     w = swanson_w(params, r, branch)
     z = np.exp(r) * w
     er, emr = np.exp(r), np.exp(-r)
@@ -162,12 +163,8 @@ def swanson_metric(params: SwansonParams, r: float = 0.0, branch: int = +1) -> S
         [[er - emr * abs(z) ** 2, 1j * emr * z], [1j * emr * np.conj(z), emr]],
         dtype=complex,
     )
-    eta_inv = np.array(
-        [[emr, -1j * emr * z], [-1j * emr * np.conj(z), er - emr * abs(z) ** 2]],
-        dtype=complex,
-    )
     H = _swanson_2x2(params)
-    residual = opnorm(eta @ H @ eta_inv - H.T)
+    residual = opnorm(eta @ H - H.T @ eta) / (opnorm(eta) * opnorm(H))
     return SwansonMetric(complex(z), float(w), eta, residual)
 
 

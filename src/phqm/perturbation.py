@@ -147,7 +147,7 @@ def metric_from_q(qs: QSeries, epsilon: float) -> MetricOperator:
 
 
 def metric_residual(prob: PerturbationProblem, qs: QSeries, epsilon: float) -> float:
-    """|e^-Q H e^Q - H^dagger| / |H| at the given epsilon."""
+    """``pseudo_hermiticity_residual`` of H = H0 + eps H1 and e^-Q at the given epsilon."""
     return pseudo_hermiticity_residual(prob.H0 + epsilon * prob.H1, metric_from_q(qs, epsilon))
 
 

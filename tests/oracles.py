@@ -6,8 +6,8 @@ import numpy as np
 
 from phqm import classical, em, metric, models, perturbation, statespace
 from phqm._record import Record
-from phqm.errors import ComplexSpectrumError, InputError
-from phqm.linalg import as_matrix, binade, dagger
+from phqm.errors import ComplexSpectrumError, InputError, SingularOperatorError
+from phqm.linalg import as_matrix, binade, dagger, opnorm
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -62,11 +62,27 @@ def antilinear_symmetry(bs, phases=None) -> AntilinearSymmetry:
     return AntilinearSymmetry(psis @ phis.T)
 
 
+def _inverse(eta_m) -> np.ndarray:
+    try:
+        return np.linalg.inv(eta_m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError("eta is singular") from exc
+
+
 def pseudo_adjoint(l_op, eta) -> np.ndarray:
     """eta-pseudo-adjoint L^# = eta^-1 L^dagger eta."""
     L = as_matrix(l_op)
     eta_m = metric.metric_matrix(eta, len(L))
-    return metric._inverse(eta_m) @ dagger(L) @ eta_m
+    return _inverse(eta_m) @ dagger(L) @ eta_m
+
+
+def forward_pseudo_hermiticity(h_op, eta) -> float:
+    """Forward error |eta H eta^-1 - H^dagger|_2 / |H|_2 through eta's LU
+    inverse: ``metric.pseudo_hermiticity_residual``'s backward error times at
+    most cond(eta), the reading that a check written against it keeps."""
+    H = as_matrix(h_op)
+    eta_m = metric.metric_matrix(eta, len(H))
+    return opnorm(eta_m @ H @ _inverse(eta_m) - dagger(H)) / max(opnorm(H), 1e-300)
 
 
 def projector(psi, eta=None) -> np.ndarray:

@@ -3,9 +3,10 @@
 ``eig_nonhermitian``, ``is_hermitian`` and ``build_system`` decide their
 gates through ``linalg.norm_ratio_above``, a Frobenius certificate with an
 exact fallback; ``eig_nonhermitian`` decides cond(V) by the kappa bound
-before an SVD, and ``build_system`` certifies pseudo-Hermiticity before
-inverting eta and takes rho and rho^-1 from one ``eigh``.  The exact forms
-below (one SVD per spectral norm and for cond(V), an LU inverse, a second
+before an SVD, and ``build_system`` decides pseudo-Hermiticity as the
+backward error |eta H - H^dagger eta| / (|eta| |H|), never inverting eta,
+and takes rho and rho^-1 from one ``eigh``.  The exact forms below (one SVD
+per spectral norm and for cond(V), an LU inverse for rho^-1, a second
 ``eigh`` for the square root, the same LAPACK eigensolver by dtype) are the
 oracles: every case must raise the same error class, or pass, exactly as
 they do.  The per-column
@@ -103,7 +104,9 @@ def exact_build_system(h_op, eta, tol=metric.PSEUDO_HERMITICITY_TOL):
         raise NotPositiveDefiniteError("positivity")
     if lam <= band:
         raise SingularOperatorError("singular")
-    if metric.pseudo_hermiticity_residual(H, eta_m) > tol:
+    # the backward error on eta's Hermitian part, every norm an SVD
+    eta_h = 0.5 * (eta_m + dagger(eta_m))
+    if opnorm(eta_h @ H - dagger(H) @ eta_h) > tol * opnorm(eta_h) * max(opnorm(H), 1e-300):
         raise NotPseudoHermitianError("residual")
     rho = exact_positive_root(eta_m)
     rho_inv = np.linalg.inv(rho)
@@ -199,11 +202,12 @@ def test_two_level_toward_exceptional_point_matches_exact():
 
 
 def test_real_two_level_toward_exceptional_point_matches_exact():
-    # dgeev's eta is the more accurate one here: at D = 1e-9 the residual is
-    # 2.6e-12 in exact arithmetic but 2.9e-8 through eta's LU inverse, and
-    # with cond(eta) = 1/D the certificate's rounding slack leaves it to the
-    # LU.  Only verdicts are compared: toward D = 1e-15 the oracle's LU
-    # rho^-1 is the less accurate one and misses the eigh rho^-1 by > 1e-9.
+    # dgeev's eta is accurate, and the backward error reads it so: at D = 1e-9
+    # it is 1.3e-21, where the forward residual through eta's LU inverse reads
+    # 2.9e-8 and once failed this gate.  So every D down to 1e-14 passes, and
+    # from D = 1e-15 (cond(eta) 9e14) the positivity gate calls eta singular.
+    # Only verdicts are compared: toward D = 1e-15 the oracle's LU rho^-1 is
+    # the less accurate one and misses the eigh rho^-1 by > 1e-9.
     kinds = []
     for d in np.append(10.0 ** -np.arange(0, 17), 0.0):
         a = two_level_matrix(d).real
@@ -214,7 +218,7 @@ def test_real_two_level_toward_exceptional_point_matches_exact():
         mo = metric.metric_from_spectrum(biortho.biorthonormal_extension(dec))
         built, _ = assert_same_outcome(metric.build_system, exact_build_system, a, mo)
         kinds.append("build" if built is None else "ok")
-    assert kinds[0] == "ok" and kinds[9] == "build" and kinds[-1] == "eig"
+    assert kinds == ["ok"] * 15 + ["build"] * 2 + ["eig"]
 
 
 def assert_same_eig_verdicts(a):
@@ -347,8 +351,9 @@ def test_is_hermitian_certificate_skips_the_svd(monkeypatch):
 def test_build_system_fallback_matches_exact(monkeypatch, fraction, expected):
     tol = metric.PSEUDO_HERMITICITY_TOL
     n = N_INCONCLUSIVE
-    h = dominant_hermitian(n) + antihermitian_pair(n, fraction * tol / 2)
-    # equal weights on the defect's two rows make the residual exactly 2 delta
+    h = dominant_hermitian(n) + antihermitian_pair(n, fraction * tol)
+    # equal weights 1 on the defect's two rows make |eta H - H^dagger eta|_2
+    # exactly 2 delta, and |eta|_2 = 2 the backward error delta
     eta = np.diag(np.linspace(1.0, 2.0, n)).astype(complex)
     eta[1, 1] = eta[2, 2] = 1.0
     kind_old, _ = outcome(exact_build_system, h, eta)

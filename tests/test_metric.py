@@ -11,7 +11,7 @@ from phqm.errors import (
     SingularOperatorError,
 )
 
-from oracles import antilinear_symmetry, pseudo_adjoint
+from oracles import antilinear_symmetry, forward_pseudo_hermiticity, pseudo_adjoint
 
 RNG = np.random.default_rng(424242)
 
@@ -99,7 +99,7 @@ def test_pseudo_metric_residual_real_spectrum():
         bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(h))
         sigma = RNG.choice([-1, 1], size=n)
         pm = metric.pseudo_metric_family(bs, sigma)
-        assert metric.pseudo_hermiticity_residual(h, pm.eta) <= 1e-9
+        assert forward_pseudo_hermiticity(h, pm.eta) <= 1e-9
 
 
 def test_pseudo_metric_residual_conjugate_pairs():
@@ -108,7 +108,7 @@ def test_pseudo_metric_residual_conjugate_pairs():
         bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(a))
         sigma = RNG.choice([-1, 1], size=len(bs.real_indices()))
         pm = metric.pseudo_metric_family(bs, sigma)
-        assert metric.pseudo_hermiticity_residual(a, pm.eta) <= 1e-9
+        assert forward_pseudo_hermiticity(a, pm.eta) <= 1e-9
 
 
 def test_residual_reads_a_metric_operator_as_its_matrix():
@@ -232,7 +232,7 @@ def test_build_system_rejects_bad_inputs():
 @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
 def test_positive_metric_classifies_alike_at_every_scale(scale):
     # |eta|_F's sum of squares under- or overflows at the extreme scales
-    eta, evals, _, _ = metric.positive_metric(scale * np.diag([1.0, 2.0]))
+    eta, evals, _ = metric.positive_metric(scale * np.diag([1.0, 2.0]))
     np.testing.assert_array_equal(evals, scale * np.array([1.0, 2.0]))
     np.testing.assert_array_equal(metric.build_system(np.diag([1.0, 2.0]), eta).h,
                                   np.diag([1.0, 2.0]))
@@ -252,7 +252,7 @@ def test_observable_map_two_level():
     np.testing.assert_allclose(s3, expected, atol=1e-12)
     # spectrum preserved and eta-pseudo-Hermitian
     np.testing.assert_allclose(np.sort(np.linalg.eigvals(s3).real), [-1, 1], atol=1e-12)
-    assert metric.pseudo_hermiticity_residual(s3, sys_.eta_plus.eta) < 1e-12
+    assert forward_pseudo_hermiticity(s3, sys_.eta_plus.eta) < 1e-12
 
 
 def test_observable_map_requires_hermitian_source():
@@ -330,7 +330,7 @@ def test_metric_non_uniqueness():
     eta = metric.metric_from_spectrum(bs).eta
     b = 0.5 * np.eye(4) + 0.3 * h + 0.1 * h @ h
     eta2 = np.conj(b.T) @ eta @ b
-    assert metric.pseudo_hermiticity_residual(h, eta2) <= 1e-8
+    assert forward_pseudo_hermiticity(h, eta2) <= 1e-8
 
 
 def test_evolution_preserves_eta_norm():

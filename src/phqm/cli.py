@@ -5,10 +5,10 @@ names its ``command``; its other fields are the annotated keyword
 parameters of the command's handler below, and a nested object's fields
 are those of the builder its tag (``kind``, ``preset``) selects.  Each
 gate's tolerance is a constant of that gate, recorded with its value in
-the record's ``residuals``.  Complex scalars are serialized as [re, im]
-pairs and matrices row-major, so the records round-trip bit-for-bit
-through json.  Exit codes, first match wins: 3 an input error, 4 a domain
-error, 2 a failed residual check, 0 all pass.
+the record's ``residuals``.  Handlers write numbers and arrays; ``run``
+encodes each array once as [re, im] pairs in its own shape, so records
+round-trip bit-for-bit through json.  Exit codes, first match wins: 3 an
+input error, 4 a domain error, 2 a failed residual check, 0 all pass.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ Profile, Init, Potential, Model = em.MediumProfile, em.InitialFields, tuple, fun
 
 
 class _Output:
-    """What a handler writes: its record's scalars, matrices, curves and
-    gated residuals."""
+    """What a handler writes: its record's scalars, matrices (numpy arrays,
+    which ``run`` encodes), curves and gated residuals."""
 
     def __init__(self):
         self.scalars, self.matrices, self.curves, self.residuals = {}, {}, {}, []
@@ -109,8 +109,7 @@ def _run_diagnose(out, *, matrix: Matrix):
     dec = linalg.eig_nonhermitian(matrix, check=False)
     out.scalars["condition"] = dec.condition
     out.scalars["diagonalizable"] = dec.diagonalizable
-    out.matrices["eigenvalues"] = encode_vector(dec.values)
-    out.matrices["right_vectors"] = encode_matrix(dec.right_vectors)
+    out.matrices.update(eigenvalues=dec.values, right_vectors=dec.right_vectors)
     residual = linalg.opnorm(matrix @ dec.right_vectors - dec.right_vectors * dec.values[None, :])
     out.gate("eigenpair_residual", residual / max(linalg.opnorm(matrix), 1e-300), 1e-8)
     real = biortho._match_conjugate_pairs(dec.values) == np.arange(dec.dim)
@@ -120,11 +119,9 @@ def _run_diagnose(out, *, matrix: Matrix):
 def _run_metric(out, *, matrix: Matrix, sigma: list | None = None):
     bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(matrix))
     if sigma is not None:
-        eta = metric.pseudo_metric_family(bs, sigma).eta
-        out.matrices["eta"] = encode_matrix(eta)
+        eta = out.matrices["eta"] = metric.pseudo_metric_family(bs, sigma).eta
     else:
-        eta = metric.metric_from_spectrum(bs).eta
-        out.matrices["eta_plus"] = encode_matrix(eta)
+        eta = out.matrices["eta_plus"] = metric.metric_from_spectrum(bs).eta
         metric.positive_metric(eta)
     out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(matrix, eta), 1e-9)
     completeness = linalg.opnorm(bs.psis @ np.conj(bs.phis.T) - np.eye(bs.dim))
@@ -139,9 +136,7 @@ def _run_hermitize(out, *, matrix: Matrix, eta: Matrix | None = None):
     else:
         values = np.linalg.eigvals(matrix)
     sys_ = metric.build_system(matrix, eta)
-    out.matrices["eta_plus"] = encode_matrix(eta)
-    out.matrices["rho"] = encode_matrix(sys_.rho)
-    out.matrices["h"] = encode_matrix(sys_.h)
+    out.matrices.update(eta_plus=eta, rho=sys_.rho, h=sys_.h)
     # h = rho A rho^-1 is not symmetrized, so its Hermiticity can fail
     h_anti = linalg.opnorm(sys_.h - np.conj(sys_.h.T)) / max(linalg.opnorm(sys_.h), 1e-300)
     out.gate("h_hermiticity", h_anti, 1e-9)
@@ -160,8 +155,8 @@ def _run_model(out, *, model: Model):
 
 def _two_level(params, out):
     m = models.two_level(params)
-    for name in ("A", "eta_plus", "eta_general", "h", "C", "S"):
-        out.matrices[name] = encode_matrix(getattr(m, name))
+    out.matrices.update((name, getattr(m, name))
+                        for name in ("A", "eta_plus", "eta_general", "h", "C", "S"))
     out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), 1e-10)
     out.gate("charge_squares_to_identity",
              linalg.opnorm(m.C @ m.C - np.eye(2)) / linalg.opnorm(m.C) ** 2, 1e-10)
@@ -184,21 +179,19 @@ def _swanson(case, out):
     sm = models.swanson_metric(params, **call)
     out.scalars["z"] = encode_complex(sm.z)
     out.scalars["w"] = sm.w
-    out.matrices["eta_2x2"] = encode_matrix(sm.eta_2x2)
+    out.matrices["eta_2x2"] = sm.eta_2x2
     out.gate("matrix_identity_residual", sm.residual, 1e-12)
     if truncation is not None:
         sys_ = models.swanson_truncated(params, **call, **truncation)
         eH = np.sort(np.linalg.eigvals(sys_.H).real)[:5]
         eh = np.sort(np.linalg.eigvalsh(sys_.h))[:5]
-        out.matrices["low_spectrum_H"] = encode_vector(eH.astype(complex))
-        out.matrices["low_spectrum_h"] = encode_vector(eh.astype(complex))
+        out.matrices.update(low_spectrum_H=eH, low_spectrum_h=eh)
         out.gate("low_spectrum_match", float(np.max(np.abs(eH - eh) / np.abs(eH))), 1e-6)
 
 
 def _quartic(params, out):
     qp = models.quartic_pair(params)
-    out.matrices["spectrum_H"] = encode_vector(qp.spectrum_H)
-    out.matrices["spectrum_h"] = encode_vector(qp.spectrum_h.astype(complex))
+    out.matrices.update(spectrum_H=qp.spectrum_H, spectrum_h=qp.spectrum_h)
     out.scalars["tail"] = qp.tail
     rel = np.max(np.abs(qp.spectrum_H.real - qp.spectrum_h) / np.abs(qp.spectrum_h))
     out.gate("dual_discretization_match", float(rel), 1e-4)
@@ -228,7 +221,7 @@ def _kernel(spec, out):
         raise InputError(f"residuals {report['residual_zeta']:.3e} at zeta and "
                          f"{report['residual_half_zeta']:.3e} at zeta/2 leave the order undefined")
     out.scalars.update(report)
-    out.matrices["eta"] = encode_matrix(result.eta_matrix)
+    out.matrices["eta"] = result.eta_matrix
     if spec.kind in ("barrier", "delta"):
         out.gate("residual_order_deviation", abs(report["fitted_order"] - 2.0), 0.3)
 
@@ -237,9 +230,8 @@ def _run_brachistochrone(out, *, psi_I: Vector, psi_F: Vector, E: float,
                          hbar: float | None = None, eta: Matrix | None = None):
     prob = statespace.BrachistochroneProblem(psi_I, psi_F, E, eta=eta, **_given(hbar=hbar))
     opt = statespace.optimal_hamiltonian(prob)
-    out.scalars["tau_min"] = opt.tau_min
-    out.scalars["distance"] = opt.distance
-    out.matrices["H_star"] = encode_matrix(opt.H_star)
+    out.scalars.update(tau_min=opt.tau_min, distance=opt.distance)
+    out.matrices["H_star"] = opt.H_star
     # H* has rank 2: |eigenvalues| (0, ..., 0, E, E)
     levels = np.sort(np.abs(np.linalg.eigvals(opt.H_star).real))
     levels[-2:] -= prob.energy
@@ -248,13 +240,13 @@ def _run_brachistochrone(out, *, psi_I: Vector, psi_F: Vector, E: float,
     # linspace ends exactly at tau_min, so the last row is the final state's
     times = np.linspace(0.0, opt.tau_min, 33)
     states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
-    rows = [[t, statespace.projective_fidelity(psi_t, psi_F, eta)] for t, psi_t in zip(times, states)]
-    fidelity = rows[-1][1]
-    out.scalars["fidelity"] = fidelity
+    fidelities = [statespace.projective_fidelity(psi_t, psi_F, eta) for psi_t in states]
+    fidelity = out.scalars["fidelity"] = fidelities[-1]
     out.gate("fidelity_deficit", 1.0 - fidelity, 1e-8)
     de = statespace.energy_uncertainty(opt.H_star, psi_I, eta)
     out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, 1e-9)
-    out.curves["trajectory"] = {"columns": ["t", "fidelity"], "rows": rows}
+    out.curves["trajectory"] = {"columns": ["t", "fidelity"],
+                                "rows": np.column_stack((times, fidelities)).tolist()}
 
 
 def _run_geometry(out, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
@@ -292,7 +284,7 @@ def _run_classical(out, *, potential: Potential, z0: complex, p0: complex,
     scale = max(np.abs(ks).max(), 1.0)
     out.gate("K_drift", float(np.ptp(ks)) / scale, 1e-8)
     out.gate("H_i_drift", float(np.ptp(his)) / scale, 1e-8)
-    rows = [[t, z.real, z.imag, k, hi] for t, z, k, hi in zip(traj.times, traj.z, ks, his)]
+    rows = np.column_stack((traj.times, traj.z.real, traj.z.imag, ks, his)).tolist()
     out.curves["trajectory"] = {"columns": ["t", "re_z", "im_z", "K", "H_i"], "rows": rows}
 
 
@@ -302,10 +294,7 @@ def _run_em(out, *, profile: Profile, init: Init, t: float, n_eval: int = 400,
         raise InputError("n_eval must be at least 1")
     z_eval = np.linspace(profile.z_min, profile.z_max, n_eval)
     field = em.propagate(profile, init, z_eval, t)
-    out.curves["snapshot"] = {
-        "columns": ["z", "E"],
-        "rows": [[float(z), float(e)] for z, e in zip(z_eval, field)],
-    }
+    out.curves["snapshot"] = {"columns": ["z", "E"], "rows": np.column_stack((z_eval, field)).tolist()}
     if fdtd_check:
         diag = profile.slow_variation_diagnostic(init.width)
         out.scalars["slow_variation_diagnostic"] = diag
@@ -377,8 +366,9 @@ def _convert(name: str, value, type_name: str):
     if not check(value):
         raise SchemaError(f"field {name!r} must have type {type_name}")
     value = convert(value)
-    # json reads NaN and Infinity; matrix and vector entries meet as_matrix's check
-    if type_name in ("float", "complex", "list") and not np.isfinite(np.asarray(value, complex)).all():
+    # json reads NaN and Infinity; matrix entries meet as_matrix's check
+    if (type_name in ("float", "complex", "list", "Vector")
+            and not np.isfinite(np.asarray(value, complex)).all()):
         raise SchemaError(f"field {name!r} must be finite")
     return value
 
@@ -456,7 +446,7 @@ def run(config: dict) -> dict:
         "inputs": config,
         "error": error,
         "scalars": out.scalars,
-        "matrices": out.matrices,
+        "matrices": {name: encode_matrix(m) for name, m in out.matrices.items()},
         "curves": out.curves,
         "warnings": [str(w.message) for w in caught],
         "residuals": out.residuals,

@@ -455,9 +455,6 @@ def quartic_pair(params: QuarticParams, n_lowest: int = 5) -> QuarticPair:
 # first-order kernel metrics (square well / barrier / delta)
 # ----------------------------------------------------------------------
 
-KG_EXCLUSION = 3.5  # grid spacings klein_gordon_residual leaves out around each kink
-
-
 class KernelPotentialSpec(Record):
     """Imaginary-coupling potential with a first-order metric kernel, and
     its uniform grid of ``n`` points over [x_min, x_max].
@@ -633,33 +630,3 @@ def kernel_metric(spec: KernelPotentialSpec) -> KernelMetricResult:
     report = {"residual_zeta": r_full, "residual_half_zeta": r_half, "fitted_order": order,
               "first_order_kernel_scale": kernel_scale}
     return KernelMetricResult(eta, x, report)
-
-
-def klein_gordon_residual(spec: KernelPotentialSpec) -> float:
-    """Max |(-d_x^2 + d_y^2 + mu^2) eta(x,y)| away from kernel kinks.
-
-    mu^2(x, y) = 2m/hbar^2 (v(x)* - v(y)); kink lines (x = +-y, the
-    potential edges and delta axes) are excluded with a band of
-    KG_EXCLUSION grid spacings.
-    """
-    x = spec.points()
-    dx = spec.dx
-    k = kernel_first_order(spec, x)  # smooth part only; delta part drops out
-    # (H_x^* - H_y) k scaled by 2m/hbar^2 is -d_x^2 k + d_y^2 k + mu^2 k
-    residual = (2.0 * spec.mass / spec.hbar**2) * (
-        np.conj(apply_hamiltonian(spec, np.conj(k))) - apply_hamiltonian(spec, k.T).T)
-
-    xx = x[:, None]
-    yy = x[None, :]
-    band = KG_EXCLUSION * dx
-    mask = (np.abs(xx - yy) > band) & (np.abs(xx + yy) > band)
-    if spec.kind in ("square_well", "barrier"):
-        L = spec.length
-        mask &= (np.abs(np.abs(xx + yy) - L) > band)
-        mask &= (np.abs(np.abs(xx) - L / 2) > band) & (np.abs(np.abs(yy) - L / 2) > band)
-    else:
-        mask &= (np.abs(xx) > band) & (np.abs(yy) > band)
-    # one interior ring to keep the wall rows out
-    mask[:2, :] = mask[-2:, :] = False
-    mask[:, :2] = mask[:, -2:] = False
-    return float(np.max(np.abs(residual[mask])))

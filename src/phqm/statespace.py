@@ -131,7 +131,10 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     uf_hat = uf if abs(q) < ANTIPODAL_TOL else uf * (abs(q) / q)
     outer_fi = np.outer(uf_hat, np.conj(eta_m @ ui))
     outer_if = np.outer(ui, np.conj(eta_m @ uf_hat))
-    h_star = 1j * prob.energy * (outer_fi - outer_if) / np.sin(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_star = 1j * prob.energy * (outer_fi - outer_if) / np.sin(s)
+    if not np.isfinite(h_star).all():
+        raise InputError(f"H* overflows at E = {prob.energy:g}: an entry exceeds the largest float")
     tau_min = prob.hbar * s / prob.energy
     return OptimalEvolution(h_star, tau_min, s)
 

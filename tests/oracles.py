@@ -12,6 +12,7 @@ from phqm.linalg import as_matrix, binade, dagger, opnorm
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 GRADIENT_STEP = 1e-6   # central-difference step of symmetry_flow
+KG_EXCLUSION = 3.5     # grid spacings klein_gordon_residual leaves out around each kink
 
 
 def two_level_observables(params):
@@ -149,6 +150,36 @@ def oscillator_basis(n_max: int, mass: float = 1.0, hbar: float = 1.0, omega: fl
     x = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
     p = 1j * np.sqrt(mass * hbar * omega / 2.0) * (raise_ - lower)
     return x, p
+
+
+def klein_gordon_residual(spec) -> float:
+    """Max |(-d_x^2 + d_y^2 + mu^2) eta(x,y)| away from kernel kinks.
+
+    mu^2(x, y) = 2m/hbar^2 (v(x)* - v(y)); kink lines (x = +-y, the
+    potential edges and delta axes) are excluded with a band of
+    KG_EXCLUSION grid spacings.  There the first-order kernel solves the
+    massless equation, so this reads the dropped O(zeta^2) term mu^2 k.
+    """
+    x = spec.points()
+    dx = spec.dx
+    k = models.kernel_first_order(spec, x)  # smooth part only; delta part drops out
+    # (H_x^* - H_y) k scaled by 2m/hbar^2 is -d_x^2 k + d_y^2 k + mu^2 k
+    h = models.apply_hamiltonian
+    residual = (2.0 * spec.mass / spec.hbar**2) * (np.conj(h(spec, np.conj(k))) - h(spec, k.T).T)
+    xx = x[:, None]
+    yy = x[None, :]
+    band = KG_EXCLUSION * dx
+    mask = (np.abs(xx - yy) > band) & (np.abs(xx + yy) > band)
+    if spec.kind in ("square_well", "barrier"):
+        L = spec.length
+        mask &= (np.abs(np.abs(xx + yy) - L) > band)
+        mask &= (np.abs(np.abs(xx) - L / 2) > band) & (np.abs(np.abs(yy) - L / 2) > band)
+    else:
+        mask &= (np.abs(xx) > band) & (np.abs(yy) > band)
+    # one interior ring to keep the wall rows out
+    mask[:2, :] = mask[-2:, :] = False
+    mask[:, :2] = mask[:, -2:] = False
+    return float(np.max(np.abs(residual[mask])))
 
 
 def wave_operator(profile, z: np.ndarray) -> np.ndarray:

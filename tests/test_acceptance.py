@@ -18,7 +18,8 @@ from phqm.classical import (
 )
 from phqm.linalg import dagger, opnorm
 
-from oracles import forward_pseudo_hermiticity, fs_metric, geodesic_distance, wave_operator
+from oracles import (forward_pseudo_hermiticity, fs_metric, geodesic_distance,
+                     klein_gordon_residual, wave_operator)
 
 RNG = np.random.default_rng(20260808)
 
@@ -158,11 +159,11 @@ def test_criterion_5_kernel_metrics():
     # Klein-Gordon residual O(zeta^2) away from kinks
     box = {"n": 400, "x_min": -2.0, "x_max": 2.0}
     kg = {
-        z: models.klein_gordon_residual(models.KernelPotentialSpec("barrier", z, **box))
+        z: klein_gordon_residual(models.KernelPotentialSpec("barrier", z, **box))
         for z in (0.1, 0.05)
     }
     ratio = kg[0.1] / kg[0.05]
-    kg_delta = models.klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
+    kg_delta = klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
     print(f"    KG barrier ratio {ratio:.2f}, delta residual {kg_delta:.1e}")
     ok &= abs(ratio - 4.0) <= 0.4 and kg[0.1] <= 10.0 * 0.1**2 and kg_delta <= 10.0 * 0.1**2
     _report(5, "kernel residual order 2.0 +- 0.3; Hermitian; KG O(zeta^2)", ok)

@@ -622,6 +622,9 @@ SAMPLED_EM = {"command": "em", "profile": SAMPLED, "init": {"kind": "gaussian"},
          "NotHermitianError: eta must be Hermitian"),
         ({"command": "geometry", "eta": [[[1, 0], [0, 0.5]], [[0, 0], [1, 0]]]},
          "NotHermitianError: eta must be Hermitian"),
+        # the deformed H*'s largest entry, 3 E, is past the largest float
+        ({**load("brachistochrone_deformed.json"), "E": 1e308},
+         "InputError: H* overflows at E = 1e+308"),
     ],
 )
 def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):
@@ -629,6 +632,13 @@ def test_invalid_values_exit_as_input_errors(config, message, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli.main(["--scenario", str(path), "--out", os.devnull]) == cli.EXIT_INPUT
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, energy", [("brachistochrone_deformed.json", 3e307),
+                                          ("brachistochrone_antipodal.json", 1e308)])
+def test_brachistochrone_whose_h_star_is_finite_passes_near_the_float_range(name, energy):
+    # the antipodal H*'s largest entry is E itself, the deformed one's 3 E
+    assert cli.run({**load(name), "E": energy})["all_pass"] is True
 
 
 @pytest.mark.parametrize("sample_every", [0, -5])
@@ -665,9 +675,12 @@ NAN, INF = float("nan"), float("inf")
         ({"command": "model", "model": {"kind": "swanson", "alpha": NAN, "beta": 0.05}}, "alpha"),
         ({"command": "model", "model": {"kind": "quartic", "lam": NAN}}, "lam"),
         ({**load("brachistochrone_antipodal.json"), "E": INF}, "E"),
+        ({**load("brachistochrone_antipodal.json"), "psi_I": [[NAN, 0], [0, 0]]}, "psi_I"),
+        ({**load("brachistochrone_antipodal.json"), "psi_F": [[0, 0], [INF, 0]]}, "psi_F"),
     ],
     ids=["em-t-nan", "em-t-inf", "flow-dt-nan", "flow-t_end-nan", "flow-z0-inf", "profile-eps-nan",
-         "kernel-zeta-nan", "swanson-alpha-nan", "quartic-lam-nan", "brachistochrone-E-inf"],
+         "kernel-zeta-nan", "swanson-alpha-nan", "quartic-lam-nan", "brachistochrone-E-inf",
+         "brachistochrone-psi_I-nan", "brachistochrone-psi_F-inf"],
 )
 def test_non_finite_scalars_exit_as_input_errors(config, field, tmp_path, capsys):
     # json reads NaN and Infinity: a NaN em time or flow step raised ValueError

@@ -17,9 +17,11 @@ from phqm.linalg import dagger, opnorm
 from phqm.perturbation import ladder_operators
 
 from oracles import (
+    KG_EXCLUSION,
     SIGMA_1,
     SIGMA_2,
     forward_pseudo_hermiticity,
+    klein_gordon_residual,
     two_level_intertwiner,
     two_level_observables,
 )
@@ -683,15 +685,15 @@ def test_kernel_first_order_warning():
 
 def test_klein_gordon_residual_scaling():
     box = {"n": 400, "x_min": -2.0, "x_max": 2.0}
-    r1 = models.klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.1, **box))
-    r2 = models.klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.05, **box))
+    r1 = klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.1, **box))
+    r2 = klein_gordon_residual(models.KernelPotentialSpec("barrier", 0.05, **box))
     assert r1 / r2 == pytest.approx(4.0, rel=0.05)
     box_w = {"length": 2.0, "n": 400, "x_min": -1.0, "x_max": 1.0}
-    w1 = models.klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.1, **box_w))
-    w2 = models.klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.05, **box_w))
+    w1 = klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.1, **box_w))
+    w2 = klein_gordon_residual(models.KernelPotentialSpec("square_well", 0.05, **box_w))
     assert w1 / w2 == pytest.approx(4.0, rel=0.05)
     # the delta kernel solves the off-axis equation exactly
-    rd = models.klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
+    rd = klein_gordon_residual(models.KernelPotentialSpec("delta", 0.1, **box))
     assert rd <= 10.0 * 0.1**2
 
 
@@ -704,7 +706,7 @@ def direct_klein_gordon_residual(spec):
     d2y = (np.roll(k, -1, axis=1) - 2 * k + np.roll(k, 1, axis=1)) / dx**2
     v = models.potential_on_grid(spec)
     mu2 = (2.0 * spec.mass / spec.hbar**2) * (np.conj(v)[:, None] - v[None, :])
-    xx, yy, band = x[:, None], x[None, :], models.KG_EXCLUSION * dx
+    xx, yy, band = x[:, None], x[None, :], KG_EXCLUSION * dx
     mask = (np.abs(xx - yy) > band) & (np.abs(xx + yy) > band)
     if spec.kind == "delta":
         mask &= (np.abs(xx) > band) & (np.abs(yy) > band)
@@ -722,7 +724,7 @@ def direct_klein_gordon_residual(spec):
 def test_klein_gordon_residual_is_the_direct_stencil(kind, zeta, box):
     # the residual applies the one H, conjugated in x and transposed in y
     spec = models.KernelPotentialSpec(kind, zeta, x_min=box[0], x_max=box[1])
-    assert models.klein_gordon_residual(spec) == pytest.approx(
+    assert klein_gordon_residual(spec) == pytest.approx(
         direct_klein_gordon_residual(spec), rel=1e-12, abs=1e-15)
 
 

@@ -25,8 +25,6 @@ ALLOWLIST = {
     ("perturbation", "q_series"): "benchmark",
     ("perturbation", "metric_from_q"): "benchmark",
     ("perturbation", "metric_residual"): "benchmark",
-    ("models", "klein_gordon_residual"): "ROADMAP item 2: a second kernel check in the record",
-    ("models", "KG_EXCLUSION"): "ROADMAP item 2: a second kernel check in the record",
     ("metric", "charge_operator"): "ROADMAP item 6: metric with sigma records C",
     ("metric", "observable_map"): "ROADMAP item 6: hermitize gates criterion 11",
     ("classical", "SymplecticParams"): "ROADMAP item 6: classical gates criterion 9",

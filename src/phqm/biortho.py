@@ -12,10 +12,10 @@ import numpy as np
 
 from ._record import Record
 from .errors import DefectiveOperatorError
-from .linalg import EigenDecomposition, dagger
+from .linalg import CONDITION_THRESHOLD, EigenDecomposition, dagger
 
-PAIR_TOL = 1e-8          # |Im a| / scale below which an eigenvalue counts as real
-DEGENERACY_TOL = 1e-10   # |a_m - a_n| / scale below which a block is orthonormalized
+PAIR_TOL = 1e-8          # |Im a| / max |a| at or below which an eigenvalue counts as real
+DEGENERACY_TOL = 1e-10   # |a_m - a_n| / max |a| at or below which a block is orthonormalized
 
 
 class BiorthonormalSystem(Record):
@@ -46,12 +46,12 @@ class BiorthonormalSystem(Record):
 
 
 def _scale(values: np.ndarray) -> float:
-    """max(1, max |a|), the scale of the spectral tolerances."""
-    return max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
+    """max |a|, the scale of the spectral tolerances, so H and cH share verdicts."""
+    return float(np.abs(values).max(initial=0.0))
 
 
 def _match_conjugate_pairs(values: np.ndarray) -> np.ndarray:
-    """partner: n where |Im a_n| <= PAIR_TOL max(1, max |a|), else greedy
+    """partner: n where |Im a_n| <= PAIR_TOL max |a|, else greedy
     nearest-conjugate matching, ties broken by index order, and -1 unmatched."""
     tol = PAIR_TOL * _scale(values)
     real = np.abs(values.imag) <= tol
@@ -99,9 +99,11 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
 
 def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
     """Extend right eigenvectors to a complete biorthonormal system, reusing
-    the decomposition's V^-1 unless a degenerate block was re-orthonormalized."""
+    the decomposition's V^-1 unless a degenerate block was re-orthonormalized;
+    the one DefectiveOperatorError for a numerical exceptional point."""
     if not eig.diagonalizable:
-        raise DefectiveOperatorError("cannot extend a defective eigendecomposition")
+        raise DefectiveOperatorError(f"eigenvector matrix condition {eig.condition:.3e} "
+                                     f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
     psis = _orthonormalize_degenerate_blocks(eig.values, eig.right_vectors, DEGENERACY_TOL)
     return _system(eig.values, psis, eig.inverse if psis is eig.right_vectors else None)
 

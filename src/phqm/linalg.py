@@ -12,8 +12,9 @@ exact ratio.
 Eigenpairs follow a deterministic convention: eigenvalues sorted by
 (real part, imaginary part), and each eigenvector phase-fixed so that its
 largest-magnitude entry is real and positive.  Real-dtype input goes to real
-LAPACK (dgeev); the dtype decides, not the values.  The exceptional-point gate
-cond(V) < 1e12 is decided by the kappa bound sqrt(n) |V^-1|_F, then by an SVD.
+LAPACK (dgeev); the dtype decides, not the values.  A decomposition reports
+whether cond(V) < 1e12, by the kappa bound sqrt(n) |V^-1|_F, then by an SVD;
+``biortho.biorthonormal_extension`` is the one place that rejects it.
 """
 
 from __future__ import annotations
@@ -121,14 +122,12 @@ class EigenDecomposition(Record):
         return bool(certified) or self.condition < CONDITION_THRESHOLD
 
 
-def eig_nonhermitian(a, check: bool = True) -> EigenDecomposition:
+def eig_nonhermitian(a) -> EigenDecomposition:
     """Eigendecomposition of a general matrix; real dtype goes to real LAPACK.
 
-    Raises DefectiveOperatorError when the eigenvector matrix condition
-    number exceeds CONDITION_THRESHOLD (a numerical exceptional point),
-    unless ``check`` is False in which case the flag is recorded on the
-    result instead, and when a diagonalizable result's eigenpair residual
-    exceeds 100 DEFAULT_TOL |A|.
+    A numerical exceptional point is reported, through ``diagonalizable``
+    and ``condition``, not raised.  Raises DefectiveOperatorError when a
+    diagonalizable result's eigenpair residual exceeds 100 DEFAULT_TOL |A|.
     """
     m = as_matrix(a)
     values, vectors = np.linalg.eig(m.real if np.isrealobj(a) else m)
@@ -140,12 +139,6 @@ def eig_nonhermitian(a, check: bool = True) -> EigenDecomposition:
         dec = EigenDecomposition(values, vectors, np.linalg.inv(vectors))
     except np.linalg.LinAlgError:
         dec = EigenDecomposition(values, vectors)
-    if check and not dec.diagonalizable:
-        raise DefectiveOperatorError(
-            f"eigenvector matrix condition {dec.condition:.3e} exceeds "
-            f"threshold {CONDITION_THRESHOLD:.1e}"
-        )
-
     if dec.diagonalizable:
         bound = 100 * DEFAULT_TOL
         residual = norm_ratio_above(m @ vectors - vectors * values[None, :], m, bound)

@@ -150,24 +150,21 @@ def pseudo_hermiticity_residual(h, eta) -> float:
     return opnorm(eta_h - dagger(eta_h)) / max(eta_norm * opnorm(h), 1e-300)
 
 
-def build_system(
-    h_op, eta, tol: float = PSEUDO_HERMITICITY_TOL
-) -> QuasiHermitianSystem:
+def build_system(h_op, eta) -> QuasiHermitianSystem:
     """Assemble (H, eta_+, rho, h) after certifying the inputs.
 
     ``positive_metric`` certifies eta, and its one ``eigh`` gives |eta|_2 =
     lambda_max, rho and rho^-1.  NotPseudoHermitianError when the backward
-    error of ``pseudo_hermiticity_residual`` exceeds tol, decided by
-    ``norm_ratio_above`` on eta H - (eta H)^dagger against tol lambda_max |H|.
+    error of ``pseudo_hermiticity_residual`` exceeds PSEUDO_HERMITICITY_TOL,
+    decided by ``norm_ratio_above`` against it times lambda_max |H|.
     """
     H = as_matrix(h_op)
     eta_m, evals, vecs = positive_metric(eta, len(H))
     eta_h = 0.5 * (eta_m + dagger(eta_m)) @ H
-    residual = norm_ratio_above(eta_h - dagger(eta_h), H, tol * evals[-1])
+    residual = norm_ratio_above(eta_h - dagger(eta_h), H, PSEUDO_HERMITICITY_TOL * evals[-1])
     if residual is not None:
-        raise NotPseudoHermitianError(
-            f"pseudo-Hermiticity residual {residual / evals[-1]:.3e} exceeds tol {tol:.1e}"
-        )
+        raise NotPseudoHermitianError(f"pseudo-Hermiticity residual {residual / evals[-1]:.3e} "
+                                      f"exceeds tol {PSEUDO_HERMITICITY_TOL:.1e}")
     root = np.sqrt(evals)
     rho = (vecs * root) @ dagger(vecs)
     rho_inv = (vecs / root) @ dagger(vecs)

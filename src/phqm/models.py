@@ -465,9 +465,12 @@ class KernelPotentialSpec(Record):
     An unset box end takes the kind's box: the square well's Dirichlet box
     [-L/2, L/2], the barrier's [-2L, 2L], the delta's [-h, h] with
     h = max(2, 2/kappa).  The well and barrier sit on midpoints, which puts
-    their sgn-potential jumps between nodes; the delta sits on nodes with
-    x = 0 on one, so the lumped delta lies on the kernel kink line and the
-    box must contain 0.
+    a jump at x_j between nodes unless (x_j - x_min) / dx - 1/2 is an
+    integer.  On the default boxes the well's jump at 0 falls on a node for
+    odd n, and the barrier's at 0 and +-L/2 for odd n and for n = 4 (mod 8);
+    a node at 0 takes v = -+i zeta from the sign of its rounding residue.
+    The delta sits on nodes with x = 0 on one, so the lumped delta lies on
+    the kernel kink line and the box must contain 0.
     """
 
     kind: str

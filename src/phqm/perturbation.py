@@ -64,8 +64,8 @@ class QSeries(Record):
 def solve_commutator(h0, r) -> np.ndarray:
     """Solve [H0, Q] = R for Hermitian H0 in its eigenbasis.
 
-    Q_mn = R_mn / (E_m - E_n) off degenerate blocks; Q is set to zero on
-    degenerate blocks (minimal-norm gauge).  A nonzero R entry on a
+    Q_mn = R_mn / (E_m - E_n) off degenerate blocks |E_m - E_n| <= DEGENERACY_TOL
+    max |E|, and zero on them (minimal-norm gauge).  A nonzero R entry on a
     degenerate block means no solution exists.
     """
     H0 = as_matrix(h0)
@@ -73,7 +73,7 @@ def solve_commutator(h0, r) -> np.ndarray:
     if H0.shape != R.shape:
         raise InputError("H0 and R must share a shape")
     energies, basis = np.linalg.eigh(0.5 * (H0 + np.conj(H0.T)))
-    scale = max(float(np.max(np.abs(energies))), 1.0)
+    scale = float(np.max(np.abs(energies)))  # so H0 and c H0 share their blocks
     r_tilde = np.conj(basis.T) @ R @ basis
     gaps = energies[:, None] - energies[None, :]
     degenerate = np.abs(gaps) <= DEGENERACY_TOL * scale

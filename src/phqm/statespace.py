@@ -12,7 +12,8 @@ import numpy as np
 
 from ._record import Record
 from .errors import InputError
-from .linalg import as_matrix, binade, eig_nonhermitian
+from .biortho import biorthonormal_extension
+from .linalg import as_matrix, binade, dagger, eig_nonhermitian
 from .metric import positive_metric
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
@@ -140,7 +141,8 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
 
 
 def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
-    """psi(t) = exp(-i t H / hbar) psi0 through one eigendecomposition.
+    """psi(t) = sum_n exp(-i t a_n / hbar) psi_n <phi_n|psi0> through H's
+    biorthonormal system, whose Phi^dagger is the decomposition's V^-1.
 
     ``t`` is a time or an array of times; the result is psi(t) with the
     times' shape in front of the state's, so one row per time for a 1-D
@@ -149,10 +151,9 @@ def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
     """
     v, _ = _states(psi0=psi0)
     H = _hamiltonian(h_op, v)
-    dec = eig_nonhermitian(H, check=True)
-    coeff = np.linalg.solve(dec.right_vectors, v)
-    phases = np.exp(-1j * np.multiply.outer(t, dec.values) / hbar)
-    return (phases * coeff) @ dec.right_vectors.T
+    bs = biorthonormal_extension(eig_nonhermitian(H))
+    phases = np.exp(-1j * np.multiply.outer(t, bs.values) / hbar)
+    return (phases * (dagger(bs.phis) @ v)) @ bs.psis.T
 
 
 def projective_fidelity(psi, target, eta=None) -> float:

@@ -125,7 +125,7 @@ def test_degenerate_block_is_orthonormalized():
 
 def test_defective_input_rejected():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    dec = linalg.eig_nonhermitian(jordan, check=False)
+    dec = linalg.eig_nonhermitian(jordan)
     with pytest.raises(DefectiveOperatorError):
         biortho.biorthonormal_extension(dec)
 

@@ -2,8 +2,9 @@
 
 ``eig_nonhermitian``, ``is_hermitian`` and ``build_system`` decide their
 gates through ``linalg.norm_ratio_above``, a Frobenius certificate with an
-exact fallback; ``eig_nonhermitian`` decides cond(V) by the kappa bound
-before an SVD, and ``build_system`` decides pseudo-Hermiticity as the
+exact fallback; ``eig_nonhermitian`` reports cond(V) < 1e12 by the kappa
+bound before an SVD, ``biorthonormal_extension`` rejects it as the oracle's
+``check=True`` does, and ``build_system`` decides pseudo-Hermiticity as the
 backward error |eta H - H^dagger eta| / (|eta| |H|), never inverting eta,
 and takes rho and rho^-1 from one ``eigh``.  The exact forms below (one SVD
 per spectral norm and for cond(V), an LU inverse for rho^-1, a second
@@ -14,6 +15,7 @@ and per-eigenvalue loops that the vectorised ``fix_phases``,
 ``pseudo_metric_family`` and degenerate-block scan replaced are oracles too.
 """
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,9 +144,18 @@ def assert_same_outcome(new, old, *args, **kwargs):
     return out_new, out_old
 
 
+def extended(a):
+    """``eig_nonhermitian`` once ``biorthonormal_extension`` has accepted it:
+    the extension rejects a numerical exceptional point, as the oracle's
+    ``check=True`` does."""
+    dec = linalg.eig_nonhermitian(a)
+    biortho.biorthonormal_extension(dec)
+    return dec
+
+
 def assert_same_route(a):
     """eig, metric and build_system against the exact chain; returns the kind."""
-    dec_new, dec_old = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian, a)
+    dec_new, dec_old = assert_same_outcome(extended, exact_eig_nonhermitian, a)
     if dec_new is None:
         return "eig"
     np.testing.assert_array_equal(dec_new.right_vectors, dec_old.right_vectors)
@@ -211,7 +222,7 @@ def test_real_two_level_toward_exceptional_point_matches_exact():
     kinds = []
     for d in np.append(10.0 ** -np.arange(0, 17), 0.0):
         a = two_level_matrix(d).real
-        dec, _ = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian, a)
+        dec, _ = assert_same_outcome(extended, exact_eig_nonhermitian, a)
         if dec is None:
             kinds.append("eig")
             continue
@@ -222,11 +233,11 @@ def test_real_two_level_toward_exceptional_point_matches_exact():
 
 
 def assert_same_eig_verdicts(a):
-    """eig_nonhermitian in both check modes against the oracle; returns the
-    diagonalizable flag."""
-    for check in (True, False):
-        new, old = assert_same_outcome(linalg.eig_nonhermitian, exact_eig_nonhermitian,
-                                       a, check=check)
+    """The extended decomposition against the oracle with its check, and the
+    bare one against the oracle without; returns the diagonalizable flag."""
+    for decomposition, check in ((extended, True), (linalg.eig_nonhermitian, False)):
+        new, old = assert_same_outcome(decomposition,
+                                       partial(exact_eig_nonhermitian, check=check), a)
         if new is not None:
             assert new.diagonalizable == old.diagonalizable
             np.testing.assert_array_equal(new.right_vectors, old.right_vectors)
@@ -471,7 +482,7 @@ def test_svd_fallback_fires_only_near_the_exceptional_point(monkeypatch, real, d
     # D = 1e-20 the bound is 1.7e12, above the threshold, and the SVD decides
     a = two_level_matrix(d).real if real else two_level_matrix(d)
     counter = SvdCounter(monkeypatch)
-    dec = linalg.eig_nonhermitian(a, check=False)
+    dec = linalg.eig_nonhermitian(a)
     assert counter.calls == svds
     assert dec.diagonalizable is diagonalizable
     assert exact_eig_nonhermitian(a, check=False).diagonalizable is diagonalizable
@@ -482,7 +493,7 @@ def test_diagnose_condition_is_the_exact_svd_value(d):
     a = two_level_matrix(d)
     record = cli.run({"command": "diagnose", "matrix": [[[z.real, z.imag] for z in row]
                                                        for row in a]})
-    vectors = linalg.eig_nonhermitian(a, check=False).right_vectors
+    vectors = linalg.eig_nonhermitian(a).right_vectors
     assert record["scalars"]["condition"] == float(np.linalg.cond(vectors))
 
 
@@ -582,7 +593,7 @@ def test_real_and_complex_dtype_agree(n):
 def degenerate_blocks_loop(values, psis, tol):
     psis = psis.copy()
     n = len(values)
-    scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
+    scale = float(np.max(np.abs(values)))
     used = np.zeros(n, dtype=bool)
     for i in range(n):
         if used[i]:

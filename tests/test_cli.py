@@ -378,7 +378,7 @@ def test_batch_runs_past_an_arithmetic_failure(config, error_type, tmp_path):
     [
         ("kernel_barrier.json", ["residual_order_deviation"]),
         ("swanson.json", ["matrix_identity_residual", "low_spectrum_match"]),
-        ("em_vacuum.json", []),
+        ("em_vacuum.json", ["dalembert"]),
         ("em_sampled_fdtd.json", ["closed_form_vs_fdtd"]),
         ("hermitize_two_level.json", ["h_hermiticity", "isospectrality"]),
     ],
@@ -828,6 +828,27 @@ def test_a_wrong_closed_form_fails_the_em_gate(scale, passes, monkeypatch):
                                                                rel=0.05)
 
 
+CONSTANT_MEDIA = {"eps 2.25": {"preset": "constant", "eps": 2.25},
+                  "eps 2, mu 3": {"preset": "constant", "eps": 2.0, "mu": 3.0},
+                  "equal samples": {"z": [-10.0, 0.0, 10.0], "eps": [2.25] * 3, "mu": [1.0] * 3}}
+
+
+@pytest.mark.parametrize("profile", CONSTANT_MEDIA.values(), ids=CONSTANT_MEDIA)
+@pytest.mark.parametrize("mutated", [False, True], ids=["true", "n squared"])
+def test_a_constant_medium_gates_dalembert(profile, mutated, monkeypatch):
+    # the closed form reads 3.1e-14 and 1.2e-13 against d'Alembert; an
+    # optical path of eps mu in place of sqrt(eps mu) reads 0.26 and 0.54
+    # (in vacuum it is the same path, so GATE_DEFECTS mutates the 1/2 there)
+    if mutated:
+        monkeypatch.setattr(em.MediumProfile, "index",
+                            lambda self, z: self.eps_at(z) * self.mu_at(z))
+    record = cli.run({**load("em_vacuum.json"), "profile": profile})
+    (gate,) = record["residuals"]
+    assert (gate["name"], gate["tolerance"]) == ("dalembert", 1e-10)
+    assert gate["pass"] is not mutated and record["all_pass"] is not mutated
+    assert gate["value"] > 0.2 if mutated else gate["value"] <= 1e-12
+
+
 @pytest.mark.parametrize("model", [{"kind_detail": "barrier", "zeta": 0.08},
                                    {"kind_detail": "delta", "zeta": 0.3}],
                          ids=["barrier", "delta"])
@@ -934,6 +955,8 @@ GATE_DEFECTS = {
     ("brachistochrone_deformed", "uncertainty_saturation"): (
         statespace, "optimal_hamiltonian",
         lambda opt: opt.replace(H_star=_tilted(opt.H_star, 1e-4)), 5e-9),
+    # the closed form's 1/2 off by 1e-8 of itself, on two half pulses of peak 1/2
+    ("em_vacuum", "dalembert"): (em, "propagate", lambda field: field * (1 + 1e-8), 5e-9),
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phqm import linalg
+from phqm import biortho, linalg
 from phqm.errors import (
     DefectiveOperatorError,
     InputError,
@@ -36,12 +36,14 @@ def test_identity_eigenpairs():
 
 
 def test_exceptional_point_is_defective():
-    with pytest.raises(DefectiveOperatorError):
-        linalg.eig_nonhermitian(two_level_matrix(0.0))
+    # the decomposition reports the exceptional point; the extension rejects it
+    dec = linalg.eig_nonhermitian(two_level_matrix(0.0))
+    with pytest.raises(DefectiveOperatorError, match="eigenvector matrix condition"):
+        biortho.biorthonormal_extension(dec)
 
 
 def test_defective_flag_without_check():
-    dec = linalg.eig_nonhermitian(two_level_matrix(0.0), check=False)
+    dec = linalg.eig_nonhermitian(two_level_matrix(0.0))
     assert not dec.diagonalizable
 
 

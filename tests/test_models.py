@@ -754,12 +754,35 @@ def test_well_matches_barrier_kernel():
 def test_model_outputs_pass_build_system():
     # constructor metrics certify through the similarity bundle
     m = models.two_level(models.TwoLevelParams(4.0, r=0.8, s=0.3))
-    sys_plus = metric.build_system(m.A, metric.MetricOperator(m.eta_plus), tol=1e-10)
+    for eta in (m.eta_plus, m.eta_general):
+        assert metric.pseudo_hermiticity_residual(m.A, eta) <= 1e-10
+    sys_plus = metric.build_system(m.A, metric.MetricOperator(m.eta_plus))
     np.testing.assert_allclose(sys_plus.h, m.h, atol=1e-12)
-    sys_gen = metric.build_system(m.A, metric.MetricOperator(m.eta_general), tol=1e-10)
+    sys_gen = metric.build_system(m.A, metric.MetricOperator(m.eta_general))
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(sys_gen.h)), [-2.0, 2.0], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("kind, jumps, count",
+                         [("square_well", [0.0], 110), ("barrier", [-0.5, 0.0, 0.5], 138)])
+def test_the_sgn_jumps_fall_on_nodes_only_by_the_parity_rule(kind, jumps, count):
+    # on the default boxes, x_j falls on a node when (x_j - x_min) / dx - 1/2
+    # is an integer: for the well at odd n, for the barrier at odd n and at
+    # n = 4 (mod 8); that is 110 and 138 of the 221 grids from 200 to 420
+    on_node = set()
+    for n in range(200, 421):
+        spec = models.KernelPotentialSpec(kind, 0.1, n=n)
+        if min(np.abs(spec.points() - x_j).min() for x_j in jumps) < 1e-9 * spec.dx:
+            on_node.add(n)
+    assert on_node == {n for n in range(200, 421)
+                       if n % 2 == 1 or (kind == "barrier" and n % 8 == 4)}
+    assert len(on_node) == count
+    # at n = 237 the node at 0 sits at -5.6e-17 and rounding picks v = +i zeta
+    spec = models.KernelPotentialSpec("square_well", 0.1, n=237)
+    node = int(np.argmin(np.abs(spec.points())))
+    assert 0 < -spec.points()[node] < 1e-16
+    assert models.potential_on_grid(spec)[node] == 0.1j
 
 
 def test_delta_requires_positive_kappa():

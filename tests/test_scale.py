@@ -1,6 +1,8 @@
 """States are rays, eta counts only up to a positive factor, and E sets the
 unit: a brachistochrone record does not move when its states or its metric
-are scaled, and only its time scale moves with E."""
+are scaled, and only its time scale moves with E.  H and cH share their
+metric up to a factor, so no verdict on a matrix depends on its unit of
+energy: the spectral tolerances read the spectrum's own scale."""
 
 import json
 import os
@@ -8,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from phqm import cli, statespace
+from phqm import cli, perturbation, statespace
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -145,5 +147,107 @@ def test_a_metric_scaled_by_a_power_of_four_leaves_every_quantity_bit_identical(
     @example(300)
     def check(k):
         assert degree_zero_in_eta(ETA * 4.0**k) == expected
+
+    check()
+
+
+UPPER_TRIANGULAR = [[1.0, 2.0], [0.0, 3.0]]
+ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
+MATRICES = {"upper_triangular": UPPER_TRIANGULAR, "rotation": ROTATION,
+            "diagnose_two_level": [[re for re, _ in row]
+                                   for row in load("diagnose_two_level.json")["matrix"]]}
+
+
+def verdict(record) -> tuple:
+    """What a record decides about its matrix, which has degree 0 in it."""
+    error, scalars = record.get("error", {}), record.get("scalars", {})
+    return (record["all_pass"], error.get("class"), error.get("type"),
+            scalars.get("spectrum_real"), scalars.get("diagonalizable"))
+
+
+@pytest.mark.parametrize("matrix", MATRICES)
+@pytest.mark.parametrize("command", ["diagnose", "metric", "hermitize"])
+def test_a_matrix_scaled_by_any_power_of_two_keeps_its_verdict(command, matrix):
+    # at x 2**-35 metric read pseudo-Hermiticity 0.55 on the upper-triangular
+    # matrix and hermitize raised NotPseudoHermitianError: the eigenvalues
+    # 2**-35 and 3 * 2**-35 counted as degenerate against max(1, max |a|);
+    # at x 2**-30 the rotation's +-9.3e-10 i counted as real
+    def run(k):
+        entries = [[[value * 2.0**k, 0.0] for value in row] for row in MATRICES[matrix]]
+        return verdict(cli.run({"command": command, "matrix": entries}))
+
+    expected = run(0)
+
+    @PROPERTY
+    @given(POWERS)
+    @example(-600)
+    @example(600)
+    @example(-35)
+    def check(k):
+        assert run(k) == expected
+
+    check()
+
+
+def test_a_metric_scaled_by_any_power_of_two_leaves_the_geometry_record_bit_identical():
+    # the geometry divides eta by its binade, so an odd power's factor 2 is exact
+    eta = [[[3.0, 0.0], [1.0, -0.5]], [[1.0, 0.5], [1.0, 0.0]]]
+    expected = scale_free(cli.run({"command": "geometry", "eta": eta}))
+
+    @PROPERTY
+    @given(POWERS)
+    @example(-600)
+    @example(600)
+    @example(-35)
+    def check(k):
+        record = cli.run({"command": "geometry", "eta": scaled_eta(eta, 2.0**k)})
+        assert scale_free(record) == expected
+
+    check()
+
+
+def graded_problem(n=16, seed=7):
+    """H0 block-diagonal Hermitian with eigenvalues cumsum(0.3 + U(0, 1)),
+    H1 anti-Hermitian coupling the blocks: a solvable grading."""
+    rng = np.random.default_rng(seed)
+    n_a = n // 2
+    vals = np.cumsum(0.3 + rng.random(n))
+
+    def unitary(m):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        return q
+
+    qa, qb = unitary(n_a), unitary(n - n_a)
+    h0 = np.zeros((n, n), dtype=complex)
+    h0[:n_a, :n_a] = qa @ np.diag(vals[:n_a]) @ qa.conj().T
+    h0[n_a:, n_a:] = qb @ np.diag(vals[n_a:]) @ qb.conj().T
+    w = rng.standard_normal((n_a, n - n_a)) + 1j * rng.standard_normal((n_a, n - n_a))
+    h1 = np.zeros((n, n), dtype=complex)
+    h1[:n_a, n_a:] = 2.0 * w
+    h1[n_a:, :n_a] = -2.0 * w.conj().T
+    return h0, h1
+
+
+def test_a_perturbation_problem_scaled_by_any_power_of_two_keeps_its_metric():
+    # at x 2**-40 every gap fell below 1e-9 max(max |E|, 1) and q_series raised
+    # UnsolvableCommutatorError; epsilon = 0.02 puts the residual at the
+    # dropped O(epsilon^9) term, 1.6e-9, so a Q that moved would show
+    h0, h1 = graded_problem()
+    epsilon = 0.02
+
+    def residual(k):
+        prob = perturbation.PerturbationProblem(h0 * 2.0**k, h1 * 2.0**k, epsilon, 7)
+        return perturbation.metric_residual(prob, perturbation.q_series(prob), epsilon)
+
+    expected = residual(0)
+    assert 1e-10 < expected < 1e-8
+
+    @PROPERTY
+    @given(POWERS)
+    @example(-600)
+    @example(600)
+    @example(-35)
+    def check(k):
+        assert residual(k) == pytest.approx(expected, rel=0, abs=100 * np.finfo(float).eps)
 
     check()

@@ -97,13 +97,18 @@ def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol:
     return psis
 
 
-def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
-    """Extend right eigenvectors to a complete biorthonormal system, reusing
-    the decomposition's V^-1 unless a degenerate block was re-orthonormalized;
-    the one DefectiveOperatorError for a numerical exceptional point."""
+def require_basis(eig: EigenDecomposition) -> EigenDecomposition:
+    """``eig``, or the one DefectiveOperatorError if its V is no basis."""
     if not eig.diagonalizable:
         raise DefectiveOperatorError(f"eigenvector matrix condition {eig.condition:.3e} "
                                      f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
+    return eig
+
+
+def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
+    """Extend right eigenvectors to a complete biorthonormal system, reusing
+    the decomposition's V^-1 unless a degenerate block was re-orthonormalized."""
+    require_basis(eig)
     psis = _orthonormalize_degenerate_blocks(eig.values, eig.right_vectors, DEGENERACY_TOL)
     return _system(eig.values, psis, eig.inverse if psis is eig.right_vectors else None)
 

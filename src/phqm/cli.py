@@ -295,14 +295,12 @@ def _run_em(out, *, profile: Profile, init: Init, t: float, n_eval: int = 400,
     z_eval = np.linspace(profile.z_min, profile.z_max, n_eval)
     field = em.propagate(profile, init, z_eval, t)
     out.curves["snapshot"] = {"columns": ["z", "E"], "rows": np.column_stack((z_eval, field)).tolist()}
-    z_scan = np.append(z_eval, np.linspace(profile.z_min, profile.z_max, em.DIAGNOSTIC_SAMPLES))
-    eps, mu = profile.eps_at(z_scan), profile.mu_at(z_scan)
-    if np.ptp(eps) == np.ptp(mu) == 0 and not np.any(init.E0_dot(z_eval)):
-        # a constant medium and E0_dot = 0: d'Alembert's solution is exact;
-        # relative to max |E0| over the scan and every characteristic foot
-        shift = t / np.sqrt(eps[0] * mu[0])
-        left, right = init.E0(z_eval - shift), init.E0(z_eval + shift)
-        e0 = np.abs(np.concatenate((init.E0(z_scan), left, right))).max()
+    n = profile.constant_index
+    if n is not None and init.at_rest:
+        # a medium and E0_dot = 0 constant by construction: d'Alembert's
+        # solution is exact; relative to max |E0| on the grid and its feet
+        left, right = init.E0(z_eval - t / n), init.E0(z_eval + t / n)
+        e0 = np.abs(np.concatenate((init.E0(z_eval), left, right))).max()
         error = np.abs(field - 0.5 * (left + right)).max()
         out.gate("dalembert", error / max(e0, 1e-300), 1e-10)
     if fdtd_check:

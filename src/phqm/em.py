@@ -42,6 +42,14 @@ class MediumProfile(Record):
         """sqrt(eps mu), the inverse local speed."""
         return np.sqrt(self.eps_at(z) * self.mu_at(z))
 
+    @property
+    def constant_index(self) -> float | None:
+        """sqrt(eps mu) when eps and mu are constant by construction, else
+        None: a scan could miss a feature between its points."""
+        if isinstance(self.eps, _Flat) and isinstance(self.mu, _Flat):
+            return float(np.sqrt(self.eps.value * self.mu.value))
+        return None
+
     def slow_variation_diagnostic(self, scale: float) -> float:
         """The larger of max |eps'| * scale / eps and max |mu'| * scale / mu
         over the domain (finite differences)."""
@@ -54,24 +62,29 @@ class MediumProfile(Record):
 Z_MIN, Z_MAX = -10.0, 10.0  # domain of the analytic profiles
 
 
-def _flat(value: float):
-    return lambda z: np.full_like(np.asarray(z, dtype=float), value)
+class _Flat(Record):
+    """z -> value, constant by construction."""
+
+    value: float
+
+    def __call__(self, z):
+        return np.full_like(np.asarray(z, dtype=float), self.value)
 
 
 def vacuum(z_min: float = Z_MIN, z_max: float = Z_MAX) -> MediumProfile:
-    return MediumProfile(_flat(1.0), _flat(1.0), z_min, z_max)
+    return MediumProfile(_Flat(1.0), _Flat(1.0), z_min, z_max)
 
 
 def constant_medium(eps: float, mu: float = 1.0, z_min: float = Z_MIN,
                     z_max: float = Z_MAX) -> MediumProfile:
-    return MediumProfile(_flat(eps), _flat(mu), z_min, z_max)
+    return MediumProfile(_Flat(eps), _Flat(mu), z_min, z_max)
 
 
 def tanh_medium(eps0: float = 1.0, amp: float = 0.1, z_min: float = Z_MIN,
                 z_max: float = Z_MAX) -> MediumProfile:
     """eps = eps0 + amp tanh(z), mu = 1."""
     return MediumProfile(lambda z: eps0 + amp * np.tanh(np.asarray(z, dtype=float)),
-                         _flat(1.0), z_min, z_max)
+                         _Flat(1.0), z_min, z_max)
 
 
 def sampled_profile(z: list, eps: list, mu: list) -> MediumProfile:
@@ -81,6 +94,8 @@ def sampled_profile(z: list, eps: list, mu: list) -> MediumProfile:
         raise InputError("z, eps and mu need one length of at least 2, z increasing")
     if np.any(eps <= 0) or np.any(mu <= 0):
         raise InputError("eps and mu samples must be strictly positive")
+    if np.all(eps == eps[0]) and np.all(mu == mu[0]):  # the same values np.interp gives
+        return constant_medium(*(float(a) for a in (eps[0], mu[0], z[0], z[-1])))
     return MediumProfile(
         lambda zz: np.interp(zz, z, eps),
         lambda zz: np.interp(zz, z, mu),
@@ -97,6 +112,11 @@ class InitialFields(Record):
     E0_dot: callable
     width: float | None = None
 
+    @property
+    def at_rest(self) -> bool:
+        """E0_dot = 0 by construction."""
+        return isinstance(self.E0_dot, _Flat) and self.E0_dot.value == 0
+
 
 def gaussian_pulse(center: float = 0.0, width: float = 0.5,
                    amplitude: float = 1.0) -> InitialFields:
@@ -106,7 +126,7 @@ def gaussian_pulse(center: float = 0.0, width: float = 0.5,
     def e0(z):
         return amplitude * np.exp(-((np.asarray(z) - center) ** 2) / (2.0 * width**2))
 
-    return InitialFields(e0, _flat(0.0), width)
+    return InitialFields(e0, _Flat(0.0), width)
 
 
 def _antiderivative(f, lo: float, hi: float):

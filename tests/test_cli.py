@@ -849,6 +849,16 @@ def test_a_constant_medium_gates_dalembert(profile, mutated, monkeypatch):
     assert gate["value"] > 0.2 if mutated else gate["value"] <= 1e-12
 
 
+def test_a_spike_between_scan_points_is_no_constant_medium():
+    # constancy is read from how the profile was built: this spike falls
+    # between the points of any 400- or 800-point scan of [-10, 10], yet it
+    # shifts the optical path by about 1e-3, which d'Alembert in vacuum misses
+    spike = {"z": [-10.0, 0.001, 0.002, 0.003, 10.0], "eps": [1.0, 1.0, 5.0, 1.0, 1.0],
+             "mu": [1.0] * 5}
+    record = cli.run({**load("em_vacuum.json"), "profile": spike})
+    assert record["residuals"] == [] and record["all_pass"] is True
+
+
 @pytest.mark.parametrize("model", [{"kind_detail": "barrier", "zeta": 0.08},
                                    {"kind_detail": "delta", "zeta": 0.3}],
                          ids=["barrier", "delta"])

@@ -401,6 +401,18 @@ def test_travel_time_distance_relation():
     assert opt.tau_min == pytest.approx(s / de)
 
 
+def test_evolve_keeps_near_degenerate_eigenvectors_of_a_non_normal_generator():
+    # cond(V) is about 2e11, so H counts as diagonalizable, and its two
+    # eigenvalues differ by 1e-11: re-orthonormalizing them as one block
+    # would turn V into the identity and read psi(1)[0] as 0, not -i e^{-i}
+    h = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-11]])
+    for t in (1.0, 3.0):
+        exact = np.exp(-1j * t) * np.array([-1j * t, 1.0])
+        np.testing.assert_allclose(evolve(h, [0.0, 1.0], t), exact, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(evolve(h, [0.0, 1.0], t), expm(-1j * t * h) @ [0.0, 1.0],
+                                   rtol=0, atol=1e-4)
+
+
 def test_evolve_rejects_defective_generator():
     from phqm.errors import DefectiveOperatorError
 

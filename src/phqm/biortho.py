@@ -15,7 +15,7 @@ from .errors import DefectiveOperatorError
 from .linalg import CONDITION_THRESHOLD, EigenDecomposition, dagger
 
 PAIR_TOL = 1e-8          # |Im a| / max |a| at or below which an eigenvalue counts as real
-DEGENERACY_TOL = 1e-10   # |a_m - a_n| / max |a| at or below which a block is orthonormalized
+DEGENERACY_TOL = 1e-10   # |a_m - a_n| / max |a| at or below which a cluster may be orthonormalized
 
 
 class BiorthonormalSystem(Record):
@@ -62,61 +62,41 @@ def _match_conjugate_pairs(values: np.ndarray) -> np.ndarray:
             continue
         unused.discard(i)
         target = np.conj(values[i])
-        best, best_dist = -1, np.inf
-        for j in sorted(unused):
-            d = abs(values[j] - target)
-            if d < best_dist - 1e-15:
-                best, best_dist = j, d
-        if best >= 0 and best_dist <= tol:
+        best = min(sorted(unused), key=lambda j: abs(values[j] - target), default=None)
+        if best is not None and abs(values[best] - target) <= tol:
             partner[i], partner[best] = best, i
             unused.discard(best)
     return partner
 
 
-def _orthonormalize_degenerate_blocks(values: np.ndarray, psis: np.ndarray, tol: float):
-    """Gram-Schmidt (QR) within numerically degenerate eigenvalue clusters.
+def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
+    """The biorthonormal system psi = V, phi = (V^-1)^dagger of ``eig``, its
+    own V^-1 reused; DefectiveOperatorError at a numerical exceptional point.
 
-    Gauge choice for repeated eigenvalues; leaves nondegenerate columns
-    untouched.  Returns ``psis`` itself when no cluster exists, else a new array.
+    Gauge within a degenerate eigenspace: in each cluster |a_m - a_n| <=
+    DEGENERACY_TOL max |a|, V_b = QR becomes Q, and V^-1_b becomes R V^-1_b,
+    only when the cluster's spread times |R^-1|_2 is within that tolerance,
+    so Q is still an eigenbasis; nearly equal eigenvalues of a non-normal H
+    keep their vectors as computed.
     """
-    close = np.abs(values[:, None] - values[None, :]) <= tol * _scale(values)
-    np.fill_diagonal(close, False)
-    if not close.any():  # no cluster at all, the usual case
-        return psis
-    psis = psis.copy()
-    used = np.zeros(len(values), dtype=bool)
-    for i in range(len(values)):
-        if used[i]:
-            continue
-        # every j < i is used by now, so these are the later unused j close to i
-        block = [i, *np.flatnonzero(close[i] & ~used).tolist()]
-        used[block] = True
-        if len(block) > 1:
-            q, _ = np.linalg.qr(psis[:, block])
-            psis[:, block] = q
-    return psis
-
-
-def require_basis(eig: EigenDecomposition) -> EigenDecomposition:
-    """``eig``, or the one DefectiveOperatorError if its V is no basis."""
-    if not eig.diagonalizable:
+    if eig.inverse is None or not eig.diagonalizable:
         raise DefectiveOperatorError(f"eigenvector matrix condition {eig.condition:.3e} "
                                      f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
-    return eig
-
-
-def biorthonormal_extension(eig: EigenDecomposition) -> BiorthonormalSystem:
-    """Extend right eigenvectors to a complete biorthonormal system, reusing
-    the decomposition's V^-1 unless a degenerate block was re-orthonormalized."""
-    require_basis(eig)
-    psis = _orthonormalize_degenerate_blocks(eig.values, eig.right_vectors, DEGENERACY_TOL)
-    return _system(eig.values, psis, eig.inverse if psis is eig.right_vectors else None)
-
-
-def _system(values, psis, inverse=None) -> BiorthonormalSystem:
-    """The system of the right eigenvectors ``psis``, normalized as given;
-    phi = (Psi^-1)^dagger from ``inverse`` when it holds Psi^-1."""
-    values = np.asarray(values, dtype=complex)
-    psis = np.asarray(psis, dtype=complex)
-    phis = dagger(np.linalg.inv(psis) if inverse is None else inverse)
-    return BiorthonormalSystem(values, psis, phis, _match_conjugate_pairs(values))
+    values, psis, inverse = eig.values, eig.right_vectors, eig.inverse
+    tol = DEGENERACY_TOL * _scale(values)
+    close = np.abs(values[:, None] - values[None, :]) <= tol
+    np.fill_diagonal(close, False)
+    used = ~close.any(axis=1)  # a value with no close partner needs no gauge
+    if not used.all():
+        psis, inverse = psis.copy(), inverse.copy()
+    for i in np.flatnonzero(~used).tolist():
+        # every j < i close to i is used by now, so these are the later ones
+        block = [i, *np.flatnonzero(close[i] & ~used).tolist()]
+        if used[i] or len(block) < 2:  # i, or each of its partners, joined an earlier cluster
+            continue
+        used[block] = True
+        q, r = np.linalg.qr(psis[:, block])
+        spread = np.abs(values[block] - values[i]).max()
+        if spread <= tol * np.linalg.svd(r, compute_uv=False)[-1]:
+            psis[:, block], inverse[block] = q, r @ inverse[block]
+    return BiorthonormalSystem(values, psis, dagger(inverse), _match_conjugate_pairs(values))

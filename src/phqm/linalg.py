@@ -14,7 +14,7 @@ Eigenpairs follow a deterministic convention: eigenvalues sorted by
 largest-magnitude entry is real and positive.  Real-dtype input goes to real
 LAPACK (dgeev); the dtype decides, not the values.  A decomposition reports
 whether cond(V) < 1e12, by the kappa bound sqrt(n) |V^-1|_F, then by an SVD;
-``biortho.require_basis`` is the one place that rejects it.
+``biortho.biorthonormal_extension`` is the one place that rejects it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ import numpy as np
 
 from ._record import Record
 from .errors import InputError
-from .biortho import require_basis
-from .linalg import as_matrix, binade, eig_nonhermitian
+from .biortho import biorthonormal_extension
+from .linalg import as_matrix, binade, dagger, eig_nonhermitian
 from .metric import positive_metric
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
@@ -141,8 +141,8 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
 
 
 def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
-    """psi(t) = V exp(-i t a / hbar) V^-1 psi0 with V as computed, since nearly
-    equal eigenvalues of a non-normal H need not share an eigenspace.
+    """psi(t) = sum_n exp(-i a_n t / hbar) psi_n <phi_n|psi0> over H's
+    ``biorthonormal_extension``.
 
     ``t`` is a time or an array of times; the result is psi(t) with the
     times' shape in front of the state's, so one row per time for a 1-D
@@ -150,10 +150,9 @@ def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
     conserved by the dynamics alone.
     """
     v, _ = _states(psi0=psi0)
-    H = _hamiltonian(h_op, v)
-    dec = require_basis(eig_nonhermitian(H))
-    phases = np.exp(-1j * np.multiply.outer(t, dec.values) / hbar)
-    return (phases * (dec.inverse @ v)) @ dec.right_vectors.T
+    bs = biorthonormal_extension(eig_nonhermitian(_hamiltonian(h_op, v)))
+    phases = np.exp(-1j * np.multiply.outer(t, bs.values) / hbar)
+    return (phases * (dagger(bs.phis) @ v)) @ bs.psis.T
 
 
 def projective_fidelity(psi, target, eta=None) -> float:

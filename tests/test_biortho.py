@@ -14,6 +14,12 @@ def random_diagonalizable(n, real_spectrum=False):
     return b @ np.diag(vals) @ np.linalg.inv(b)
 
 
+def system(vals, psis):
+    """The biorthonormal system of the eigenvectors ``psis``, normalized as given."""
+    return biortho.biorthonormal_extension(
+        linalg.EigenDecomposition(np.asarray(vals, dtype=complex), psis, np.linalg.inv(psis)))
+
+
 def test_hermitian_input_is_self_dual():
     h = RNG.standard_normal((4, 4))
     h = h + h.T
@@ -32,7 +38,7 @@ def test_two_level_left_vectors_match_closed_form():
             c * np.array([1 - np.sqrt(d), 1 + np.sqrt(d)]),
         ]
     ).astype(complex)
-    bs = biortho._system(vals, psis)
+    bs = system(vals, psis)
     expected_phi1 = (4.0**0.25 / 2.0) * np.array([1.5, 0.5])
     np.testing.assert_allclose(bs.phis[:, 0], expected_phi1, atol=1e-12)
 
@@ -63,7 +69,7 @@ def test_rescaling_leaves_projectors_invariant():
     a = random_diagonalizable(4)
     bs = biortho.biorthonormal_extension(linalg.eig_nonhermitian(a))
     scales = 0.5 + RNG.random(4) + 1j * RNG.random(4)
-    rescaled = biortho._system(bs.values, bs.psis * scales[None, :])
+    rescaled = system(bs.values, bs.psis * scales[None, :])
     for n in range(4):
         p_old = np.outer(bs.psis[:, n], np.conj(bs.phis[:, n]))
         p_new = np.outer(rescaled.psis[:, n], np.conj(rescaled.phis[:, n]))
@@ -128,6 +134,14 @@ def test_defective_input_rejected():
     dec = linalg.eig_nonhermitian(jordan)
     with pytest.raises(DefectiveOperatorError):
         biortho.biorthonormal_extension(dec)
+
+
+def test_decomposition_without_inverse_rejected():
+    # V^-1 is what phi is read from; eig_nonhermitian leaves it unset only
+    # when LAPACK could not invert V
+    dec = linalg.eig_nonhermitian(np.diag([1.0, 2.0]))
+    with pytest.raises(DefectiveOperatorError):
+        biortho.biorthonormal_extension(linalg.EigenDecomposition(dec.values, dec.right_vectors))
 
 
 def test_unpaired_complex_eigenvalue_blocks_pairing():

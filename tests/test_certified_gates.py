@@ -590,8 +590,11 @@ def test_real_and_complex_dtype_agree(n):
                     metric.metric_from_spectrum(complex_spectrum).eta) <= 1e-12
 
 
-def degenerate_blocks_loop(values, psis, tol):
-    psis = psis.copy()
+def degenerate_blocks_loop(values, psis, inverse, tol):
+    """The eigenspace gauge cluster by cluster: V_b = QR becomes Q, and
+    V^-1_b becomes R V^-1_b, where the cluster's spread times |R^-1|_2 is
+    within tol max |a|."""
+    psis, inverse = psis.copy(), inverse.copy()
     n = len(values)
     scale = float(np.max(np.abs(values)))
     used = np.zeros(n, dtype=bool)
@@ -602,9 +605,12 @@ def degenerate_blocks_loop(values, psis, tol):
                        if not used[j] and abs(values[j] - values[i]) <= tol * scale]
         used[block] = True
         if len(block) > 1:
-            q, _ = np.linalg.qr(psis[:, block])
-            psis[:, block] = q
-    return psis
+            q, r = np.linalg.qr(psis[:, block])
+            spread = max(abs(values[j] - values[i]) for j in block)
+            if spread * np.linalg.norm(np.linalg.inv(r), 2) <= tol * scale:
+                psis[:, block] = q
+                inverse[block] = r @ inverse[block]
+    return psis, inverse
 
 
 @pytest.mark.parametrize("clustered", [False, True])
@@ -612,13 +618,27 @@ def test_degenerate_block_scan_matches_loop(clustered):
     rng = np.random.default_rng(17)
     n = 40
     values = np.sort(rng.uniform(-5, 5, n)).astype(complex)
+    psis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if clustered:
         values[10:13] = values[10]
         values[30] = values[29] + 1e-12
-    psis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    before = psis.copy()
-    new = biortho._orthonormalize_degenerate_blocks(values, psis, 1e-10)
-    np.testing.assert_array_equal(new, degenerate_blocks_loop(values, psis, 1e-10))
+        # a chain: 6 joins 5's cluster, so 7, close to 6 alone, stays single
+        values[6:8] = values[5] + np.array([0.7, 1.4]) * 1e-10 * np.abs(values).max()
+        # a non-normal near-degenerate cluster: nearly parallel vectors whose
+        # eigenvalues differ by 1e-11 max |a|, so Q would be no eigenbasis
+        values[21] = values[20] + 1e-11 * np.abs(values).max()
+        psis[:, 21] = psis[:, 20] + 1e-3 * psis[:, 21]
+    inverse = np.linalg.inv(psis)
+    before = psis.copy(), inverse.copy()
+    bs = biortho.biorthonormal_extension(linalg.EigenDecomposition(values, psis, inverse))
+    expected_psis, expected_inverse = degenerate_blocks_loop(values, psis, inverse, 1e-10)
+    np.testing.assert_array_equal(bs.psis, expected_psis)
+    np.testing.assert_array_equal(bs.phis, np.conj(expected_inverse.T))
+    if clustered:
+        np.testing.assert_allclose(np.conj(bs.psis[:, 10:13].T) @ bs.psis[:, 10:13],
+                                   np.eye(3), atol=1e-14)
+        np.testing.assert_array_equal(bs.psis[:, 20:22], psis[:, 20:22])
     # the input itself when nothing is degenerate, else a new array; never altered
-    assert (new is psis) is not clustered
-    np.testing.assert_array_equal(psis, before)
+    assert (bs.psis is psis) is not clustered
+    np.testing.assert_array_equal(psis, before[0])
+    np.testing.assert_array_equal(inverse, before[1])

@@ -83,6 +83,43 @@ def test_random_matrices_toward_a_jordan_block(n, k, seed, triangular, command):
     assert outcome(record) in ("pass", "domain", "residual"), record.get("error")
 
 
+def _near_exceptional_point(eps):
+    """Eigenvalues 1 and 1 + eps, cond(V) about 2 / eps and cond(eta_+) its square."""
+    return np.array([[1.0, 1.0], [0.0, 1.0 + eps]])
+
+
+def _rotated(diagonal):
+    """Q diag(diagonal) Q^T for a fixed orthogonal Q: Hermitian, and degenerate
+    where ``diagonal`` repeats, so its eta_+ is I only in an orthonormal gauge."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((len(diagonal),) * 2))
+    m = q @ np.diag(diagonal) @ q.T
+    return 0.5 * (m + m.T)
+
+
+# (matrix, outcome, error type); where eta_+ exists and H is Hermitian it is I
+EDGES = {
+    "near_ep_1e-4": (_near_exceptional_point(1e-4), "pass", None),
+    "near_ep_1e-8": (_near_exceptional_point(1e-8), "domain", "SingularOperatorError"),
+    # a QR of the near-degenerate cluster once turned V into I: metric read
+    # pseudo-Hermiticity 0.618 and hermitize raised NotPseudoHermitianError
+    "near_ep_1e-11": (_near_exceptional_point(1e-11), "domain", "SingularOperatorError"),
+    "near_ep_1e-12": (_near_exceptional_point(1e-12), "domain", "DefectiveOperatorError"),
+    "hermitian_1_1_1_3": (_rotated([1.0, 1.0, 1.0, 3.0]), "pass", None),
+    "hermitian_0_0_1_-1": (_rotated([0.0, 0.0, 1.0, -1.0]), "pass", None),
+}
+
+
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("command", ["metric", "hermitize"])
+def test_metric_and_hermitize_at_the_edges_of_their_domain(command, edge):
+    matrix, expected, error_type = EDGES[edge]
+    record = cli.run({"command": command, "matrix": cli.encode_matrix(matrix)})
+    assert (outcome(record), record.get("error", {}).get("type")) == (expected, error_type)
+    if edge.startswith("hermitian"):
+        eta = cli.parse_matrix(record["matrices"]["eta_plus"])
+        assert np.abs(eta - np.eye(len(eta))).max() <= 1e-12
+
+
 def _paths(node, path=()):
     """The path of every node below ``node`` in a JSON tree."""
     items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()

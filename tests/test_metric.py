@@ -31,7 +31,8 @@ def two_level_system(d=4.0):
         ]
     ).astype(complex)
     a = 0.5 * np.array([[d + 1, d - 1], [-d + 1, -d - 1]], dtype=complex)
-    return a, biortho._system(vals, psis)
+    dec = linalg.EigenDecomposition(np.asarray(vals, dtype=complex), psis, np.linalg.inv(psis))
+    return a, biortho.biorthonormal_extension(dec)
 
 
 def quasi_hermitian_pair(n, cond_scale=0.6):

@@ -153,9 +153,17 @@ def test_a_metric_scaled_by_a_power_of_four_leaves_every_quantity_bit_identical(
 
 UPPER_TRIANGULAR = [[1.0, 2.0], [0.0, 3.0]]
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
+# S B S^-1 with S = I + (ones above the diagonal) and B = 0.5 (+) [[1, 1], [-1, 1]]
+# (+) [[1, 2], [-2, 1]]: the real spectrum {0.5, 1 +- i, 1 +- 2i}, every entry exact
+CONJUGATE_PAIRS = [[0.5, 0.5, 0.5, -0.5, 0.5], [0.0, 0.0, 2.0, -2.0, 2.0],
+                   [0.0, -1.0, 2.0, -1.0, 3.0], [0.0, 0.0, 0.0, -1.0, 4.0],
+                   [0.0, 0.0, 0.0, -2.0, 3.0]]
 MATRICES = {"upper_triangular": UPPER_TRIANGULAR, "rotation": ROTATION,
             "diagnose_two_level": [[re for re, _ in row]
-                                   for row in load("diagnose_two_level.json")["matrix"]]}
+                                   for row in load("diagnose_two_level.json")["matrix"]],
+            "conjugate_pairs": CONJUGATE_PAIRS}
+# the metric command builds the pseudo-metric of this signature on these
+SIGMA = {"conjugate_pairs": [1]}
 
 
 def verdict(record) -> tuple:
@@ -171,10 +179,14 @@ def test_a_matrix_scaled_by_any_power_of_two_keeps_its_verdict(command, matrix):
     # at x 2**-35 metric read pseudo-Hermiticity 0.55 on the upper-triangular
     # matrix and hermitize raised NotPseudoHermitianError: the eigenvalues
     # 2**-35 and 3 * 2**-35 counted as degenerate against max(1, max |a|);
-    # at x 2**-30 the rotation's +-9.3e-10 i counted as real
+    # at x 2**-30 the rotation's +-9.3e-10 i counted as real; at x 2**-60
+    # metric with sigma [1] found no conjugate partner on the paired spectrum,
+    # since conjugates were matched by distances compared against 1e-15
+    sigma = {"sigma": SIGMA[matrix]} if command == "metric" and matrix in SIGMA else {}
+
     def run(k):
         entries = [[[value * 2.0**k, 0.0] for value in row] for row in MATRICES[matrix]]
-        return verdict(cli.run({"command": command, "matrix": entries}))
+        return verdict(cli.run({"command": command, "matrix": entries, **sigma}))
 
     expected = run(0)
 
@@ -183,6 +195,7 @@ def test_a_matrix_scaled_by_any_power_of_two_keeps_its_verdict(command, matrix):
     @example(-600)
     @example(600)
     @example(-35)
+    @example(-60)
     def check(k):
         assert run(k) == expected
 

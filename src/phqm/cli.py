@@ -394,23 +394,23 @@ def _bind(fn, fields: dict, owner: str) -> dict:
 
 
 def _tagged(fields: dict, tag_field: str, table: dict, owner: str, untagged=None):
-    """The entry of ``table`` that a nested object's tag names, its other
-    fields and its name in error messages."""
+    """The entry of ``table`` that an object's tag names, its other fields
+    and the tag."""
     fields = dict(fields)
     tag = fields.pop(tag_field, untagged)
     if not isinstance(tag, str) or tag not in table:
-        raise SchemaError(f"unknown {owner} {tag_field} {tag!r}")
-    return table[tag], fields, f"{owner} {tag!r}"
+        raise SchemaError(f"unknown {owner} {tag_field} {tag!r}; expected one of {sorted(table)}")
+    return table[tag], fields, tag
 
 
 def _build(fields: dict, tag_field: str, builders: dict, owner: str, untagged=None):
-    build, fields, owner = _tagged(fields, tag_field, builders, owner, untagged)
-    return build(**_bind(build, fields, owner))
+    build, fields, tag = _tagged(fields, tag_field, builders, owner, untagged)
+    return build(**_bind(build, fields, f"{owner} {tag!r}"))
 
 
 def _model(fields: dict) -> Model:
-    (build, write), fields, owner = _tagged(fields, "kind", _MODELS, "model")
-    return functools.partial(write, build(**_bind(build, fields, owner)))
+    (build, write), fields, kind = _tagged(fields, "kind", _MODELS, "model")
+    return functools.partial(write, build(**_bind(build, fields, f"model {kind!r}")))
 
 
 def validate_scenario(config: dict):
@@ -418,13 +418,7 @@ def validate_scenario(config: dict):
     converted; nested objects come built."""
     if not isinstance(config, dict):
         raise SchemaError("scenario must be a JSON object")
-    fields = dict(config)
-    command = fields.pop("command", None)
-    if not isinstance(command, str) or command not in _HANDLERS:
-        raise SchemaError(
-            f"unknown or missing command {command!r}; expected one of {sorted(_HANDLERS)}"
-        )
-    handler = _HANDLERS[command]
+    handler, fields, command = _tagged(config, "command", _HANDLERS, "scenario")
     return handler, _bind(handler, fields, f"command {command!r}")
 
 

@@ -30,7 +30,8 @@ from .errors import (
     SingularOperatorError,
     UnpairedComplexEigenvalueError,
 )
-from .linalg import as_matrix, binade, dagger, is_hermitian, norm_ratio_above, opnorm
+from .linalg import (as_matrix, binade, dagger, is_hermitian, norm_ratio_above, opnorm,
+                     over_binade)
 
 PSEUDO_HERMITICITY_TOL = 1e-8
 
@@ -67,14 +68,17 @@ def positive_metric(eta, dim: int | None = None):
     if not is_hermitian(eta_m):
         raise NotHermitianError("eta must be Hermitian")
     evals, vecs = np.linalg.eigh(0.5 * (eta_m + dagger(eta_m)))
-    # the rounding eta's eigenvalues carry; |eta|_F is summed at the exact
-    # scale ``binade``, which keeps its squares finite
+    # lambda_min and the rounding s that eta's eigenvalues carry, both over
+    # eta's ``binade``, exactly: there |eta|_F is summed with finite squares
     scale = binade(eta_m)
-    slack = 4 * len(eta_m) * np.finfo(float).eps * scale * np.linalg.norm(eta_m / scale)
-    if evals[0] < -slack:
-        raise NotPositiveDefiniteError(f"eta has negative eigenvalue {evals[0]:.3e}")
-    if evals[0] <= slack:
-        raise SingularOperatorError(f"eta is numerically singular: eigenvalue {evals[0]:.3e}")
+    slack = 4 * len(eta_m) * np.finfo(float).eps * np.linalg.norm(over_binade(eta_m))
+    rounding = f"{slack * scale:.3e}, the rounding of its eigenvalues"
+    if evals[0] / scale < -slack:
+        raise NotPositiveDefiniteError(f"eta has negative eigenvalue {evals[0]:.3e}, "
+                                       f"below -{rounding}")
+    if evals[0] / scale <= slack:
+        raise SingularOperatorError(f"eta is numerically singular: lowest eigenvalue "
+                                    f"{evals[0]:.3e} is within +-{rounding}")
     return eta_m, evals, vecs
 
 
@@ -143,7 +147,7 @@ def pseudo_hermiticity_residual(h, eta) -> float:
     h = as_matrix(h)
     eta = metric_matrix(eta, len(h))
     # degree 0 in each factor: over its ``binade`` exactly, and finite
-    h, eta = h / binade(h), eta / binade(eta)
+    h, eta = over_binade(h), over_binade(eta)
     eta = 0.5 * (eta + dagger(eta))
     eta_h = eta @ h
     eta_norm = np.abs(np.linalg.eigvalsh(eta)).max()

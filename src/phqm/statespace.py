@@ -13,7 +13,7 @@ import numpy as np
 from ._record import Record
 from .errors import InputError
 from .biortho import biorthonormal_extension
-from .linalg import as_matrix, binade, dagger, eig_nonhermitian
+from .linalg import as_matrix, binade, dagger, eig_nonhermitian, over_binade
 from .metric import positive_metric
 
 ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogonal ones
@@ -30,12 +30,12 @@ def _states(eta=None, **states):
     eta_m = np.eye(len(vectors[0]), dtype=complex) if eta is None else positive_metric(eta)[0]
     if any(len(v) != len(eta_m) for v in vectors):
         raise InputError(f"{', '.join(states)} and eta sizes differ")
-    return (*vectors, eta_m / binade(eta_m))
+    return (*vectors, over_binade(eta_m))
 
 
 def _overlaps(v, w, eta_m):
     """<v|eta w>, <v|eta v> and <w|eta w> of v and w over their ``binade``."""
-    v, w = v / binade(v), w / binade(w)
+    v, w = over_binade(v), over_binade(w)
     return (complex(np.conj(v) @ eta_m @ w), float(np.real(np.conj(v) @ eta_m @ v)),
             float(np.real(np.conj(w) @ eta_m @ w)))
 
@@ -70,7 +70,7 @@ class TwoLevelLineElement(Record):
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
     eta_m = positive_metric(eta, 2)[0]
-    eta_m = eta_m / binade(eta_m)  # the coefficients have degree 0 in eta
+    eta_m = over_binade(eta_m)  # the coefficients have degree 0 in eta
     a = float(eta_m[0, 0].real)
     c = float(eta_m[1, 1].real)
     b1 = float(eta_m[0, 1].real)
@@ -117,7 +117,7 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     pre-limit form with unit representatives (any relative phase is
     optimal; this takes 0) is used instead.
     """
-    vi, vf = prob.psi_i / binade(prob.psi_i), prob.psi_f / binade(prob.psi_f)
+    vi, vf = over_binade(prob.psi_i), over_binade(prob.psi_f)
     eta_m = prob.eta
     p, ni, nf = _overlaps(vi, vf, eta_m)
     ui = vi / np.sqrt(ni)
@@ -167,7 +167,7 @@ def energy_uncertainty(h_op, psi, eta=None) -> float:
     H = _hamiltonian(h_op, v)
     # degree 0 in psi and 1 in H: <H^2> is formed at unit scale, exactly
     scale = binade(H)
-    v, H = v / binade(v), H / scale
+    v, H = over_binade(v), over_binade(H)
     norm = complex(np.conj(v) @ eta_m @ v)
     hv = H @ v
     mean = complex(np.conj(v) @ eta_m @ hv) / norm

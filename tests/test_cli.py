@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -798,9 +799,9 @@ def test_a_wrong_eta_is_no_hermitian_partner_whatever_the_scenario_says():
     assert (error["class"], error["type"]) == ("input", "SchemaError")
 
 
-def test_an_inexact_eigenpair_fails_the_diagnose_gate_or_the_eigensolve(monkeypatch):
-    # the gate and eig_nonhermitian share the bound 1e-8, so the gate alone
-    # decides only when V is too ill-conditioned for the library's own check
+def test_an_inexact_eigenpair_fails_a_residual_gate(monkeypatch, tmp_path):
+    # eig_nonhermitian checks no eigenpair: diagnose's gate reads the residual,
+    # at any cond(V), and hermitize's isospectrality catches a wrong spectrum
     true_eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda m: (np.array([1.0, 5.0]),
                                                      np.array([[1.0, 1.0], [0.0, 1e-13]])))
@@ -810,8 +811,18 @@ def test_an_inexact_eigenpair_fails_the_diagnose_gate_or_the_eigensolve(monkeypa
     assert (gate["name"], gate["pass"], gate["tolerance"]) == ("eigenpair_residual", False, 1e-8)
     assert gate["value"] == pytest.approx(0.75)
     monkeypatch.setattr(np.linalg, "eig", lambda m: (lambda w, v: (1.001 * w, v))(*true_eig(m)))
-    error = cli.run(load("diagnose_two_level.json"))["error"]
-    assert (error["class"], error["type"]) == ("domain", "DefectiveOperatorError")
+    diagnose = load("diagnose_two_level.json")
+    hermitize = {"command": "hermitize", "matrix": diagnose["matrix"]}
+    for config, name, value in ((diagnose, "eigenpair_residual", 6.3e-4),
+                                (hermitize, "isospectrality", 1.0e-3)):
+        record = cli.run(config)
+        assert "error" not in record and not record["all_pass"]
+        failed = [(e["name"], e["value"]) for e in record["residuals"] if not e["pass"]]
+        assert failed == [(name, pytest.approx(value, rel=0.01))]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r.json")]) \
+            == cli.EXIT_RESIDUAL
 
 
 @pytest.mark.parametrize("scale, passes", [(1.005, True), (1.02, False)])
@@ -1138,7 +1149,8 @@ def test_common_fields_match_the_frozen_schema():
             cli.validate_scenario({**base, **bad})
     with pytest.raises(SchemaError, match="unexpected field 'normalize'"):
         cli.validate_scenario({"command": "metric", "matrix": TWO_LEVEL_A, "normalize": True})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=re.escape(
+            f"expected one of {sorted(FROZEN_SCHEMA['commands'])}")):
         cli.validate_scenario({"eta": base["eta"]})
 
 
@@ -1146,7 +1158,9 @@ def test_common_fields_match_the_frozen_schema():
 def test_nested_objects_are_selected_by_their_frozen_tag(name):
     spec = FROZEN_SCHEMA["objects"][name]
     build = cli._TYPES[name.capitalize()][1]
-    with pytest.raises(SchemaError, match=f"unknown {name} {spec['tag']} 'nope'"):
+    known = sorted(spec["variants"])
+    with pytest.raises(SchemaError, match=re.escape(
+            f"unknown {name} {spec['tag']} 'nope'; expected one of {known}")):
         build({spec["tag"]: "nope"})
     if "untagged" in spec:
         untagged = spec["variants"][spec["untagged"]]["required"]

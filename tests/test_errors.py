@@ -7,6 +7,7 @@ import inspect
 import json
 import operator
 import os
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_metric_and_hermitize_at_the_edges_of_their_domain(command, edge):
     if edge.startswith("hermitian"):
         eta = cli.parse_matrix(record["matrices"]["eta_plus"])
         assert np.abs(eta - np.eye(len(eta))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["metric", "hermitize"])
+def test_a_singular_metric_names_its_lowest_eigenvalue_and_the_rounding(command):
+    # the message named only lambda_min, 0.5, which reads healthy beside the
+    # rounding 4 n u |eta_+|_F of about 36 that it failed to clear
+    record = cli.run({"command": command, "matrix": cli.encode_matrix(_near_exceptional_point(1e-8))})
+    match = re.fullmatch(r"eta is numerically singular: lowest eigenvalue (\S+) is within "
+                         r"\+-(\S+), the rounding of its eigenvalues", record["error"]["message"])
+    assert match is not None, record["error"]
+    assert (float(match[1]), float(match[2])) == (pytest.approx(0.5), pytest.approx(36, rel=0.05))
 
 
 def _paths(node, path=()):

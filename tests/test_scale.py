@@ -114,6 +114,7 @@ def test_a_metric_scaled_by_any_power_of_two_passes_every_gate(name):
     @given(POWERS)
     @example(-600)
     @example(600)
+    @example(-1030)
     def check(k):
         record = cli.run({**base, "eta": scaled_eta(base["eta"], 2.0**k)})
         assert record["all_pass"], record.get("error") or record["residuals"]
@@ -196,6 +197,7 @@ def test_a_matrix_scaled_by_any_power_of_two_keeps_its_verdict(command, matrix):
     @example(600)
     @example(-35)
     @example(-60)
+    @example(-1030)
     def check(k):
         assert run(k) == expected
 
@@ -212,9 +214,30 @@ def test_a_metric_scaled_by_any_power_of_two_leaves_the_geometry_record_bit_iden
     @example(-600)
     @example(600)
     @example(-35)
+    @example(-1030)
     def check(k):
         record = cli.run({"command": "geometry", "eta": scaled_eta(eta, 2.0**k)})
         assert scale_free(record) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("command", ["geometry", "hermitize"])
+def test_an_indefinite_metric_scaled_by_any_power_of_two_is_no_metric(command):
+    # at x 2**-1030 eta / binade(eta) went through numpy's complex division,
+    # whose reciprocal of the subnormal binade overflowed: geometry read NaN
+    # coefficients with all_pass true and hermitize raised LinAlgError
+    eta = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    matrix = {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}
+
+    @PROPERTY
+    @given(POWERS)
+    @example(-1030)
+    def check(k):
+        record = cli.run({"command": command, "eta": scaled_eta(eta, 2.0**k),
+                          **(matrix if command == "hermitize" else {})})
+        assert (record["error"]["class"], record["error"]["type"]) == (
+            "input", "NotPositiveDefiniteError")
 
     check()
 

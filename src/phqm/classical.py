@@ -13,8 +13,7 @@ from ._record import Record
 from .errors import DegenerateStructureError, InputError, StepOverflowError
 
 OVERFLOW_GUARD = 1e12
-CR_TOL = 1e-4          # Cauchy-Riemann residual / |V| that real_hamiltonians accepts
-FD_STEP = 1e-5         # central-difference step of brackets and Cauchy-Riemann checks
+FD_STEP = 1e-5         # central-difference step of brackets
 
 J_STANDARD = np.array(
     [
@@ -164,30 +163,15 @@ def phase_functions(potential, m: float):
     return z_of, p_of, h_of
 
 
-def cauchy_riemann_residual(potential, z: complex) -> float:
-    """Max finite-difference violation of the Cauchy-Riemann conditions.
+def real_hamiltonians(potential, z, p, m: float):
+    """(K, H_i) = (2 Re h, Im h) of h = p^2/2m + V(z), elementwise on z and p.
 
-    With V_x, V_y the derivatives of V(x + i y), an analytic V has
-    V_y = i V_x.
+    A non-finite h, such as V at a pole, ends it with StepOverflowError.
     """
-    # as a Python complex the difference divides by the real step exactly
-    v_x, v_y = _gradient(lambda w: complex(potential(w[0] + 1j * w[1])), (z.real, z.imag))
-    return max(abs(v_x.real - v_y.imag), abs(v_y.real + v_x.imag))
-
-
-def real_hamiltonians(potential, pt: DarbouxPoint, m: float) -> dict:
-    """K = 2 Re(h) and the integral of motion H_i = Im(h) at a Darboux point.
-
-    Evaluated at the corresponding complex phase-space point
-    z = (x1 + i p2)/sqrt(2), p = (p1 + i x2)/sqrt(2); the analyticity of V
-    is gated by a finite-difference Cauchy-Riemann check.
-    """
-    cpt = pt.to_complex()
-    cr = cauchy_riemann_residual(potential, cpt.z)
-    scale = max(abs(potential(cpt.z)), 1.0)
-    if cr > CR_TOL * scale:
-        raise InputError(
-            f"potential fails the Cauchy-Riemann check at {cpt.z} (residual {cr:.2e})"
-        )
-    h_val = cpt.p**2 / (2.0 * m) + potential(cpt.z)
-    return {"K": 2.0 * h_val.real, "H_i": h_val.imag}
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        h = p**2 / (2.0 * m) + potential(z)
+    bad = ~np.isfinite(h)
+    if bad.any():
+        raise StepOverflowError(f"h = p^2/2m + V(z) is not finite at z = {z[bad][0]}")
+    return 2.0 * h.real, h.imag

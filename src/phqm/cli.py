@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from . import biortho, em, linalg, metric, models, statespace
-from .classical import ComplexPhasePoint, flow, real_hamiltonians, to_darboux
+from .classical import ComplexPhasePoint, flow, real_hamiltonians
 from .errors import InputError, PhqmError, SchemaError
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def _run_model(out, *, model: Model):
 def _two_level(params, out):
     m = models.two_level(params)
     out.matrices.update((name, getattr(m, name))
-                        for name in ("A", "eta_plus", "eta_general", "h", "C", "S"))
+                        for name in ("A", "eta_plus", "eta_general", "h", "C"))
     out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), 1e-10)
     out.gate("charge_squares_to_identity",
              linalg.opnorm(m.C @ m.C - np.eye(2)) / linalg.opnorm(m.C) ** 2, 1e-10)
@@ -278,9 +278,7 @@ def _run_classical(out, *, potential: Potential, z0: complex, p0: complex,
                    t_end: float, dt: float, mass: float = 1.0, sample_every: int = 10):
     v, v_prime = potential
     traj = flow(v_prime, mass, ComplexPhasePoint(z0, p0), t_end, dt, sample_every=sample_every)
-    vals = [real_hamiltonians(v, to_darboux(ComplexPhasePoint(z, p)), mass)
-            for z, p in zip(traj.z, traj.p)]
-    ks, his = (np.array([x[key] for x in vals]) for key in ("K", "H_i"))
+    ks, his = real_hamiltonians(v, traj.z, traj.p, mass)
     scale = max(np.abs(ks).max(), 1.0)
     out.gate("K_drift", float(np.ptp(ks)) / scale, 1e-8)
     out.gate("H_i_drift", float(np.ptp(his)) / scale, 1e-8)

@@ -1,7 +1,7 @@
 """Closed-form model constructors.
 
 * two_level:        2x2 toy operator with exact metric family, equivalent
-                    Hermitian form, grading operator and antilinear symmetry.
+                    Hermitian form and grading operator.
 * swanson_*:        su(1,1) oscillator with the Lie-algebraic metric
                     eta_+ = exp(z K+) exp(2r K3) exp(z* K-), solved in the
                     2x2 standard representation and lifted to a truncated
@@ -60,7 +60,6 @@ class TwoLevelModel(Record):
     eta_general: np.ndarray
     h: np.ndarray
     C: np.ndarray
-    S: np.ndarray
 
 
 def two_level(params: TwoLevelParams) -> TwoLevelModel:
@@ -68,7 +67,7 @@ def two_level(params: TwoLevelParams) -> TwoLevelModel:
 
     Uses the eigenvector normalization c1 = c2 = D^{-1/4}/2, for which
     eta_+ = exp(theta sigma_1) with theta = ln(D)/2, h = sqrt(D) sigma_3,
-    and the antilinear symmetry reduces to plain conjugation (M = I).
+    and the antilinear symmetry is plain conjugation (M = I): A is real.
     """
     D = float(params.D)
     if D == 0.0:
@@ -86,8 +85,7 @@ def two_level(params: TwoLevelParams) -> TwoLevelModel:
     )
     h = np.sqrt(D) * SIGMA_3
     C = np.array([[ch, sh], [-sh, -ch]], dtype=complex)
-    S = np.eye(2, dtype=complex)
-    return TwoLevelModel(A, eta_plus, eta_general, h, C, S)
+    return TwoLevelModel(A, eta_plus, eta_general, h, C)
 
 
 # ----------------------------------------------------------------------

@@ -113,13 +113,25 @@ def geodesic_distance(psi_i, psi_f, eta=None) -> float:
     return float(np.arccos(cos_s))
 
 
+def cauchy_riemann_residual(potential, z: complex) -> float:
+    """Max finite-difference violation of the Cauchy-Riemann conditions.
+
+    With V_x, V_y the derivatives of V(x + i y), an analytic V has
+    V_y = i V_x.
+    """
+    # as a Python complex the difference divides by the real step exactly
+    v_x, v_y = classical._gradient(lambda w: complex(potential(w[0] + 1j * w[1])),
+                                   (z.real, z.imag))
+    return max(abs(v_x.real - v_y.imag), abs(v_y.real + v_x.imag))
+
+
 def integrability_report(potential, points, m: float) -> dict:
     """Ranks of the Jacobian of (K, H_i) at Darboux points (rank 2 everywhere
     is the generic integrable case; degenerate potentials may lose it)."""
 
     def k_plus_i_hi(w):
-        vals = classical.real_hamiltonians(potential, classical.DarbouxPoint(*w), m)
-        return complex(vals["K"], vals["H_i"])
+        cpt = classical.DarbouxPoint(*w).to_complex()
+        return complex(*classical.real_hamiltonians(potential, cpt.z, cpt.p, m))
 
     ranks = []
     for pt in points:

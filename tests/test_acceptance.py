@@ -14,7 +14,6 @@ from phqm.classical import (
     phase_functions,
     real_hamiltonians,
     standard_bracket,
-    to_darboux,
 )
 from phqm.linalg import dagger, opnorm
 
@@ -265,11 +264,7 @@ def test_criterion_9_complex_classical():
         worst_std = max(worst_std, abs(standard_bracket(p_of, h_of, pt)))
         worst_j0 = max(worst_j0, abs(bracket(params, z_of, h_of, pt) - p_of(pt)))
     traj = flow(cubic_prime, 1.0, ComplexPhasePoint(0.0, 1.0), 10.0, 1e-3, sample_every=100)
-    ks, his = [], []
-    for z, p in zip(traj.z, traj.p):
-        vals = real_hamiltonians(cubic, to_darboux(ComplexPhasePoint(z, p)), 1.0)
-        ks.append(vals["K"])
-        his.append(vals["H_i"])
+    ks, his = real_hamiltonians(cubic, traj.z, traj.p, 1.0)
     k_drift = float(np.ptp(ks))
     hi_drift = float(np.ptp(his))
     print(f"    std bracket {worst_std:.1e}, J0 dev {worst_j0:.1e}, "

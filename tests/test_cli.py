@@ -279,9 +279,12 @@ JORDAN = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
          "EigenpairsNotConvergedError"),
         ({"command": "classical", "potential": {"kind": "monomial", "coeff": [1, 0], "power": -1},
           "z0": [0, 0], "p0": [1, 0], "t_end": 1, "dt": 0.1}, "StepOverflowError"),
+        # flow reads no V' here, so V itself meets the pole when K is read
+        ({"command": "classical", "potential": {"kind": "monomial", "coeff": [1, 0], "power": -1},
+          "z0": [0, 0], "p0": [1, 0], "t_end": 0, "dt": 0.1}, "StepOverflowError"),
     ],
     ids=["two-level-D0", "swanson-complex", "hermitize-jordan", "metric-jordan",
-         "quartic-unconverged", "flow-pole"],
+         "quartic-unconverged", "flow-pole", "flow-pole-at-start"],
 )
 def test_valid_inputs_outside_the_domain_exit_as_domain_errors(config, error_type, tmp_path,
                                                                 capsys):
@@ -293,6 +296,40 @@ def test_valid_inputs_outside_the_domain_exit_as_domain_errors(config, error_typ
     assert list(record) == ["command", "inputs", "error", "warnings", "all_pass", "timing_s"]
     assert record["error"]["class"] == "domain" and record["error"]["type"] == error_type
     assert record["inputs"] == config and record["all_pass"] is False
+    assert "NaN" not in out.read_text()
+
+
+def _classical(coeff, power, z0, t_end, dt):
+    return {"command": "classical", "potential": {"kind": "monomial", "coeff": coeff, "power": power},
+            "z0": [z0, 0], "p0": [1, 0], "t_end": t_end, "dt": dt}
+
+
+@pytest.mark.parametrize(
+    "config, outcome",
+    [
+        (load("classical_cubic.json"), ("pass", None)),
+        # an analytic V is read as given, whatever its coefficient and however fast it grows
+        (_classical([1e8, 0], 3, 1e-4, 1e-3, 1e-5), ("pass", None)),
+        # a step of 0.5 is too coarse for V = z^2000 near |z| = 1
+        (_classical([1, 0], 2000, 0, 1, 0.5), ("residual", {"K_drift": 1.0})),
+        ({**load("classical_cubic.json"), "dt": 0.01},
+         ("residual", {"K_drift": 7.4e-8, "H_i_drift": 2.5e-8})),
+        (_classical([-25, 0], 2, 1, 50, 0.05), ("domain", "StepOverflowError")),
+    ],
+    ids=["cubic", "cubic-1e8-near-0", "z2000-coarse", "cubic-dt-0.01", "inverted-oscillator"],
+)
+def test_classical_at_the_edges_of_its_domain(config, outcome):
+    """ROADMAP item 12's classical rows: the class and the error type or failing gates."""
+    record = cli.run(config)
+    kind, detail = outcome
+    if kind == "domain":
+        assert (record["error"]["class"], record["error"]["type"]) == (kind, detail)
+        return
+    failing = {g["name"]: g["value"] for g in record["residuals"] if not g["pass"]}
+    assert record["all_pass"] is (kind == "pass")
+    assert sorted(failing) == sorted(detail or {})
+    for name, value in failing.items():
+        assert value == pytest.approx(detail[name], rel=1e-2)
 
 
 NON_HERMITIAN_ETA = [[[1, 0], [0.3, 0]], [[0, 0], [1, 0]]]
@@ -1019,6 +1056,46 @@ def test_monomial_of_power_zero_flows_freely():
     assert constant["all_pass"]
     assert [row[:3] for row in constant["curves"]["trajectory"]["rows"]] \
         == [row[:3] for row in free["curves"]["trajectory"]["rows"]]
+
+
+# builder -> argument tuples; complex coefficients x 2^+-60 and powers -3 ... 12
+POTENTIAL_ARGS = {
+    "monomial": [((0.7 - 1.3j) * 2.0**k, power) for power in range(-3, 13) for k in (-60, 0, 60)],
+    "harmonic": [(omega * 2.0**k,) for omega in (0.4, 3.0) for k in (-30, 0, 30)],
+    "free": [()],
+}
+
+
+def derivative_mismatch(v, v_prime, z):
+    """Largest |D V - V'|/|V'| over z, D the central differences of V along
+    1 and along i with step 1e-6 |z|; 0 where both are exactly 0."""
+    step = 1e-6 * np.abs(z)
+    along_1 = (v(z + step) - v(z - step)) / (2 * step)
+    along_i = (v(z + 1j * step) - v(z - 1j * step)) / (2j * step)
+    exact = v_prime(z)
+    gap = np.maximum(np.abs(along_1 - exact), np.abs(along_i - exact))
+    return float(np.max(gap / np.where(gap == 0, 1.0, np.abs(exact))))
+
+
+def test_every_potential_builder_has_derivative_cases():
+    assert sorted(POTENTIAL_ARGS) == sorted(cli._POTENTIALS)
+
+
+@pytest.mark.parametrize("kind", sorted(POTENTIAL_ARGS))
+def test_each_potential_derivative_is_the_complex_derivative_of_its_value(kind):
+    # K and H_i read V, the flow reads V': the run assumes, and checks nowhere, that they agree
+    rng = np.random.default_rng(2718)
+    z = 10.0 ** rng.uniform(-1, 1, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+    for args in POTENTIAL_ARGS[kind]:
+        v, v_prime = cli._POTENTIALS[kind](*args)
+        assert derivative_mismatch(v, v_prime, z) <= 1e-6, args
+
+
+def test_the_derivative_check_reads_a_conjugated_or_wrong_derivative():
+    z = np.array([0.3 + 0.4j, -2.0 + 1.0j, 5.0j])
+    v, v_prime = cli._monomial(0.7 - 1.3j, 3)
+    assert derivative_mismatch(v, lambda w: np.conj(v_prime(w)), z) > 0.5
+    assert derivative_mismatch(v, lambda w: v_prime(w) * (1 + 1e-3), z) > 5e-4
 
 
 def test_csv_of_a_record_without_curves_exits_as_input_error(tmp_path, capsys):

@@ -30,6 +30,8 @@ ALLOWLIST = {
     ("classical", "SymplecticParams"): "ROADMAP item 6: classical gates criterion 9",
     ("classical", "J_STANDARD"): "ROADMAP item 6: classical gates criterion 9",
     ("classical", "bracket"): "ROADMAP item 6: classical gates criterion 9",
+    ("classical", "DarbouxPoint"): "ROADMAP item 6: classical gates criterion 9",
+    ("classical", "to_darboux"): "ROADMAP item 6: classical gates criterion 9",
     ("classical", "standard_bracket"): "ROADMAP item 6: classical gates criterion 9",
     ("classical", "phase_functions"): "ROADMAP item 6: classical gates criterion 9",
 }

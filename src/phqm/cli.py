@@ -129,24 +129,17 @@ def _run_metric(out, *, matrix: Matrix, sigma: list | None = None):
 
 
 def _run_hermitize(out, *, matrix: Matrix, eta: Matrix | None = None):
+    dec = linalg.eig_nonhermitian(matrix)
     if eta is None:
-        dec = linalg.eig_nonhermitian(matrix)
         eta = metric.metric_from_spectrum(biortho.biorthonormal_extension(dec)).eta
-        values = dec.values
-    else:
-        values = np.linalg.eigvals(matrix)
     sys_ = metric.build_system(matrix, eta)
     out.matrices.update(eta_plus=eta, rho=sys_.rho, h=sys_.h)
     # h = rho A rho^-1 is not symmetrized, so its Hermiticity can fail
     h_anti = linalg.opnorm(sys_.h - np.conj(sys_.h.T)) / max(linalg.opnorm(sys_.h), 1e-300)
     out.gate("h_hermiticity", h_anti, 1e-9)
-    spec_h = np.sort(np.linalg.eigvalsh(sys_.h))
-    spec_a = np.sort(values.real)
-    out.gate(
-        "isospectrality",
-        float(np.max(np.abs(spec_h - spec_a)) / max(np.abs(spec_a).max(), 1e-300)),
-        1e-8,
-    )
+    spec_h, spec_a = np.sort(np.linalg.eigvalsh(sys_.h)), np.sort(dec.values.real)
+    error = np.max(np.abs(spec_h - spec_a)) / max(np.abs(spec_a).max(), 1e-300)
+    out.gate("isospectrality", error, 1e-8)
 
 
 def _run_model(out, *, model: Model):
@@ -160,6 +153,15 @@ def _two_level(params, out):
     out.gate("pseudo_hermiticity", metric.pseudo_hermiticity_residual(m.A, m.eta_plus), 1e-10)
     out.gate("charge_squares_to_identity",
              linalg.opnorm(m.C @ m.C - np.eye(2)) / linalg.opnorm(m.C) ** 2, 1e-10)
+    out.gate("eta_general_pseudo_hermiticity",
+             metric.pseudo_hermiticity_residual(m.A, m.eta_general), 1e-10)
+    # rho A = h rho with the closed form rho = exp(theta sigma_1 / 2), theta = ln(D) / 2,
+    # read backward; rho A overflows at D = 1e300, so rho is over its binade, A and h over A's
+    half = 0.25 * np.log(params.D)
+    rho = linalg.over_binade(np.cosh(half) * np.eye(2) + np.sinh(half) * (1 - np.eye(2)))
+    a, h = linalg.over_binade(m.A), m.h / linalg.binade(m.A)
+    out.gate("h_similarity",
+             linalg.opnorm(rho @ a - h @ rho) / (linalg.opnorm(rho) * linalg.opnorm(a)), 1e-10)
 
 
 def _swanson_case(alpha: float, beta: float, hbar: float | None = None,

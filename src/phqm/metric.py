@@ -140,18 +140,22 @@ def charge_operator(bs: BiorthonormalSystem, sigma) -> np.ndarray:
     return (bs.psis * sigma[None, :]) @ dagger(bs.phis)
 
 
+def _scaled_commutator(h: np.ndarray, eta: np.ndarray):
+    """(X, eta^, H^) with X = eta^ H^ - (eta^ H^)^dagger, the one place eta H is
+    formed: H^ and eta^ (Hermitian part) are over their ``binade``s, exactly."""
+    h, eta = over_binade(h), over_binade(eta)
+    eta = 0.5 * (eta + dagger(eta))
+    eta_h = eta @ h
+    return eta_h - dagger(eta_h), eta, h
+
+
 def pseudo_hermiticity_residual(h, eta) -> float:
     """Backward error |eta H - H^dagger eta|_2 / (|eta|_2 |H|_2) of a metric
     argument eta, on its Hermitian part; a singular eta is ``positive_metric``'s
     to reject."""
     h = as_matrix(h)
-    eta = metric_matrix(eta, len(h))
-    # degree 0 in each factor: over its ``binade`` exactly, and finite
-    h, eta = over_binade(h), over_binade(eta)
-    eta = 0.5 * (eta + dagger(eta))
-    eta_h = eta @ h
-    eta_norm = np.abs(np.linalg.eigvalsh(eta)).max()
-    return opnorm(eta_h - dagger(eta_h)) / max(eta_norm * opnorm(h), 1e-300)
+    x, eta, h = _scaled_commutator(h, metric_matrix(eta, len(h)))
+    return opnorm(x) / max(np.abs(np.linalg.eigvalsh(eta)).max() * opnorm(h), 1e-300)
 
 
 def build_system(h_op, eta) -> QuasiHermitianSystem:
@@ -160,21 +164,24 @@ def build_system(h_op, eta) -> QuasiHermitianSystem:
     ``positive_metric`` certifies eta, and its one ``eigh`` gives |eta|_2 =
     lambda_max, rho and rho^-1.  NotPseudoHermitianError when the backward
     error of ``pseudo_hermiticity_residual`` exceeds PSEUDO_HERMITICITY_TOL,
-    decided by ``norm_ratio_above`` against it times lambda_max |H|.
+    decided by ``norm_ratio_above`` on its scaled commutator; h at unit scale.
     """
     H = as_matrix(h_op)
     eta_m, evals, vecs = positive_metric(eta, len(H))
-    eta_h = 0.5 * (eta_m + dagger(eta_m)) @ H
-    residual = norm_ratio_above(eta_h - dagger(eta_h), H, PSEUDO_HERMITICITY_TOL * evals[-1])
+    # over eta's binade, a power of four: |eta^|_2 = lam[-1], rho = rho^ unit
+    unit = np.sqrt(binade(eta_m))
+    lam = evals / unit**2
+    x, _, h_unit = _scaled_commutator(H, eta_m)
+    residual = norm_ratio_above(x, h_unit, PSEUDO_HERMITICITY_TOL * lam[-1])
     if residual is not None:
-        raise NotPseudoHermitianError(f"pseudo-Hermiticity residual {residual / evals[-1]:.3e} "
+        raise NotPseudoHermitianError(f"pseudo-Hermiticity residual {residual / lam[-1]:.3e} "
                                       f"exceeds tol {PSEUDO_HERMITICITY_TOL:.1e}")
-    root = np.sqrt(evals)
+    root = np.sqrt(lam)
     rho = (vecs * root) @ dagger(vecs)
     rho_inv = (vecs / root) @ dagger(vecs)
     rho, rho_inv = 0.5 * (rho + dagger(rho)), 0.5 * (rho_inv + dagger(rho_inv))
-    h = rho @ H @ rho_inv
-    return QuasiHermitianSystem(H, MetricOperator(eta_m), rho, rho_inv, h)
+    h = binade(H) * (rho @ h_unit @ rho_inv)
+    return QuasiHermitianSystem(H, MetricOperator(eta_m), rho * unit, rho_inv / unit, h)
 
 
 def observable_map(o, sys: QuasiHermitianSystem) -> np.ndarray:

@@ -17,7 +17,7 @@ from phqm.classical import (
     standard_bracket,
     to_darboux,
 )
-from phqm.errors import DegenerateStructureError, StepOverflowError
+from phqm.errors import DegenerateStructureError, InputError, StepOverflowError
 
 from oracles import GRADIENT_STEP, cauchy_riemann_residual, integrability_report, symmetry_flow
 
@@ -119,6 +119,16 @@ def test_flow_ends_with_step_overflow_where_the_force_fails(v_prime, z0, cause):
     with pytest.raises(StepOverflowError) as info:
         flow(v_prime, 1.0, ComplexPhasePoint(z0, 1.0), 1.0, 0.1)
     assert type(info.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_flow_takes_at_most_max_steps(sign, monkeypatch):
+    # ten steps of 0.1 reach |t_end| = 1; 1.01 needs an eleventh
+    monkeypatch.setattr(classical, "MAX_STEPS", 10)
+    traj = flow(cubic_prime, 1.0, ComplexPhasePoint(0.0, 1.0), sign * 1.0, 0.1)
+    assert len(traj.times) == 11
+    with pytest.raises(InputError, match="more than MAX_STEPS = 10 steps"):
+        flow(cubic_prime, 1.0, ComplexPhasePoint(0.0, 1.0), sign * 1.01, 0.1)
 
 
 def test_flow_rejects_zero_mass():

@@ -315,14 +315,39 @@ def _classical(coeff, power, z0, t_end, dt):
         ({**load("classical_cubic.json"), "dt": 0.01},
          ("residual", {"K_drift": 7.4e-8, "H_i_drift": 2.5e-8})),
         (_classical([-25, 0], 2, 1, 50, 0.05), ("domain", "StepOverflowError")),
+        # past classical.MAX_STEPS; each ran for longer than 30 s
+        ({**load("classical_cubic.json"), "t_end": 1e300}, ("input", "InputError")),
+        ({**load("classical_cubic.json"), "t_end": -1e300}, ("input", "InputError")),
+        ({**load("classical_cubic.json"), "dt": 1e-300}, ("input", "InputError")),
     ],
-    ids=["cubic", "cubic-1e8-near-0", "z2000-coarse", "cubic-dt-0.01", "inverted-oscillator"],
+    ids=["cubic", "cubic-1e8-near-0", "z2000-coarse", "cubic-dt-0.01", "inverted-oscillator",
+         "t_end-1e300", "t_end--1e300", "dt-1e-300"],
 )
 def test_classical_at_the_edges_of_its_domain(config, outcome):
     """ROADMAP item 12's classical rows: the class and the error type or failing gates."""
-    record = cli.run(config)
+    assert_outcome(cli.run(config), outcome)
+
+
+@pytest.mark.parametrize(
+    "config, outcome",
+    [
+        (load("em_sampled_fdtd.json"), ("pass", None)),
+        # past em.MAX_STEPS of the leapfrog oracle; each ran for longer than 30 s
+        ({**load("em_sampled_fdtd.json"), "t": 1e300}, ("input", "InputError")),
+        ({**load("em_sampled_fdtd.json"), "t": -1e300}, ("input", "InputError")),
+        ({**load("em_vacuum.json"), "t": 1e300, "fdtd_check": True}, ("input", "InputError")),
+    ],
+    ids=["sampled-fdtd", "fdtd-t-1e300", "fdtd-t--1e300", "vacuum-fdtd-t-1e300"],
+)
+def test_em_at_the_edges_of_its_domain(config, outcome):
+    """ROADMAP item 12's em rows: the class and the error type or failing gates."""
+    assert_outcome(cli.run(config), outcome)
+
+
+def assert_outcome(record, outcome):
+    """(class, error type) of a failed record, or ("pass" or "residual", failing gates)."""
     kind, detail = outcome
-    if kind == "domain":
+    if kind in ("input", "domain"):
         assert (record["error"]["class"], record["error"]["type"]) == (kind, detail)
         return
     failing = {g["name"]: g["value"] for g in record["residuals"] if not g["pass"]}
@@ -983,6 +1008,12 @@ GATE_DEFECTS = {
     ("two_level", "pseudo_hermiticity"): (
         models, "two_level",
         lambda m: m.replace(eta_plus=m.eta_plus + 1e-9 * (1 - np.eye(2))), 6.25e-10),
+    ("two_level", "eta_general_pseudo_hermiticity"): (
+        models, "two_level",
+        lambda m: m.replace(eta_general=m.eta_general + 1e-9 * (1 - np.eye(2))), 6.25e-10),
+    # |rho A - h (1 + 1e-9) rho| = 1e-9 |h rho| = 2e-9 |rho|, and |A| = 4
+    ("two_level", "h_similarity"): (
+        models, "two_level", lambda m: m.replace(h=m.h * (1 + 1e-9)), 5e-10),
     ("non_normal_metric", "pseudo_hermiticity"): (
         metric, "metric_from_spectrum",
         lambda m: m.replace(eta=m.eta + 1e-8 * (1 - np.eye(2))), 5e-9),

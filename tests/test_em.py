@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 from scipy.special import erf
 
 from phqm import em
-from phqm.errors import OutOfDomainError, PhqmError
+from phqm.errors import InputError, OutOfDomainError, PhqmError
 from phqm.linalg import opnorm
 
 from oracles import wave_operator
@@ -355,6 +355,17 @@ def test_fdtd_runs_backward_for_negative_t_end():
     np.testing.assert_array_equal(back.field, em.fdtd_oracle(prof, init, 2.0, n=3000).field)
     closed = em.propagate(prof, init, back.z, -2.0)
     assert np.linalg.norm(closed - back.field) / np.linalg.norm(back.field) <= 1e-2
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fdtd_takes_at_most_max_steps(sign, monkeypatch):
+    # five nodes on [-1, 1] in vacuum: dz = 0.5 and dt = CFL dz = 0.25, so
+    # |t_end| = 2.5 takes ten steps and 2.6 eleven
+    monkeypatch.setattr(em, "MAX_STEPS", 10)
+    prof, init = em.vacuum(-1.0, 1.0), em.gaussian_pulse(0.0, 0.3)
+    assert np.isfinite(em.fdtd_oracle(prof, init, sign * 2.5, n=5).field).all()
+    with pytest.raises(InputError, match="more than MAX_STEPS = 10 leapfrog steps"):
+        em.fdtd_oracle(prof, init, sign * 2.6, n=5)
 
 
 def test_fdtd_backward_moving_pulse_matches_closed_form():

@@ -74,11 +74,18 @@ def test_two_level_gates_read_their_exact_backward_errors(d):
     # model is right there and passes every gate from D = 1e-300 to 1e300
     record = cli.run({"command": "model", "model": {"kind": "two_level", "D": d}})
     assert record["all_pass"] is True, record["residuals"]
-    m = {name: exact(record["matrices"][name]) for name in ("A", "eta_plus", "C")}
+    m = {name: exact(matrix) for name, matrix in record["matrices"].items()}
     value = gates(record)
     assert_refereed(value["pseudo_hermiticity"], backward(m["A"], m["eta_plus"]), 2)
+    general = backward(m["A"], m["eta_general"])
+    assert_refereed(value["eta_general_pseudo_hermiticity"], general, 2)
     charge = norm2(m["C"] * m["C"] - mp.eye(2)) / norm2(m["C"]) ** 2
     assert_refereed(value["charge_squares_to_identity"], charge, 2)
+    # rho = exp(theta sigma_1 / 2), theta = ln(D) / 2, exact: the record holds no rho
+    half = mp.log(mp.mpf(d)) / 4
+    rho = mp.matrix([[mp.cosh(half), mp.sinh(half)], [mp.sinh(half), mp.cosh(half)]])
+    similarity = norm2(rho * m["A"] - m["h"] * rho) / (norm2(rho) * norm2(m["A"]))
+    assert_refereed(value["h_similarity"], similarity, 2)
     if d in FORWARD_FAILS:
         # the exact forward error of the same float inputs is u cond(eta), not 0
         assert forward(m["A"], m["eta_plus"]) > 1e-10
@@ -113,3 +120,29 @@ def test_brachistochrone_gate_reads_its_exact_backward_error(name):
     eta = exact(scenario["eta"]) if "eta" in scenario else mp.eye(2)
     exact_value = backward(exact(record["matrices"]["H_star"]), eta)
     assert_refereed(gates(record)["pseudo_hermiticity"], exact_value, 2)
+
+
+def real_spectrum(m):
+    """The real parts of the eigenvalues of ``m``, sorted."""
+    return sorted(mp.re(value) for value in mp.eig(m, left=False, right=False))
+
+
+def test_hermitize_gates_read_their_exact_values():
+    # h = rho A rho^-1 is not symmetrized, so both gates read rounding
+    scenario = load("hermitize_two_level.json")
+    record = cli.run(scenario)
+    a, h = exact(scenario["matrix"]), exact(record["matrices"]["h"])
+    value = gates(record)
+    assert_refereed(value["h_hermiticity"], norm2(h - h.H) / norm2(h), 2)
+    spec_a, spec_h = real_spectrum(a), real_spectrum(h)
+    spread = max(abs(x - y) for x, y in zip(spec_h, spec_a)) / max(abs(x) for x in spec_a)
+    assert_refereed(value["isospectrality"], spread, 2)
+
+
+def test_diagnose_gate_reads_its_exact_backward_error():
+    scenario = load("diagnose_two_level.json")
+    record = cli.run(scenario)
+    a, vectors = exact(scenario["matrix"]), exact(record["matrices"]["right_vectors"])
+    values = exact(np.diag(cli.parse_vector(record["matrices"]["eigenvalues"])))
+    exact_value = norm2(a * vectors - vectors * values) / norm2(a)
+    assert_refereed(gates(record)["eigenpair_residual"], exact_value, a.rows)

@@ -204,6 +204,32 @@ def test_a_matrix_scaled_by_any_power_of_two_keeps_its_verdict(command, matrix):
     check()
 
 
+def test_hermitize_with_its_matrix_and_metric_scaled_by_any_power_of_two_keeps_its_verdict():
+    # eta H was formed unscaled, so at x 2**512 it overflowed (LinAlgError, "SVD
+    # did not converge"); rho H overflowed at x 2**700 and was subnormal at
+    # x 2**-700, failing h_hermiticity at 2.1e-8, and at x 2**-1000, where
+    # isospectrality read 0.19
+    base = load("hermitize_two_level.json")
+
+    def run(k):
+        return verdict(cli.run({**base, "matrix": scaled_eta(base["matrix"], 2.0**k),
+                                "eta": scaled_eta(base["eta"], 2.0**k)}))
+
+    expected = run(0)
+    assert expected[0] is True
+
+    @PROPERTY
+    @given(st.integers(-1000, 1000))
+    @example(512)
+    @example(700)
+    @example(-700)
+    @example(-1000)
+    def check(k):
+        assert run(k) == expected
+
+    check()
+
+
 def test_a_metric_scaled_by_any_power_of_two_leaves_the_geometry_record_bit_identical():
     # the geometry divides eta by its binade, so an odd power's factor 2 is exact
     eta = [[[3.0, 0.0], [1.0, -0.5]], [[1.0, 0.5], [1.0, 0.0]]]

@@ -110,8 +110,10 @@ def _run_diagnose(out, *, matrix: Matrix):
     out.scalars["condition"] = dec.condition
     out.scalars["diagonalizable"] = dec.diagonalizable
     out.matrices.update(eigenvalues=dec.values, right_vectors=dec.right_vectors)
-    residual = linalg.opnorm(matrix @ dec.right_vectors - dec.right_vectors * dec.values[None, :])
-    out.gate("eigenpair_residual", residual / max(linalg.opnorm(matrix), 1e-300), 1e-8)
+    # per pair, |A v - a v| / (|A| |v|); hypot.reduce scales as it sums, so no square overflows
+    v = dec.right_vectors
+    pairs = np.hypot.reduce(abs(matrix @ v - v * dec.values), 0) / np.hypot.reduce(abs(v), 0)
+    out.gate("eigenpair_residual", pairs.max() / max(linalg.opnorm(matrix), 1e-300), 1e-8)
     real = biortho._match_conjugate_pairs(dec.values) == np.arange(dec.dim)
     out.scalars["spectrum_real"] = bool(np.all(real))
 
@@ -242,8 +244,8 @@ def _run_brachistochrone(out, *, psi_I: Vector, psi_F: Vector, E: float,
     # linspace ends exactly at tau_min, so the last row is the final state's
     times = np.linspace(0.0, opt.tau_min, 33)
     states = statespace.evolve(opt.H_star, psi_I, times, prob.hbar)
-    fidelities = [statespace.projective_fidelity(psi_t, psi_F, eta) for psi_t in states]
-    fidelity = out.scalars["fidelity"] = fidelities[-1]
+    fidelities = statespace.projective_fidelity(states, psi_F, eta)
+    fidelity = out.scalars["fidelity"] = float(fidelities[-1])
     out.gate("fidelity_deficit", 1.0 - fidelity, 1e-8)
     de = statespace.energy_uncertainty(opt.H_star, psi_I, eta)
     out.gate("uncertainty_saturation", abs(de - prob.energy) / prob.energy, 1e-9)
@@ -256,8 +258,9 @@ def _run_geometry(out, *, eta: Matrix, n_theta: int = 13, n_phi: int = 25):
         raise InputError("n_theta and n_phi must be at least 1")
     geo = statespace.two_level_geometry(eta)
     out.scalars.update({"k1": geo.k1, "k2": geo.k2, "k3": geo.k3, "beta": geo.beta})
-    rows = [[theta, phi, float(geo.conformal_factor(theta, phi))]
-            for theta in np.linspace(0.0, np.pi, n_theta) for phi in np.linspace(0.0, 2.0 * np.pi, n_phi)]
+    grid = np.meshgrid(np.linspace(0.0, np.pi, n_theta), np.linspace(0.0, 2.0 * np.pi, n_phi),
+                       indexing="ij")
+    rows = np.stack((*grid, geo.conformal_factor(*grid)), axis=-1).reshape(-1, 3).tolist()
     out.curves["line_element"] = {"columns": ["theta", "phi", "ds2_factor"], "rows": rows}
 
 

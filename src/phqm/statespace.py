@@ -20,30 +20,31 @@ ANTIPODAL_TOL = 1e-12  # s below it: identical endpoints; |q| below it: orthogon
 
 
 def _states(eta=None, **states):
-    """Each state as a vector whose largest entry is normal, then eta as a
-    ``positive_metric`` (the identity when None) over its ``binade``: every
-    quantity here has degree 0 in eta.  InputError unless all share one size."""
-    vectors = [np.asarray(psi, dtype=complex).ravel() for psi in states.values()]
-    peak = min(np.abs(v).max(initial=0.0) for v in vectors)
+    """Each state, a vector or a stack of them one per row, each row's largest entry
+    normal, then eta as a ``positive_metric`` (the identity when None) over its
+    ``binade``: every quantity here has degree 0 in eta.  InputError unless all share one size."""
+    vectors = [np.asarray(psi, dtype=complex) for psi in states.values()]
+    peak = min(np.abs(v).max(axis=-1, initial=0.0).min() for v in vectors)
     if peak < np.finfo(float).tiny:
         raise InputError(f"state vector must be nonzero, its largest entry normal; got {peak:.3e}")
-    eta_m = np.eye(len(vectors[0]), dtype=complex) if eta is None else positive_metric(eta)[0]
-    if any(len(v) != len(eta_m) for v in vectors):
+    eta_m = np.eye(vectors[0].shape[-1], dtype=complex) if eta is None else positive_metric(eta)[0]
+    if any(v.shape[-1] != len(eta_m) for v in vectors):
         raise InputError(f"{', '.join(states)} and eta sizes differ")
     return (*vectors, over_binade(eta_m))
 
 
 def _overlaps(v, w, eta_m):
-    """<v|eta w>, <v|eta v> and <w|eta w> of v and w over their ``binade``."""
-    v, w = over_binade(v), over_binade(w)
-    return (complex(np.conj(v) @ eta_m @ w), float(np.real(np.conj(v) @ eta_m @ v)),
-            float(np.real(np.conj(w) @ eta_m @ w)))
+    """<v|eta w>, <v|eta v>, <w|eta w> over the ``binade``s of w and v, or of each row of v,
+    which matmul takes as a 1 x n matrix, as it takes one state: a row reads as that state."""
+    v, w = np.apply_along_axis(over_binade, -1, v)[..., None, :], over_binade(w)
+    p, nv = np.conj(v) @ eta_m @ w, np.real(np.conj(v) @ eta_m @ v.swapaxes(-1, -2))
+    return p[..., 0], nv[..., 0, 0], np.real(np.conj(w) @ eta_m @ w)
 
 
 def _hamiltonian(h_op, v) -> np.ndarray:
     H = as_matrix(h_op)
-    if len(H) != len(v):
-        raise InputError(f"H is {len(H)}x{len(H)}, the state has {len(v)} components")
+    if v.shape != (len(H),):
+        raise InputError(f"H is {len(H)}x{len(H)}, the state's components have shape {v.shape}")
     return H
 
 
@@ -69,12 +70,9 @@ class TwoLevelLineElement(Record):
 
 def two_level_geometry(eta) -> TwoLevelLineElement:
     """Line-element coefficients (k1, k2, k3, beta) of a 2x2 metric."""
-    eta_m = positive_metric(eta, 2)[0]
-    eta_m = over_binade(eta_m)  # the coefficients have degree 0 in eta
-    a = float(eta_m[0, 0].real)
-    c = float(eta_m[1, 1].real)
-    b1 = float(eta_m[0, 1].real)
-    b2 = float(-eta_m[0, 1].imag)
+    eta_m = over_binade(positive_metric(eta, 2)[0])  # the coefficients have degree 0 in eta
+    a, c = float(eta_m[0, 0].real), float(eta_m[1, 1].real)
+    b1, b2 = float(eta_m[0, 1].real), float(-eta_m[0, 1].imag)
     trace = a + c
     det = a * c - (b1**2 + b2**2)
     k1 = det / trace**2
@@ -117,11 +115,9 @@ def optimal_hamiltonian(prob: BrachistochroneProblem) -> OptimalEvolution:
     pre-limit form with unit representatives (any relative phase is
     optimal; this takes 0) is used instead.
     """
-    vi, vf = over_binade(prob.psi_i), over_binade(prob.psi_f)
-    eta_m = prob.eta
-    p, ni, nf = _overlaps(vi, vf, eta_m)
-    ui = vi / np.sqrt(ni)
-    uf = vf / np.sqrt(nf)
+    vi, vf, eta_m = over_binade(prob.psi_i), over_binade(prob.psi_f), prob.eta
+    p, ni, nf = (x.item() for x in _overlaps(vi, vf, eta_m))  # numpy's complex / takes a reciprocal
+    ui, uf = vi / np.sqrt(ni), vf / np.sqrt(nf)
     q = p / np.sqrt(ni * nf)
     cos_s = min(abs(q), 1.0)
     s = float(np.arccos(cos_s))
@@ -155,10 +151,11 @@ def evolve(h_op, psi0, t, hbar: float = 1.0) -> np.ndarray:
     return (phases * (dagger(bs.phis) @ v)) @ bs.psis.T
 
 
-def projective_fidelity(psi, target, eta=None) -> float:
-    """|<psi|eta target>|^2 / (<psi|eta psi><target|eta target>)."""
+def projective_fidelity(psi, target, eta=None):
+    """|<psi|eta target>|^2 / (<psi|eta psi><target|eta target>), a float for a state psi and
+    one per row, each the state's to the bit, for a stack of them; eta is certified once."""
     p, nv, nw = _overlaps(*_states(eta, psi=psi, target=target))
-    return abs(p) ** 2 / (nv * nw)
+    return (p.real * p.real + p.imag * p.imag) / (nv * nw)  # numpy's abs rounds arrays apart
 
 
 def energy_uncertainty(h_op, psi, eta=None) -> float:

@@ -805,6 +805,40 @@ def test_brachistochrone_trajectory_takes_one_evolve_call(name, monkeypatch):
                                          abs=1e-15)
 
 
+def test_a_brachistochrone_record_certifies_its_eta_three_times(monkeypatch):
+    # once in BrachistochroneProblem, once in energy_uncertainty and once for the
+    # whole trajectory's fidelities; each of its 33 samples certified it again before
+    calls = []
+    positive_metric = metric.positive_metric
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return positive_metric(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "positive_metric", counting)
+    monkeypatch.setattr(statespace, "positive_metric", counting)
+    assert cli.run(load("brachistochrone_deformed.json"))["all_pass"]
+    assert len(calls) == 3
+
+
+def test_a_geometry_record_evaluates_its_grid_in_one_call(monkeypatch):
+    # one conformal_factor call on the meshgrid, not one per grid point
+    calls = []
+    conformal_factor = statespace.TwoLevelLineElement.conformal_factor
+
+    def counting(self, theta, phi):
+        calls.append(np.shape(theta))
+        return conformal_factor(self, theta, phi)
+
+    monkeypatch.setattr(statespace.TwoLevelLineElement, "conformal_factor", counting)
+    record = cli.run(load("geometry_euclidean.json"))
+    assert calls == [(13, 25)]
+    rows = record["curves"]["line_element"]["rows"]
+    # theta-major, as the record has always listed them
+    assert [row[:2] for row in rows[:2]] == [[0.0, 0.0], [0.0, 2.0 * np.pi / 24]]
+    assert rows[25][:2] == [np.pi / 12, 0.0]
+
+
 def _real_matrix(encoded):
     m = np.array(encoded)
     assert not np.any(m[..., 1])
@@ -862,8 +896,8 @@ def test_a_wrong_eta_is_no_hermitian_partner_whatever_the_scenario_says():
 
 
 def test_an_inexact_eigenpair_fails_a_residual_gate(monkeypatch, tmp_path):
-    # eig_nonhermitian checks no eigenpair: diagnose's gate reads the residual,
-    # at any cond(V), and hermitize's isospectrality catches a wrong spectrum
+    # eig_nonhermitian checks no eigenpair: diagnose's gate reads the residual of
+    # each pair, at any cond(V), and hermitize's isospectrality catches a wrong spectrum
     true_eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda m: (np.array([1.0, 5.0]),
                                                      np.array([[1.0, 1.0], [0.0, 1e-13]])))
@@ -871,11 +905,11 @@ def test_an_inexact_eigenpair_fails_a_residual_gate(monkeypatch, tmp_path):
     assert "error" not in record and record["scalars"]["diagonalizable"] is False
     (gate,) = record["residuals"]
     assert (gate["name"], gate["pass"], gate["tolerance"]) == ("eigenpair_residual", False, 1e-8)
-    assert gate["value"] == pytest.approx(0.75)
+    assert gate["value"] == pytest.approx(0.7288689868557268)
     monkeypatch.setattr(np.linalg, "eig", lambda m: (lambda w, v: (1.001 * w, v))(*true_eig(m)))
     diagnose = load("diagnose_two_level.json")
     hermitize = {"command": "hermitize", "matrix": diagnose["matrix"]}
-    for config, name, value in ((diagnose, "eigenpair_residual", 6.3e-4),
+    for config, name, value in ((diagnose, "eigenpair_residual", 5.0e-4),
                                 (hermitize, "isospectrality", 1.0e-3)):
         record = cli.run(config)
         assert "error" not in record and not record["all_pass"]

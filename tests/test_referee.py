@@ -7,7 +7,9 @@ arithmetic from the representation error of its inputs.  For an n x n
 identity read as a backward error, the float value lies within
 ROUNDING(n) = 4 n^2 u of the exact one: each product carries at most
 n gamma_n |A||B| <= n^2 u |A|_2 |B|_2, and the norms add a few u of
-relative error to a value that is itself at rounding level.
+relative error to a value that is itself at rounding level.  The
+``geometry`` record gates nothing, so its coefficients and line element
+are recomputed the same way from its eta.
 """
 
 import json
@@ -140,9 +142,39 @@ def test_hermitize_gates_read_their_exact_values():
 
 
 def test_diagnose_gate_reads_its_exact_backward_error():
+    # the largest per-pair backward error |A v - a v|_2 / (|A|_2 |v|_2)
     scenario = load("diagnose_two_level.json")
     record = cli.run(scenario)
     a, vectors = exact(scenario["matrix"]), exact(record["matrices"]["right_vectors"])
-    values = exact(np.diag(cli.parse_vector(record["matrices"]["eigenvalues"])))
-    exact_value = norm2(a * vectors - vectors * values) / norm2(a)
-    assert_refereed(gates(record)["eigenpair_residual"], exact_value, a.rows)
+    values = exact(np.atleast_2d(cli.parse_vector(record["matrices"]["eigenvalues"])))
+    columns = [vectors.column(i) for i in range(a.rows)]
+    pairs = [mp.norm(a * v - values[0, i] * v) / mp.norm(v) for i, v in enumerate(columns)]
+    assert_refereed(gates(record)["eigenpair_residual"], max(pairs) / norm2(a), a.rows)
+
+
+# a 2x2 metric with every coefficient nonzero, as in test_scale
+DEFORMED_ETA = [[[3.0, 0.0], [1.0, -0.5]], [[1.0, 0.5], [1.0, 0.0]]]
+# a few rounding units, relative: the deformed eta's worst ds2_factor reads 4.4 u
+GEOMETRY_ROUNDS = 8
+
+
+@pytest.mark.parametrize("eta", [load("geometry_euclidean.json")["eta"], DEFORMED_ETA],
+                         ids=["euclidean", "deformed"])
+def test_geometry_record_reads_its_exact_line_element(eta):
+    # geometry gates nothing (residuals: []), so its numbers are refereed here
+    record = cli.run({"command": "geometry", "eta": eta})
+    assert record["residuals"] == []
+    m = exact(eta)
+    a, c, b1, b2 = mp.re(m[0, 0]), mp.re(m[1, 1]), mp.re(m[0, 1]), -mp.im(m[0, 1])
+    trace = a + c
+    k = {"k1": (a * c - b1**2 - b2**2) / trace**2, "k2": (a - c) / trace,
+         "k3": 2 * mp.sqrt(b1**2 + b2**2) / trace, "beta": mp.atan2(b2, b1)}
+    u = np.finfo(float).eps
+    for name, exact_value in k.items():
+        assert abs(record["scalars"][name] - exact_value) <= GEOMETRY_ROUNDS * u * abs(exact_value)
+    rows = record["curves"]["line_element"]["rows"]
+    assert len(rows) == 13 * 25
+    for theta, phi, factor in rows:
+        denom = 1 + k["k2"] * mp.cos(theta) + k["k3"] * mp.cos(phi - k["beta"]) * mp.sin(theta)
+        exact_factor = k["k1"] / denom**2
+        assert abs(factor - exact_factor) <= GEOMETRY_ROUNDS * u * exact_factor, (theta, phi)

@@ -86,6 +86,13 @@ def test_ray_quantities_are_scale_free_to_the_bit(power):
         np.testing.assert_array_equal(projector(v * f, eta), projector(v, eta))
         assert energy_uncertainty(h, v * f, eta) == energy_uncertainty(h, v, eta)
         assert energy_uncertainty(h * f, v, eta) == f * energy_uncertainty(h, v, eta)
+        # a stack of states, each row scaled by its own 2^k, reads each row as
+        # that state alone, to the bit
+        stack = np.array([random_state(3) for _ in range(5)])
+        scales = 2.0 ** np.append(power, RNG.integers(-600, 601, 4))[:, None]
+        fidelities = projective_fidelity(stack * scales, w, eta)
+        np.testing.assert_array_equal(fidelities, [projective_fidelity(u, w, eta) for u in stack])
+        np.testing.assert_array_equal(projective_fidelity(stack, w, eta), fidelities)
 
 
 def test_a_state_whose_largest_entry_is_subnormal_is_rejected():
@@ -250,10 +257,11 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
     lambda: energy_uncertainty(np.eye(3), E1),
     lambda: evolve(SIGMA_Z, E3, 1.0),
     lambda: evolve(np.eye(3), E1, 1.0),
+    lambda: evolve(SIGMA_Z, np.eye(2), 1.0),
     lambda: projector(E1, np.eye(3)),
     lambda: fs_metric(E3, np.eye(2)),
 ], ids=["distance", "distance_eta", "fidelity", "fidelity_swapped", "problem",
-        "uncertainty_state", "uncertainty_H", "evolve_state", "evolve_H", "projector",
+        "uncertainty_state", "uncertainty_H", "evolve_state", "evolve_H", "evolve_stack", "projector",
         "fs_metric"])
 def test_states_and_operators_of_different_sizes_are_input_errors(call):
     # numpy's bare ValueError from matmul escaped before, outside the

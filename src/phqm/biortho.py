@@ -56,16 +56,17 @@ def _match_conjugate_pairs(values: np.ndarray) -> np.ndarray:
     tol = PAIR_TOL * _scale(values)
     real = np.abs(values.imag) <= tol
     partner = np.where(real, np.arange(len(values)), -1)
-    unused = set(np.flatnonzero(~real).tolist())
-    for i in np.flatnonzero(~real).tolist():
-        if i not in unused:
+    nonreal = np.flatnonzero(~real)
+    # row a: |a_b - conj(a_a)| over the nonreal b; column b turns inf once b is taken
+    distance = np.abs(values[nonreal][None, :] - np.conj(values[nonreal])[:, None])
+    for a, i in enumerate(nonreal.tolist()):
+        if partner[i] >= 0:
             continue
-        unused.discard(i)
-        target = np.conj(values[i])
-        best = min(sorted(unused), key=lambda j: abs(values[j] - target), default=None)
-        if best is not None and abs(values[best] - target) <= tol:
-            partner[i], partner[best] = best, i
-            unused.discard(best)
+        distance[:, a] = np.inf
+        b = int(np.argmin(distance[a]))  # the first index wins a tie
+        if distance[a, b] <= tol:
+            partner[i], partner[nonreal[b]] = nonreal[b], i
+            distance[:, b] = np.inf
     return partner
 
 

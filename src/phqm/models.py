@@ -31,7 +31,7 @@ from .errors import (
     RealityViolatedError,
     SingularOperatorError,
 )
-from .linalg import dagger, opnorm
+from .linalg import binade, dagger, opnorm
 from .metric import MetricOperator
 from .perturbation import ladder_operators
 
@@ -613,9 +613,11 @@ def kernel_metric(spec: KernelPotentialSpec) -> KernelMetricResult:
     x = spec.points()
     eta = kernel_first_order(spec, x)
     eta *= spec.dx
-    # first-order-regime diagnostic: the spectral norm of the Hermitian O(zeta)
-    # correction dx k; its square estimates the dropped O(zeta^2)
-    kernel_scale = float(np.max(np.abs(np.linalg.eigvalsh(eta))))
+    # first-order-regime diagnostic |dx k|_2, whose square estimates the dropped O(zeta^2):
+    # dx k = iB, B real antisymmetric, so it is sqrt(lambda_max(B^T B)), B over its binade
+    scale = binade(eta.imag)
+    b = eta.imag / scale
+    kernel_scale = float(scale * np.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]))
     # the kernel is linear in zeta, vanishes on the diagonal, and halving
     # is exact, so eta(zeta/2) is I + (dx/2) k(zeta) to the bit
     eta *= 0.5

@@ -3,20 +3,20 @@
 The exponent solves the commutator hierarchy [H0, Q_j] = R_j with
 R_1 = -2 H1 and higher R_j assembled from nested commutators of H0 with
 the lower Q_s, read from one table that a plain loop over the orders
-extends; even-order Q_j are set to zero, which the hierarchy permits.  Everything acts on
-finite matrix truncations.
+extends in H0's eigenbasis; even-order Q_j are set to zero, which the
+hierarchy permits.  Everything acts on finite matrix truncations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
 import numpy as np
 
 from ._record import Record
-from .linalg import as_matrix, commutator, hermitian_function, is_hermitian, opnorm
+from .linalg import as_matrix, commutator, dagger, hermitian_function, is_hermitian, opnorm
 from .metric import MetricOperator, pseudo_hermiticity_residual
 from .errors import InputError, NotHermitianError, UnsolvableCommutatorError
 
@@ -61,82 +61,76 @@ class QSeries(Record):
         return total
 
 
-def solve_commutator(h0, r) -> np.ndarray:
-    """Solve [H0, Q] = R for Hermitian H0 in its eigenbasis.
-
-    Q_mn = R_mn / (E_m - E_n) off degenerate blocks |E_m - E_n| <= DEGENERACY_TOL
-    max |E|, and zero on them (minimal-norm gauge).  A nonzero R entry on a
-    degenerate block means no solution exists.
-    """
-    H0 = as_matrix(h0)
-    R = as_matrix(r)
-    if H0.shape != R.shape:
-        raise InputError("H0 and R must share a shape")
-    energies, basis = np.linalg.eigh(0.5 * (H0 + np.conj(H0.T)))
-    scale = float(np.max(np.abs(energies)))  # so H0 and c H0 share their blocks
-    r_tilde = np.conj(basis.T) @ R @ basis
+def _eigenbasis(h0: np.ndarray):
+    """H0's eigenvectors U, gaps E_m - E_n and degenerate blocks |E_m - E_n| <=
+    DEGENERACY_TOL max |E| (a scale H0 and c H0 share), from its Hermitian part."""
+    energies, basis = np.linalg.eigh(0.5 * (h0 + dagger(h0)))
     gaps = energies[:, None] - energies[None, :]
-    degenerate = np.abs(gaps) <= DEGENERACY_TOL * scale
+    return basis, gaps, np.abs(gaps) <= DEGENERACY_TOL * float(np.max(np.abs(energies)))
 
-    r_scale = max(opnorm(R), 1e-300)
+
+def _divide_gaps(r_tilde: np.ndarray, gaps: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Q~ = R~ / gaps off the degenerate blocks and zero on them (minimal-norm
+    gauge); a nonzero R~ entry on a block, against |R~|_2 = |R|_2, has no solution."""
     blocked = np.abs(r_tilde[degenerate])
-    if blocked.size and blocked.max() > 1e-8 * r_scale:
-        raise UnsolvableCommutatorError(
-            "R has a nonzero entry on a degenerate block of H0 "
-            f"(max {blocked.max():.3e})"
-        )
+    if blocked.size and blocked.max() > 1e-8 * max(opnorm(r_tilde), 1e-300):
+        raise UnsolvableCommutatorError("R has a nonzero entry on a degenerate block of H0 "
+                                        f"(max {blocked.max():.3e})")
     q_tilde = np.zeros_like(r_tilde)
     np.divide(r_tilde, gaps, out=q_tilde, where=~degenerate)
-    return basis @ q_tilde @ np.conj(basis.T)
+    return q_tilde
+
+
+def solve_commutator(h0, r) -> np.ndarray:
+    """Solve [H0, Q] = R for Hermitian H0 in its eigenbasis: Q~_mn = R~_mn / (E_m - E_n)."""
+    H0, R = as_matrix(h0), as_matrix(r)
+    if H0.shape != R.shape:
+        raise InputError("H0 and R must share a shape")
+    basis, gaps, degenerate = _eigenbasis(H0)
+    return basis @ _divide_gaps(dagger(basis) @ R @ basis, gaps, degenerate) @ dagger(basis)
 
 
 @lru_cache(maxsize=None)
-def _q_coefficient(k: int) -> Fraction:
-    """q_k in the nested-commutator recursion (exact rational)."""
-    total = Fraction(0)
-    for m in range(1, k + 1):
-        for n in range(1, m + 1):
-            total += Fraction(
-                (-1) ** n * n ** k * factorial(m),
-                factorial(k) * 2 ** (m - 1) * factorial(n) * factorial(m - n),
-            )
-    return total
+def _q_coefficient(k: int) -> float:
+    """q_k of the recursion, the t^k coefficient of -2 tanh(t/2): 0 for even k and, for odd
+    k, -2 (-1)^((k-1)/2) T_k / (k! 2^k), the tangent number T_k from an integer Seidel triangle."""
+    if k % 2 == 0:
+        return 0.0
+    row = [1]
+    for _ in range(k):
+        row = list(accumulate(reversed(row), initial=0))
+    return -2 * (-1) ** (k // 2) * row[-1] / (factorial(k) * 2**k)
 
 
 def q_series(prob: PerturbationProblem) -> QSeries:
-    """Solve the hierarchy up to prob.order, odd orders only.
+    """Solve the hierarchy up to prob.order, odd orders only, in H0's eigenbasis.
 
     R_1 = -2 H1 and R_j = sum_k q_k Z[k, j] for odd j >= 3, where Z[k, m]
     is the sum of the k-fold nested commutators [[H0, Q_s1], ..., Q_sk]
     over odd s_1 + ... + s_k = m (Q_even = 0 removes every other
     composition).  Every order reads Z from one table built by the
-    recursion Z[k, m] = sum_s [Z[k-1, m-s], Q_s] from Z[0, 0] = H0, so
-    each nested commutator is formed once and shared by all the orders
-    above it.
+    recursion Z[k, m] = sum_s [Z[k-1, m-s], Q_s] from Z[1, m] = [H0, Q_m],
+    so each nested commutator is formed once.  The table lives in H0's
+    eigenbasis, found once: there [H0, Q~_m] = gaps * Q~_m, elementwise.
     """
-    dim = prob.H0.shape[0]
-    terms: dict[int, np.ndarray] = {}
-    z: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(1, prob.order + 1):
-        if j % 2 == 0:
-            terms[j] = np.zeros((dim, dim), dtype=complex)
-            continue
+    basis, gaps, degenerate = _eigenbasis(prob.H0)
+    q_tilde, z = {}, {}  # j -> Q~_j and (k, m) -> Z[k, m], both in the eigenbasis
+    for j in range(1, prob.order + 1, 2):
         if j == 1:
-            rhs = -2.0 * prob.H1
+            rhs = -2.0 * (dagger(basis) @ prob.H1 @ basis)
         else:
             # columns m = j - 1 (even k) and m = j (odd k >= 3) of the
             # table need Q_s for s <= j - 2 only
             for k in range(2, j + 1):
                 m = j if k % 2 else j - 1
-                z[k, m] = sum(
-                    commutator(z[k - 1, m - s], terms[s]) for s in range(1, m - k + 2, 2)
-                )
-            rhs = sum(float(_q_coefficient(k)) * z[k, j] for k in range(3, j + 1, 2))
-        qj = solve_commutator(prob.H0, rhs)
-        qj = 0.5 * (qj + np.conj(qj.T))
-        terms[j] = qj
-        z[1, j] = commutator(prob.H0, qj)
-    return QSeries(terms)
+                z[k, m] = sum(commutator(z[k - 1, m - s], q_tilde[s])
+                              for s in range(1, m - k + 2, 2))
+            rhs = sum(_q_coefficient(k) * z[k, j] for k in range(3, j + 1, 2))
+        qj = _divide_gaps(rhs, gaps, degenerate)
+        q_tilde[j] = qj = 0.5 * (qj + dagger(qj))
+        z[1, j] = gaps * qj
+    return QSeries({j: basis @ q_tilde[j] @ dagger(basis) if j % 2
+                    else np.zeros_like(basis) for j in range(1, prob.order + 1)})
 
 
 def metric_from_q(qs: QSeries, epsilon: float) -> MetricOperator:

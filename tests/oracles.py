@@ -2,9 +2,12 @@
 check the paper's identities on them, and each stays here until a command
 records it."""
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 
-from phqm import classical, em, metric, models, perturbation, statespace
+from phqm import biortho, classical, em, metric, models, perturbation, statespace
 from phqm._record import Record
 from phqm.errors import ComplexSpectrumError, InputError, SingularOperatorError
 from phqm.linalg import as_matrix, binade, dagger, opnorm
@@ -198,3 +201,36 @@ def wave_operator(profile, z: np.ndarray) -> np.ndarray:
     """Dense matrix of the discretized Omega^2 (clamped boundaries)."""
     lower, main, upper = em._omega2_bands(profile, z)
     return np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+def q_coefficient(k: int) -> Fraction:
+    """q_k of the nested-commutator recursion as the exact rational double sum
+    that ``perturbation._q_coefficient`` replaces by its tangent-number form."""
+    total = Fraction(0)
+    for m in range(1, k + 1):
+        for n in range(1, m + 1):
+            total += Fraction(
+                (-1) ** n * n ** k * factorial(m),
+                factorial(k) * 2 ** (m - 1) * factorial(n) * factorial(m - n),
+            )
+    return total
+
+
+def match_conjugate_pairs(values: np.ndarray) -> np.ndarray:
+    """``biortho._match_conjugate_pairs`` as a greedy loop over a set of unused
+    indices: each nonreal a_i in index order takes the nearest unused conj(a_i),
+    the smallest index among equals, when it lies within PAIR_TOL max |a|."""
+    tol = biortho.PAIR_TOL * float(np.abs(values).max(initial=0.0))
+    real = np.abs(values.imag) <= tol
+    partner = np.where(real, np.arange(len(values)), -1)
+    unused = set(np.flatnonzero(~real).tolist())
+    for i in np.flatnonzero(~real).tolist():
+        if i not in unused:
+            continue
+        unused.discard(i)
+        target = np.conj(values[i])
+        best = min(sorted(unused), key=lambda j: abs(values[j] - target), default=None)
+        if best is not None and abs(values[best] - target) <= tol:
+            partner[i], partner[best] = best, i
+            unused.discard(best)
+    return partner

@@ -4,6 +4,8 @@ import pytest
 from phqm import biortho, linalg
 from phqm.errors import DefectiveOperatorError
 
+from oracles import match_conjugate_pairs
+
 RNG = np.random.default_rng(7331)
 
 
@@ -118,6 +120,39 @@ def test_partner_maps_pairs_and_fixes_real_eigenvalues():
         linalg.eig_nonhermitian(np.diag([1.0, 2.0 + 1.0j, 3.0])))
     assert _check_partner(unpaired).tolist() == [True, False, True]
     np.testing.assert_array_equal(unpaired.partner, [0, -1, 2])
+
+
+def _pairs(values):
+    """partner of ``values``, asserted equal to the greedy loop's."""
+    values = np.asarray(values, dtype=complex)
+    partner = biortho._match_conjugate_pairs(values)
+    np.testing.assert_array_equal(partner, match_conjugate_pairs(values))
+    return partner.tolist()
+
+
+def test_conjugate_matching_breaks_ties_by_index_and_keeps_the_tolerance():
+    d = 2.0**-30
+    # conj(1 + i) lies exactly d from 1 + d - i and from 1 - d - i: the first index wins
+    assert _pairs([1 + 1j, 1 + d - 1j, 1 - d - 1j]) == [1, 0, -1]
+    assert _pairs([1 + 1j, 1 - d - 1j, 1 + d - 1j]) == [1, 0, -1]
+    assert _pairs([2j, 2j, -2j, -2j]) == [2, 3, 0, 1]
+    # a pair exactly PAIR_TOL max |a| apart matches; one rounding unit further does not
+    tol = biortho.PAIR_TOL * 4.0
+    assert _pairs([4.0, 1j, tol - 1j]) == [0, 2, 1]
+    assert _pairs([4.0, 1j, np.nextafter(tol, 1.0) - 1j]) == [0, -1, -1]
+    assert _pairs([]) == []
+
+
+def test_conjugate_matching_agrees_with_the_greedy_loop_on_random_spectra():
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 7, 30, 64):
+        a = rng.standard_normal((n, n))
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for values in (np.linalg.eigvals(a),                  # exact conjugate pairs
+                       np.linalg.eigvals(a + 1e-12 * noise),  # pairs split below the tolerance
+                       np.linalg.eigvals(a + 1e-6 * noise),   # pairs split beyond it
+                       np.round(np.linalg.eigvals(a), 1)):    # repeated values and exact ties
+            _pairs(values)
 
 
 def test_degenerate_block_is_orthonormalized():

@@ -668,6 +668,20 @@ def test_packet_residuals_match_the_dense_commutator(kind, zeta, n):
             opnorm(out.eta_matrix - np.eye(n)), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:first-order kernel correction")
+@pytest.mark.parametrize("kind, zeta", [("barrier", 0.08), ("delta", 0.3), ("square_well", 0.1)])
+def test_kernel_scale_reads_the_complex_hermitian_spectrum(kind, zeta):
+    # dx k is i B with B = eta.imag real antisymmetric, so the real spectrum of
+    # B^T B gives the largest |eigenvalue| of the Hermitian dx k
+    spec = models.KernelPotentialSpec(kind, zeta, n=400)
+    out = models.kernel_metric(spec)
+    correction = spec.dx * models.kernel_first_order(spec, out.x)
+    assert not np.any(correction.real)
+    np.testing.assert_array_equal(correction.imag, -correction.imag.T)
+    assert out.residual_report["first_order_kernel_scale"] == pytest.approx(
+        np.max(np.abs(np.linalg.eigvalsh(correction))), rel=1e-13)
+
+
 @pytest.mark.parametrize("kind,zeta", [("barrier", 0.1), ("delta", 0.2)])
 def test_kernel_residual_order(kind, zeta):
     import warnings

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from phqm import linalg, perturbation
 from phqm.errors import InputError, NotHermitianError, UnsolvableCommutatorError
 from phqm.linalg import commutator, opnorm
 
-from oracles import oscillator_basis
+from oracles import oscillator_basis, q_coefficient
 
 RNG = np.random.default_rng(998877)
 
@@ -394,3 +397,39 @@ def test_oscillator_basis_needs_two_states():
 def test_q_series_order_is_the_highest_stored_order():
     h0, h1 = random_graded_problem(4, scale=0.1)
     assert max(perturbation.q_series(perturbation.PerturbationProblem(h0, h1, 0.1, 5)).terms) == 5
+
+
+def test_q_series_diagonalizes_h0_once(monkeypatch):
+    # the whole hierarchy runs in H0's eigenbasis, so order 13 takes one eigh,
+    # not one per odd order
+    h0, h1 = random_graded_problem(12)
+    prob = perturbation.PerturbationProblem(h0, h1, 0.01, 13)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    perturbation.q_series(prob)
+    assert len(calls) == 1
+
+
+def test_q_coefficients_are_the_exact_double_sum_rounded_once():
+    from phqm.perturbation import _q_coefficient
+
+    for k in range(1, 41):
+        assert type(_q_coefficient(k)) is float
+        assert _q_coefficient(k) == float(q_coefficient(k)), k
+
+
+def test_importing_the_cli_does_not_import_fractions_or_decimal():
+    # _q_coefficient is integer arithmetic, so nothing on the CLI's import
+    # path needs the fractions module or the decimal module it loads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phqm.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
